@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 from .model import (
     Command,
-    Event,
     Registry,
     Rule,
     Value,
@@ -52,8 +51,6 @@ class SimulatedPlatform:
         self.tag_gated = set(tag_gated or ())
         self.command_sink = command_sink
         self.db: dict[tuple[str, str], Value] = dict(registry.initial_states().items())
-        self.commands: list[Command] = []
-        self.received: list[Event] = []
         self._seq = 0
         # Delayed actions and native rule timers share one deadline heap.
         self._pending: list[tuple[int, int, str, object]] = []
@@ -88,7 +85,6 @@ class SimulatedPlatform:
         self.db[key] = value
         if kind == "sync":
             return
-        self.received.append(Event(device, attribute, value, ts))
         if kind == "expiry":
             for rule in self._by_key.get(key, ()):
                 if rule.id == tag and rule.trigger.satisfied_by(value):
@@ -168,6 +164,5 @@ class SimulatedPlatform:
                 self._issue(command)
 
     def _issue(self, command: Command) -> None:
-        self.commands.append(command)
         if self.command_sink is not None:
             self.command_sink(command)

@@ -1,12 +1,25 @@
 """Discrete-event simulation of the whole home: devices, mediator, platform.
 
-Three pipelines over one trace:
+Three pipelines over one trace, run by one scheduler loop that owns the
+devices, the platform and the deadline heap. They differ only in where device
+events go upstream:
 
 * mediated -- device events flow through the policy engine; only the
   minimized stream reaches the platform; commands pass back unmodified.
 * raw      -- the platform consumes the unfiltered trace (the ground truth).
 * pull     -- nothing is pushed; the platform only learns states it
   explicitly refreshes, so only time-triggered rules can run.
+
+The loop keeps two rules:
+
+* Entries due at the same millisecond run in push order. Trace events are
+  pushed first, so a device event lands before any timer, delayed report or
+  delayed action due at that instant. The raw replay defines this order, and
+  a held-duration timer that ends exactly when its condition's device changes
+  must see the change in every pipeline alike.
+* Each deadline is armed once. After every step the engine's and the
+  platform's next deadlines are pushed at most once per (source, timestamp),
+  and the engine ticks only when its own deadline pops.
 
 Fidelity is scored the way commands are verified in the field: every
 command issued under mediation must have a raw counterpart within a short
@@ -19,7 +32,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .compiler import CompiledCorpus
 from .engine import Emission, EngineConfig, PolicyEngine
@@ -86,24 +99,6 @@ class RunArtifacts:
     reported_counts: dict[tuple[str, str], int] = field(default_factory=dict)
 
 
-class _Scheduler:
-    """One global deadline heap; ties break in push order."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, str, object]] = []
-        self._seq = 0
-
-    def push(self, when: int, kind: str, payload: object = None) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, kind, payload))
-
-    def pop(self) -> Optional[tuple[int, str, object]]:
-        if not self._heap:
-            return None
-        when, _, kind, payload = heapq.heappop(self._heap)
-        return when, kind, payload
-
-
 def _daily_instants(minutes: Iterable[int], horizon_ms: int) -> list[int]:
     out = []
     for day_start in range(0, horizon_ms + 1, MS_PER_DAY):
@@ -114,6 +109,187 @@ def _daily_instants(minutes: Iterable[int], horizon_ms: int) -> list[int]:
     return sorted(out)
 
 
+_Handler = Callable[[int, Any], None]
+
+
+class _Replay:
+    """The scheduler loop every pipeline runs; subclasses are the upstreams.
+
+    A subclass decides where device events go (``upstream``) and may push
+    entries of its own.
+    """
+
+    command_delay_ms = 0     # platform -> device transport delay
+
+    def __init__(
+        self,
+        trace: list[Event],
+        rules: list[Rule],
+        registry: Registry,
+        config: SimConfig,
+        mode: str = "push",
+        tag_gated: Optional[set[str]] = None,
+    ):
+        self.config = config
+        self.farm = DeviceFarm(registry)
+        self.artifacts = RunArtifacts()
+        self._issued: list[Command] = []
+        self.platform = SimulatedPlatform(
+            rules, registry, mode=mode, tag_gated=tag_gated, command_sink=self._issued.append,
+        )
+        self.horizon = (trace[-1].timestamp if trace else 0) + config.grace_ms
+        self._heap: list[tuple[int, int, _Handler, Any]] = []
+        self._seq = 0
+        self._armed: set[tuple[Callable[[int], None], int]] = set()
+        for event in trace:
+            self.push(event.timestamp, self._device_event, event)
+        for ts in _daily_instants(self.platform.time_trigger_minutes(), self.horizon):
+            self.push(ts, self._platform_time, None)
+
+    def push(self, when: int, handler: _Handler, payload: Any) -> None:
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, handler, payload))
+
+    def run(self) -> RunArtifacts:
+        heap = self._heap
+        while heap:
+            now, _, handler, payload = heapq.heappop(heap)
+            handler(now, payload)
+            self.arm_deadlines()
+        self.artifacts.p_commands.sort(key=lambda c: c.timestamp)
+        self.artifacts.truth_events.sort(key=lambda e: e.timestamp)
+        return self.artifacts
+
+    # -- deadlines ---------------------------------------------------------------
+
+    def arm_deadlines(self) -> None:
+        self._arm(self.platform.next_deadline(), self.drain_platform)
+
+    def _arm(self, due: Optional[int], action: Callable[[int], None]) -> None:
+        if due is not None and (action, due) not in self._armed:
+            self._armed.add((action, due))
+            self.push(due, self._due, action)
+
+    def _due(self, now: int, action: Callable[[int], None]) -> None:
+        self._armed.discard((action, now))
+        action(now)
+
+    # -- devices and platform ----------------------------------------------------
+
+    def upstream(self, event: Event, now: int) -> None:
+        """Carry one device event (trace or actuation) towards the platform."""
+        raise NotImplementedError
+
+    def lost_in_transit(self) -> bool:
+        return False
+
+    def _device_event(self, now: int, event: Event) -> None:
+        self.farm.observe(event)
+        self.artifacts.truth_events.append(event)
+        counts = self.artifacts.raw_counts
+        counts[event.key()] = counts.get(event.key(), 0) + 1
+        self.upstream(event, now)
+
+    def _actuate(self, now: int, cmd: Command) -> None:
+        change = self.farm.actuate(Command(cmd.device, cmd.attribute, cmd.value, now, cmd.origin))
+        if change is not None:
+            self.artifacts.truth_events.append(change)
+            self.upstream(change, now)
+
+    def _platform_time(self, now: int, _: None) -> None:
+        self.platform.time_tick(now)
+        self.drain_platform(now)
+
+    def drain_platform(self, now: int) -> None:
+        """Run the platform's due work and send the commands it issued."""
+        self.platform.tick(now)
+        for cmd in self._issued:
+            if self.lost_in_transit():
+                continue
+            self.artifacts.p_commands.append(cmd)
+            self.push(cmd.timestamp + self.command_delay_ms, self._actuate, cmd)
+        self._issued.clear()
+
+
+class _RawReplay(_Replay):
+    def upstream(self, event: Event, now: int) -> None:
+        self.platform.receive(event.device, event.attribute, event.value, now)
+        self.drain_platform(now)
+
+
+class _PullReplay(_Replay):
+    def __init__(self, trace: list[Event], rules: list[Rule], registry: Registry,
+                 config: SimConfig):
+        super().__init__(trace, rules, registry, config, mode="pull")
+        if config.refresh_ms:
+            for ts in range(0, self.horizon + 1, config.refresh_ms):
+                self.push(ts, self._refresh, None)
+
+    def upstream(self, event: Event, now: int) -> None:
+        pass  # nothing is pushed
+
+    def _refresh(self, now: int, _: None) -> None:
+        self.platform.refresh(dict(self.farm.states), now)
+
+
+class _MediatedReplay(_Replay):
+    def __init__(self, trace: list[Event], corpus: CompiledCorpus, config: SimConfig,
+                 manual_commands: list[Command]):
+        super().__init__(trace, corpus.forwarded_rules, corpus.registry, config,
+                         tag_gated=corpus.tag_gated)
+        self.engine = PolicyEngine(corpus, config.engine_config())
+        self.command_delay_ms = config.l2_ms
+        self.latency = config.l1_ms + config.l2_ms
+        self._drop_rng = random.Random((config.seed << 8) ^ 0x5F)
+        for ts in _daily_instants(self.engine.time_trigger_minutes(), self.horizon):
+            self.push(max(0, ts - self.latency - 1), self._engine_time, ts)
+        for cmd in manual_commands:
+            self.push(cmd.timestamp, self._manual, cmd)
+
+    def arm_deadlines(self) -> None:
+        super().arm_deadlines()
+        self._arm(self.engine.next_deadline(), self._engine_tick)
+
+    def lost_in_transit(self) -> bool:
+        # Dropped on the way back, before the mediator saw the command.
+        drop = self.config.drop_prob
+        return bool(drop) and self._drop_rng.random() < drop
+
+    def upstream(self, event: Event, now: int) -> None:
+        self._report(self.engine.process_event(event))
+
+    def _device_event(self, now: int, event: Event) -> None:
+        super()._device_event(now, event)
+        c = self.config
+        samples = self.artifacts.latency_samples
+        samples.append((len(samples), c.l1_ms, c.l2_ms, c.l1_ms + 2 * c.l2_ms))
+
+    def _engine_tick(self, now: int) -> None:
+        self._report(self.engine.tick(now))
+
+    def _engine_time(self, now: int, target: int) -> None:
+        for e in self.engine.time_tick(target):
+            self._send(e, max(e.timestamp - 1, now))
+
+    def _report(self, emissions: list[Emission]) -> None:
+        for e in emissions:
+            self._send(e, e.timestamp + self.latency)
+
+    def _send(self, e: Emission, when: int) -> None:
+        counts = self.artifacts.reported_counts
+        counts[e.key()] = counts.get(e.key(), 0) + 1
+        self.push(when, self._deliver, e)
+
+    def _deliver(self, now: int, e: Emission) -> None:
+        self.artifacts.reported_events.append(e)
+        self.platform.receive(e.device, e.attribute, e.value, now, e.kind, e.tag)
+        self.drain_platform(now)
+
+    def _manual(self, now: int, cmd: Command) -> None:
+        self.artifacts.p_commands.append(cmd)
+        self.push(cmd.timestamp, self._actuate, cmd)
+
+
 def run_mediated(
     trace: list[Event],
     corpus: CompiledCorpus,
@@ -121,101 +297,7 @@ def run_mediated(
     manual_commands: Optional[list[Command]] = None,
 ) -> RunArtifacts:
     """Replay the trace through device -> engine -> platform -> device."""
-    config = config or SimConfig()
-    registry = corpus.registry
-    artifacts = RunArtifacts()
-    farm = DeviceFarm(registry)
-    engine = PolicyEngine(corpus, config.engine_config())
-    issued: list[Command] = []
-    platform = SimulatedPlatform(
-        corpus.forwarded_rules, registry, mode="push",
-        tag_gated=corpus.tag_gated, command_sink=issued.append,
-    )
-    drop_rng = random.Random((config.seed << 8) ^ 0x5F)
-    sched = _Scheduler()
-    latency = config.l1_ms + config.l2_ms
-    horizon = (trace[-1].timestamp if trace else 0) + config.grace_ms
-
-    for event in trace:
-        sched.push(event.timestamp, "device_event", event)
-    for ts in _daily_instants(engine.time_trigger_minutes(), horizon):
-        sched.push(max(0, ts - latency - 1), "engine_time", ts)
-    for ts in _daily_instants(platform.time_trigger_minutes(), horizon):
-        sched.push(ts, "platform_time", ts)
-    for cmd in manual_commands or []:
-        sched.push(cmd.timestamp, "manual", cmd)
-
-    def deliver(emissions: list[Emission]) -> None:
-        for e in emissions:
-            artifacts.reported_counts[e.key()] = artifacts.reported_counts.get(e.key(), 0) + 1
-            sched.push(e.timestamp + latency, "deliver", e)
-
-    def drain_platform(now: int) -> None:
-        platform.tick(now)
-        while issued:
-            cmd = issued.pop(0)
-            if config.drop_prob and drop_rng.random() < config.drop_prob:
-                continue  # lost in transmission before the mediator saw it
-            artifacts.p_commands.append(cmd)
-            sched.push(cmd.timestamp + config.l2_ms, "actuate", cmd)
-        due = platform.next_deadline()
-        if due is not None:
-            sched.push(due, "platform_due", None)
-
-    event_index = 0
-    while True:
-        item = sched.pop()
-        if item is None:
-            break
-        now, kind, payload = item
-        deliver(engine.tick(now))
-        if kind == "device_event":
-            event = payload
-            assert isinstance(event, Event)
-            farm.observe(event)
-            artifacts.truth_events.append(event)
-            artifacts.raw_counts[event.key()] = artifacts.raw_counts.get(event.key(), 0) + 1
-            deliver(engine.process_event(event))
-            artifacts.latency_samples.append(
-                (event_index, config.l1_ms, config.l2_ms, config.l1_ms + 2 * config.l2_ms)
-            )
-            event_index += 1
-        elif kind == "engine_time":
-            target = payload
-            assert isinstance(target, int)
-            for e in engine.time_tick(target):
-                artifacts.reported_counts[e.key()] = artifacts.reported_counts.get(e.key(), 0) + 1
-                sched.push(max(e.timestamp - 1, now), "deliver", e)
-        elif kind == "deliver":
-            e = payload
-            assert isinstance(e, Emission)
-            artifacts.reported_events.append(e)
-            platform.receive(e.device, e.attribute, e.value, now, e.kind, e.tag)
-            drain_platform(now)
-        elif kind == "platform_time":
-            platform.time_tick(now)
-            drain_platform(now)
-        elif kind == "platform_due":
-            drain_platform(now)
-        elif kind == "manual":
-            cmd = payload
-            assert isinstance(cmd, Command)
-            artifacts.p_commands.append(cmd)
-            sched.push(cmd.timestamp, "actuate", cmd)
-        elif kind == "actuate":
-            cmd = payload
-            assert isinstance(cmd, Command)
-            change = farm.actuate(Command(cmd.device, cmd.attribute, cmd.value, now, cmd.origin))
-            if change is not None:
-                artifacts.truth_events.append(change)
-                deliver(engine.process_event(change))
-        due = engine.next_deadline()
-        if due is not None:
-            sched.push(due, "engine_due", None)
-
-    artifacts.p_commands.sort(key=lambda c: c.timestamp)
-    artifacts.truth_events.sort(key=lambda e: e.timestamp)
-    return artifacts
+    return _MediatedReplay(trace, corpus, config or SimConfig(), manual_commands or []).run()
 
 
 def run_raw(
@@ -225,59 +307,7 @@ def run_raw(
     config: Optional[SimConfig] = None,
 ) -> RunArtifacts:
     """Replay the unfiltered trace straight into the platform."""
-    config = config or SimConfig()
-    artifacts = RunArtifacts()
-    farm = DeviceFarm(registry)
-    issued: list[Command] = []
-    platform = SimulatedPlatform(rules, registry, mode="push", command_sink=issued.append)
-    sched = _Scheduler()
-    horizon = (trace[-1].timestamp if trace else 0) + config.grace_ms
-
-    for event in trace:
-        sched.push(event.timestamp, "device_event", event)
-    for ts in _daily_instants(platform.time_trigger_minutes(), horizon):
-        sched.push(ts, "platform_time", ts)
-
-    def drain_platform(now: int) -> None:
-        platform.tick(now)
-        while issued:
-            cmd = issued.pop(0)
-            artifacts.p_commands.append(cmd)
-            sched.push(cmd.timestamp, "actuate", cmd)
-        due = platform.next_deadline()
-        if due is not None:
-            sched.push(due, "platform_due", None)
-
-    while True:
-        item = sched.pop()
-        if item is None:
-            break
-        now, kind, payload = item
-        if kind == "device_event":
-            event = payload
-            assert isinstance(event, Event)
-            farm.observe(event)
-            artifacts.truth_events.append(event)
-            artifacts.raw_counts[event.key()] = artifacts.raw_counts.get(event.key(), 0) + 1
-            platform.receive(event.device, event.attribute, event.value, now)
-            drain_platform(now)
-        elif kind == "platform_time":
-            platform.time_tick(now)
-            drain_platform(now)
-        elif kind == "platform_due":
-            drain_platform(now)
-        elif kind == "actuate":
-            cmd = payload
-            assert isinstance(cmd, Command)
-            change = farm.actuate(cmd)
-            if change is not None:
-                artifacts.truth_events.append(change)
-                platform.receive(change.device, change.attribute, change.value, now)
-                drain_platform(now)
-
-    artifacts.p_commands.sort(key=lambda c: c.timestamp)
-    artifacts.truth_events.sort(key=lambda e: e.timestamp)
-    return artifacts
+    return _RawReplay(trace, rules, registry, config or SimConfig()).run()
 
 
 def run_pull_baseline(
@@ -287,58 +317,7 @@ def run_pull_baseline(
     config: Optional[SimConfig] = None,
 ) -> RunArtifacts:
     """No pushes: the platform sees only refreshed states, never events."""
-    config = config or SimConfig()
-    artifacts = RunArtifacts()
-    farm = DeviceFarm(registry)
-    issued: list[Command] = []
-    platform = SimulatedPlatform(rules, registry, mode="pull", command_sink=issued.append)
-    sched = _Scheduler()
-    horizon = (trace[-1].timestamp if trace else 0) + config.grace_ms
-
-    for event in trace:
-        sched.push(event.timestamp, "device_event", event)
-    for ts in _daily_instants(platform.time_trigger_minutes(), horizon):
-        sched.push(ts, "platform_time", ts)
-    if config.refresh_ms:
-        for ts in range(0, horizon + 1, config.refresh_ms):
-            sched.push(ts, "refresh", ts)
-
-    def drain_platform(now: int) -> None:
-        platform.tick(now)
-        while issued:
-            cmd = issued.pop(0)
-            artifacts.p_commands.append(cmd)
-            sched.push(cmd.timestamp, "actuate", cmd)
-        due = platform.next_deadline()
-        if due is not None:
-            sched.push(due, "platform_due", None)
-
-    while True:
-        item = sched.pop()
-        if item is None:
-            break
-        now, kind, payload = item
-        if kind == "device_event":
-            event = payload
-            assert isinstance(event, Event)
-            farm.observe(event)
-            artifacts.truth_events.append(event)
-        elif kind == "refresh":
-            platform.refresh(dict(farm.states), now)
-        elif kind == "platform_time":
-            platform.time_tick(now)
-            drain_platform(now)
-        elif kind == "platform_due":
-            drain_platform(now)
-        elif kind == "actuate":
-            cmd = payload
-            assert isinstance(cmd, Command)
-            change = farm.actuate(cmd)
-            if change is not None:
-                artifacts.truth_events.append(change)
-
-    artifacts.p_commands.sort(key=lambda c: c.timestamp)
-    return artifacts
+    return _PullReplay(trace, rules, registry, config or SimConfig()).run()
 
 
 def remove_redundant(

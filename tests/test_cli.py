@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 import yaml
@@ -6,6 +7,7 @@ import yaml
 from flowgate import synth
 from flowgate.cli import main as cli_main
 from flowgate.dsl import format_trace
+from flowgate.scenario import load_scenario
 
 
 @pytest.fixture()
@@ -87,12 +89,18 @@ def test_run_floor_failure_exit_code(demo_scenario, capsys):
 
 
 def test_run_pull_mode(demo_scenario, capsys):
+    path = demo_scenario / "scenario.yaml"
     out = demo_scenario / "run-pull"
-    code = cli_main(["run", "--scenario", str(demo_scenario / "scenario.yaml"),
-                     "--mode", "pull", "--out", str(out)])
+    code = cli_main(["run", "--scenario", str(path), "--mode", "pull", "--out", str(out)])
     assert code == 0
     verification = json.loads((out / "verification.json").read_text())
     assert verification["r_c"] < 1.0  # device-triggered rules never execute
+    # Reduction rates still count every trace event as raw input.
+    trace_counts = Counter(f"{e.device}.{e.attribute}" for e in load_scenario(path).trace)
+    metrics = json.loads((out / "metrics.json").read_text())
+    raw_counts = {k: v["raw"] for k, v in metrics["per_attribute"].items() if v["raw"]}
+    assert raw_counts == trace_counts
+    assert metrics["aggregate_rr"] is not None
 
 
 def test_run_raw_mode(demo_scenario, capsys):

@@ -1,8 +1,11 @@
 import pytest
 
+from flowgate import synth
 from flowgate.compiler import compile_corpus
 from flowgate.dsl import parse_rules
+from flowgate.engine import PolicyEngine
 from flowgate.model import Command, Event
+from flowgate.platform_sim import SimulatedPlatform
 from flowgate.simulator import (
     SimConfig,
     remove_redundant,
@@ -114,6 +117,69 @@ def test_raw_timer_cancelled_by_renewed_motion(mini_registry):
         assert med.p_commands == []
     finally:
         mini_registry.devices["sl1"].initial["switch"] = "off"
+
+
+# ---------------------------------------------------------------------------
+# same-instant ordering and deadline scheduling
+# ---------------------------------------------------------------------------
+
+def _fidelity(trace, rules, registry, config):
+    corpus = compile_corpus(rules, [], registry)
+    med = run_mediated(trace, corpus, config)
+    raw = run_raw(trace, rules, registry, config)
+    pruned = remove_redundant(raw.p_commands, trace, registry)
+    return raw, verify(med.p_commands, raw.p_commands, pruned_gt=pruned)
+
+
+def test_condition_change_on_timer_deadline_lands_first(mini_registry):
+    # The presence fob changes at exactly the held-duration timer's deadline:
+    # both pipelines must see it before the timer fires.
+    rules = parse_rules(
+        "rt: when mo1.motion == inactive for 60000 if ps1.presence == present "
+        "then sl1.switch := on",
+        mini_registry,
+    )
+    trace = [
+        Event("mo1", "motion", "active", 10_000),
+        Event("mo1", "motion", "inactive", 20_000),
+        Event("ps1", "presence", "present", 80_000),
+    ]
+    raw, report = _fidelity(trace, rules, mini_registry, SimConfig(seed=0))
+    assert [(c.key(), c.value) for c in raw.p_commands] == [(("sl1", "switch"), "on")]
+    assert (report.r_s, report.r_c) == (1.0, 1.0)
+
+
+def test_t4_seed18_timer_deadline_fidelity():
+    # r30's timer ends on the millisecond its condition device changes.
+    tb = synth.testbed("t4")
+    registry = tb.registry()
+    rules = tb.rules(registry)
+    trace = synth.generate_trace(registry, seed=18, days=7, events_target=12_000)
+    _, report = _fidelity(trace, rules, registry, SimConfig(seed=18))
+    assert report.missed == []
+    assert (report.r_s, report.r_c) == (1.0, 1.0)
+
+
+def test_each_deadline_ticks_once(monkeypatch):
+    calls = {"engine": 0, "platform": 0}
+
+    def counting(name, tick):
+        def wrapper(self, now):
+            calls[name] += 1
+            return tick(self, now)
+        return wrapper
+
+    monkeypatch.setattr(PolicyEngine, "tick", counting("engine", PolicyEngine.tick))
+    monkeypatch.setattr(SimulatedPlatform, "tick", counting("platform", SimulatedPlatform.tick))
+    tb = synth.testbed("t4")
+    registry = tb.registry()
+    rules = tb.rules(registry)
+    trace = synth.generate_trace(registry, seed=11, days=2, events_target=4000)
+    run_mediated(trace, compile_corpus(rules, [], registry), SimConfig(seed=11))
+    assert calls["engine"] / len(trace) < 1
+    calls["platform"] = 0
+    run_raw(trace, rules, registry, SimConfig(seed=11))
+    assert calls["platform"] / len(trace) < 2
 
 
 # ---------------------------------------------------------------------------
