@@ -12,7 +12,7 @@ from .compiler import CompiledCorpus, compile_corpus
 from .conflicts import scan_on_update
 from .dsl import format_commands
 from .metrics import StateTimeline, catr, ctr, reduction_rate
-from .model import AttributeKind, format_value
+from .model import AttributeKind, Event, format_value
 from .policy import dump_policy
 from .scenario import Scenario, load_scenario
 from .simulator import (
@@ -111,10 +111,15 @@ def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
     per_attribute = {}
     total_raw = 0
     total_reported = 0
-    observed_events = [e.as_event() for e in artifacts.reported_events]
+    truth_by_key: dict[tuple[str, str], list[Event]] = {}
+    for e in artifacts.truth_events:
+        truth_by_key.setdefault(e.key(), []).append(e)
+    observed_by_key: dict[tuple[str, str], list[Event]] = {}
+    for r in artifacts.reported_events:
+        observed_by_key.setdefault(r.key(), []).append(r.as_event())
     for key in registry.all_pairs():
         raw = artifacts.raw_counts.get(key, 0)
-        reported = sum(1 for e in observed_events if (e.device, e.attribute) == key)
+        reported = len(observed_by_key.get(key, ()))
         desc = registry.lookup(*key)
         entry: dict = {"raw": raw, "reported": reported}
         if raw:
@@ -123,12 +128,8 @@ def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
         total_reported += min(reported, raw)
         if horizon[1] > 0:
             initial = registry.initial_state(*key)
-            true_tl = StateTimeline.from_events(
-                [e for e in artifacts.truth_events if e.key() == key], initial
-            )
-            obs_tl = StateTimeline.from_events(
-                [e for e in observed_events if e.key() == key], initial
-            )
+            true_tl = StateTimeline.from_events(truth_by_key.get(key, []), initial)
+            obs_tl = StateTimeline.from_events(observed_by_key.get(key, []), initial)
             if desc.kind is AttributeKind.NUMERIC:
                 entry["ctr"] = round(ctr(true_tl, obs_tl, horizon), 4)
             elif desc.active_value:

@@ -11,6 +11,7 @@ platform has the timer removed so it is not applied twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .model import (
     AttributeDescriptor,
@@ -277,10 +278,11 @@ class CompiledCorpus:
     trigger_thresholds: dict[tuple[str, str], tuple[float, ...]] = field(default_factory=dict)
 
     def policy_by_id(self, policy_id: str) -> Policy:
-        for p in self.policies:
-            if p.id == policy_id:
-                return p
-        raise KeyError(policy_id)
+        return self._policies_by_id[policy_id]
+
+    @cached_property
+    def _policies_by_id(self) -> dict[str, Policy]:
+        return {p.id: p for p in reversed(self.policies)}  # the first of equal ids wins
 
 
 def compile_corpus(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -35,7 +36,7 @@ from .model import (
     Value,
     minute_of_day,
 )
-from .policy import Method, MethodCall, Policy, PolicyOrigin
+from .policy import CheckBlock, Method, MethodCall, Policy, PolicyOrigin, TriggerBlock
 
 
 class EngineError(ModelError):
@@ -195,21 +196,19 @@ def _fetch_state(store: StateStore, c: Constraint, clock: int) -> Value:
 
 def _block_decision(
     policy: Policy,
+    block: TriggerBlock | CheckBlock,
     subject: str,
     attribute: str,
-    run: Optional[MethodCall],
-    els: Optional[MethodCall],
-    branch: Optional[Constraint],
     store: StateStore,
     clock: int,
     is_trigger: bool,
 ) -> Optional[ReportDecision]:
     """Branch resolution for one TRIGGER or CHECK block against DB*."""
-    if branch is not None:
-        star = minute_of_day(clock) if branch.is_time else store.last_reported((subject, attribute))
-        chosen = run if branch.satisfied_by(star) else els
-    else:
-        chosen = run
+    chosen = block.run_action
+    if block.branch is not None:
+        star = minute_of_day(clock) if block.branch.is_time else store.last_reported((subject, attribute))
+        if not block.branch.satisfied_by(star):
+            chosen = block.else_action
     if chosen is None:
         return None
     disposition = "suppress" if chosen.method is Method.BLOCK else "emit"
@@ -222,6 +221,22 @@ def _block_decision(
         is_trigger=is_trigger,
         origin=policy.origin,
     )
+
+
+def _run_checks(policy: Policy, store: StateStore, clock: int) -> Optional[list[ReportDecision]]:
+    """Fetch, check and resolve every CHECK block in order.
+
+    Returns the blocks' report decisions, or ``None`` when a fetched state
+    fails its check and the policy execution aborts.
+    """
+    decisions: list[ReportDecision] = []
+    for cb in policy.check_blocks:
+        if not cb.fetch.satisfied_by(_fetch_state(store, cb.fetch, clock)):
+            return None
+        d = _block_decision(policy, cb, cb.fetch.subject, cb.fetch.attribute, store, clock, False)
+        if d is not None:
+            decisions.append(d)
+    return decisions
 
 
 def evaluate_policy(
@@ -246,21 +261,10 @@ def evaluate_policy(
             return []
         if prev_value is not None and tb.match.satisfied_by(prev_value):
             return []  # not an edge: the raw stream would not have fired either
-    decisions: list[ReportDecision] = []
-    for cb in policy.check_blocks:
-        val = _fetch_state(store, cb.fetch, clock)
-        if not cb.fetch.satisfied_by(val):
-            return []  # the policy execution aborts
-        d = _block_decision(
-            policy, cb.fetch.subject, cb.fetch.attribute,
-            cb.run_action, cb.else_action, cb.branch, store, clock, is_trigger=False,
-        )
-        if d is not None:
-            decisions.append(d)
-    d = _block_decision(
-        policy, event.device, event.attribute,
-        tb.run_action, tb.else_action, tb.branch, store, clock, is_trigger=True,
-    )
+    decisions = _run_checks(policy, store, clock)
+    if decisions is None:
+        return []
+    d = _block_decision(policy, tb, event.device, event.attribute, store, clock, True)
     if d is not None:
         decisions.append(d)
     return decisions
@@ -278,7 +282,26 @@ class PolicyEngine:
         self._seq = 0
         # Pending delayed emissions and timer deadlines share one heap.
         self._pending: list[tuple[int, int, str, object]] = []
+        self._pending_reports: Counter[tuple[str, str]] = Counter()  # delayed emissions per key
         self.emitted: list[Emission] = []
+        # Dispatch index: each (device, attribute) key -> the policies whose
+        # trigger can match an event on it, in corpus order (timer pushes and
+        # decision order follow it). A device wildcard covers every attribute
+        # of the device; time triggers match clock instants, not events.
+        self._by_key: dict[tuple[str, str], list[Policy]] = {}
+        self._user_by_key: dict[tuple[str, str], list[Policy]] = {}
+        self._clock_policies: list[Policy] = []
+        for policy in corpus.policies:
+            m = policy.trigger_block.match
+            if m.is_time:
+                if m.operator is Operator.EQ:
+                    self._clock_policies.append(policy)
+                continue
+            wildcard = m.attribute == "*"
+            for attr in corpus.registry.devices[m.subject].attributes if wildcard else (m.attribute,):
+                self._by_key.setdefault((m.subject, attr), []).append(policy)
+                if policy.origin is PolicyOrigin.USER:
+                    self._user_by_key.setdefault((m.subject, attr), []).append(policy)
         self._forwarded_by_key: dict[tuple[str, str], list[Rule]] = {}
         for rule in corpus.forwarded_rules:
             if rule.trigger.is_time or rule.id in corpus.tag_gated:
@@ -293,10 +316,7 @@ class PolicyEngine:
 
     def time_trigger_minutes(self) -> list[int]:
         minutes = {int(r.trigger.value) for r in self._time_rules}  # type: ignore[arg-type]
-        for p in self.corpus.policies:
-            m = p.trigger_block.match
-            if m.is_time and m.operator is Operator.EQ:
-                minutes.add(int(m.value))  # type: ignore[arg-type]
+        minutes.update(int(p.trigger_block.match.value) for p in self._clock_policies)  # type: ignore[arg-type]
         return sorted(minutes)
 
     def _push(self, deadline: int, kind: str, payload: object) -> None:
@@ -306,7 +326,7 @@ class PolicyEngine:
     # -- event processing ------------------------------------------------------
 
     def process_event(self, event: Event) -> list[Emission]:
-        """Update DB, evaluate all policies, merge decisions, emit."""
+        """Update DB, evaluate the policies indexed on the key, merge, emit."""
         key = event.key()
         if key not in self.store.db:
             raise EngineError(f"no state seeded for {key[0]}.{key[1]}")
@@ -316,7 +336,7 @@ class PolicyEngine:
 
         decisions: list[ReportDecision] = []
         sanctioned: set[str] = set()
-        for policy in self.corpus.policies:
+        for policy in self._by_key.get(key, ()):
             if policy.timer_start or policy.timer_stop:
                 self._apply_timer_policy(policy, event, prev)
                 continue
@@ -336,6 +356,7 @@ class PolicyEngine:
             deadline, _, kind, payload = heapq.heappop(self._pending)
             if kind == "emission":
                 assert isinstance(payload, Emission)
+                self._pending_reports[payload.key()] -= 1
                 out.append(self._emit(payload))
             else:
                 assert isinstance(payload, TimerState)
@@ -348,26 +369,11 @@ class PolicyEngine:
         minute = minute_of_day(target_ts)
         decisions: list[ReportDecision] = []
         sanctioned: set[str] = set()
-        for policy in self.corpus.policies:
-            m = policy.trigger_block.match
-            if not (m.is_time and m.operator is Operator.EQ):
+        for policy in self._clock_policies:
+            if int(policy.trigger_block.match.value) != minute:  # type: ignore[arg-type]
                 continue
-            if int(m.value) != minute:  # type: ignore[arg-type]
-                continue
-            local: list[ReportDecision] = []
-            ok = True
-            for cb in policy.check_blocks:
-                val = _fetch_state(self.store, cb.fetch, target_ts)
-                if not cb.fetch.satisfied_by(val):
-                    ok = False
-                    break
-                d = _block_decision(
-                    policy, cb.fetch.subject, cb.fetch.attribute,
-                    cb.run_action, cb.else_action, cb.branch, self.store, target_ts, False,
-                )
-                if d is not None:
-                    local.append(d)
-            if not ok:
+            local = _run_checks(policy, self.store, target_ts)
+            if local is None:
                 continue
             decisions.extend(local)
             if policy.origin is PolicyOrigin.AUTOMATION:
@@ -413,17 +419,9 @@ class PolicyEngine:
 
     def _run_timer_callback(self, policy: Policy, timer: TimerState, now: int) -> list[Emission]:
         """Re-check conditions at expiry, then report the timer-starting event."""
-        decisions: list[ReportDecision] = []
-        for cb in policy.check_blocks:
-            val = _fetch_state(self.store, cb.fetch, now)
-            if not cb.fetch.satisfied_by(val):
-                return []
-            d = _block_decision(
-                policy, cb.fetch.subject, cb.fetch.attribute,
-                cb.run_action, cb.else_action, cb.branch, self.store, now, False,
-            )
-            if d is not None:
-                decisions.append(d)
+        decisions = _run_checks(policy, self.store, now)
+        if decisions is None:
+            return []
         key = policy.trigger_block.match.key()
         out = self._flush_key_pendings(key, now)
         out.extend(self._emit_sync_decisions(decisions, now))
@@ -447,16 +445,8 @@ class PolicyEngine:
 
     def _up_disposition(self, key: tuple[str, str], clock: int) -> Optional[str]:
         """How user policies dispose of data on ``key`` right now, if at all."""
-        for policy in self.corpus.user_policies:
-            m = policy.trigger_block.match
-            if m.subject != key[0] or m.attribute not in ("*", key[1]):
-                continue
-            ok = True
-            for cb in policy.check_blocks:
-                if not cb.fetch.satisfied_by(_fetch_state(self.store, cb.fetch, clock)):
-                    ok = False
-                    break
-            if not ok:
+        for policy in self._user_by_key.get(key, ()):
+            if _run_checks(policy, self.store, clock) is None:
                 continue
             action = policy.trigger_block.run_action
             assert action is not None
@@ -474,26 +464,14 @@ class PolicyEngine:
     ) -> list[Emission]:
         now = event.timestamp
         ekey = event.key()
-        by_key: dict[tuple[str, str], list[ReportDecision]] = {}
-        for d in decisions:
-            by_key.setdefault(d.key(), []).append(d)
-
-        out: list[Emission] = []
 
         # 1. Check reports (silent syncs) for every non-trigger attribute.
-        for key in sorted(k for k in by_key if k != ekey):
-            if self._up_disposition(key, now) == "suppress":
-                continue
-            plan = self._merge_check_plan(key, by_key[key])
-            provenance = tuple(dict.fromkeys(p for d in by_key[key] for p in d.provenance))
-            for value, delay, _ in plan:
-                out.append(
-                    self._emit(Emission(key[0], key[1], value, now + delay, KIND_SYNC,
-                                        provenance=provenance))
-                )
+        out = self._emit_sync_decisions([d for d in decisions if d.key() != ekey], now)
 
         # 2. The trigger report plan (prefix sync + report), not yet emitted.
-        trigger_plan, trig_prov = self._trigger_plan(event, prev, by_key.get(ekey, []))
+        trigger_plan, trig_prov = self._trigger_plan(
+            event, prev, [d for d in decisions if d.key() == ekey]
+        )
         if self._up_disposition(ekey, now) == "suppress":
             trigger_plan = []
         elif not any(k == KIND_REPORT for _, _, k in trigger_plan):
@@ -509,6 +487,7 @@ class PolicyEngine:
             emission = Emission(ekey[0], ekey[1], value, now + delay, kind, provenance=trig_prov)
             if delay > 0:
                 self._push(now + delay, "emission", emission)
+                self._pending_reports[ekey] += 1
             else:
                 out.append(self._emit(emission))
         return out
@@ -519,7 +498,6 @@ class PolicyEngine:
         methods = [d.method for d in decisions if d.disposition == "emit" and d.method is not None]
         if not methods:
             return []
-        desc = self.corpus.registry.lookup(*key)
         current = self.store.current(key)
         if any(m.method in (Method.KEEP, Method.DIFF_KEEP) for m in methods):
             return [(current, 0, KIND_SYNC)]
@@ -746,7 +724,7 @@ class PolicyEngine:
     # -- low level ------------------------------------------------------------------------
 
     def _emit_sync_decisions(self, decisions: list[ReportDecision], now: int) -> list[Emission]:
-        """Emit merged check reports outside of an event context (timers, clock)."""
+        """Emit merged check reports as silent syncs, one key at a time in key order."""
         by_key: dict[tuple[str, str], list[ReportDecision]] = {}
         for d in decisions:
             by_key.setdefault(d.key(), []).append(d)
@@ -765,19 +743,20 @@ class PolicyEngine:
 
     def _flush_key_pendings(self, key: tuple[str, str], now: int) -> list[Emission]:
         """Emit not-yet-due delayed reports on ``key`` before a newer value lands."""
-        if not self._pending:
+        if not self._pending_reports.get(key):
             return []
+        del self._pending_reports[key]
+        due: list[tuple[int, int, str, object]] = []
         kept: list[tuple[int, int, str, object]] = []
-        flushed: list[Emission] = []
-        for deadline, seq, kind, payload in sorted(self._pending):
-            if kind == "emission" and isinstance(payload, Emission) and payload.key() == key:
-                flushed.append(self._emit(replace(payload, timestamp=now)))
+        for entry in self._pending:
+            _, _, kind, payload = entry
+            if kind == "emission" and payload.key() == key:  # type: ignore[attr-defined]
+                due.append(entry)
             else:
-                kept.append((deadline, seq, kind, payload))
-        if flushed:
-            self._pending = kept
-            heapq.heapify(self._pending)
-        return flushed
+                kept.append(entry)
+        heapq.heapify(kept)
+        self._pending = kept
+        return [self._emit(replace(p, timestamp=now)) for _, _, _, p in sorted(due)]  # type: ignore[type-var]
 
     def _emit(self, emission: Emission) -> Emission:
         self.store.db_star[emission.key()] = (emission.value, emission.timestamp)

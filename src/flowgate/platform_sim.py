@@ -26,7 +26,7 @@ from .model import (
 
 @dataclass
 class _NativeTimer:
-    rule_id: str
+    rule: Rule
     deadline: int
     start_value: Value
     running: bool = True
@@ -119,11 +119,10 @@ class SimulatedPlatform:
                 self._issue(payload)
             else:
                 assert isinstance(payload, _NativeTimer)
-                if payload.running and self._timers.get(payload.rule_id) is payload:
+                if payload.running and self._timers.get(payload.rule.id) is payload:
                     payload.running = False
-                    rule = next(r for r in self.rules if r.id == payload.rule_id)
-                    if self._conditions_pass(rule, deadline):
-                        self._execute_actions(rule, deadline)
+                    if self._conditions_pass(payload.rule, deadline):
+                        self._execute_actions(payload.rule, deadline)
 
     # -- rule execution --------------------------------------------------------------
 
@@ -131,7 +130,7 @@ class SimulatedPlatform:
         watched = rule.condition_timer.watched  # type: ignore[union-attr]
         if watched.fires(value, prev):
             timer = _NativeTimer(
-                rule_id=rule.id,
+                rule=rule,
                 deadline=ts + rule.condition_timer.duration_ms,  # type: ignore[union-attr]
                 start_value=value,
             )

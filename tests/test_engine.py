@@ -1,7 +1,11 @@
+import heapq
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import flowgate.engine as engine_module
 from flowgate.compiler import compile_corpus, derive_policy
 from flowgate.dsl import parse_rule, parse_rules
 from flowgate.engine import (
@@ -11,11 +15,13 @@ from flowgate.engine import (
     EngineConfig,
     EngineError,
     PolicyEngine,
+    _fetch_state,
     apply_method,
     evaluate_policy,
 )
-from flowgate.model import Event
-from flowgate.policy import Method, MethodCall
+from flowgate.model import AttributeKind, Event
+from flowgate.policy import Method, MethodCall, PolicyOrigin
+from flowgate.scenario import parse_user_policies
 
 
 def _engine(mini_registry, rules_text, seed=0, ups=()):
@@ -215,6 +221,18 @@ def test_diffkeep_pending_flushed_at_deadline(mini_registry):
     assert [(e.value, e.kind) for e in flushed] == [("present", KIND_REPORT)]
 
 
+def test_diffkeep_pending_flushed_by_newer_event_on_key(mini_registry):
+    engine = _engine(mini_registry, R1)
+    _set(engine,
+         db={("ts1", "temperature"): 90.0, ("f1", "switch"): "off"},
+         db_star={("ts1", "temperature"): 90.0, ("ps1", "presence"): "present"})
+    engine.process_event(Event("ps1", "presence", "present", 1000))
+    assert engine.process_event(Event("am1", "humidity", 60.0, 1100)) == []
+    out = engine.process_event(Event("ps1", "presence", "not-present", 1200))
+    assert [(e.value, e.kind, e.timestamp) for e in out] == [("present", KIND_REPORT, 1200)]
+    assert engine.tick(1300) == []
+
+
 def test_two_timers_same_deadline_fire_in_creation_order(mini_registry):
     engine = _engine(
         mini_registry,
@@ -268,3 +286,151 @@ def test_db_star_tracks_last_emission(mini_registry):
         matching = [e for e in engine.emitted if e.key() == key]
         if matching:
             assert matching[-1].value == value
+
+
+# ---------------------------------------------------------------------------
+# dispatch index
+# ---------------------------------------------------------------------------
+
+class _ScanningEngine(PolicyEngine):
+    """Reference dispatch: every policy is tested against every event."""
+
+    def process_event(self, event):
+        key = event.key()
+        out = self._flush_key_pendings(key, event.timestamp)
+        prev = self.store.db[key][0]
+        self.store.db[key] = (event.value, event.timestamp)
+        decisions, sanctioned = [], set()
+        for policy in self.corpus.policies:
+            if policy.timer_start or policy.timer_stop:
+                self._apply_timer_policy(policy, event, prev)
+                continue
+            ds = evaluate_policy(event, policy, self.store, event.timestamp, prev)
+            if ds:
+                decisions.extend(ds)
+                if policy.origin is PolicyOrigin.AUTOMATION:
+                    sanctioned.add(policy.source_id)
+        out.extend(self._merge_and_emit(event, prev, decisions, sanctioned))
+        return out
+
+    def _up_disposition(self, key, clock):
+        for policy in self.corpus.user_policies:
+            m = policy.trigger_block.match
+            if m.subject != key[0] or m.attribute not in ("*", key[1]):
+                continue
+            if all(cb.fetch.satisfied_by(_fetch_state(self.store, cb.fetch, clock))
+                   for cb in policy.check_blocks):
+                action = policy.trigger_block.run_action
+                return "suppress" if action.method is Method.BLOCK else "keep"
+        return None
+
+    def _flush_key_pendings(self, key, now):
+        kept, flushed = [], []
+        for deadline, seq, kind, payload in sorted(self._pending):
+            if kind == "emission" and payload.key() == key:
+                flushed.append(self._emit(replace(payload, timestamp=now)))
+            else:
+                kept.append((deadline, seq, kind, payload))
+        if flushed:
+            self._pending = kept
+            heapq.heapify(self._pending)
+        return flushed
+
+
+DISPATCH_RULES = "\n".join([
+    R1,
+    TIMER,
+    "rn: when ts1.temperature > 90 then sl1.switch := on",
+    "rm: when am1.motion == active if mode1.mode != away then f1.switch := off after 60000",
+])
+
+# A device wildcard (no attribute) and windowed single-attribute blacklists.
+DISPATCH_UPS = """
+- id: upw
+  style: conditional
+  target: {device: am1}
+  context: [{device: mode1, attribute: mode, op: "==", value: away}]
+  action: keep
+- id: upt
+  style: blacklist
+  target: {device: ts1, attribute: temperature}
+  window: {start: "00:05", end: "00:40"}
+- id: upm
+  style: blacklist
+  target: {device: mo1, attribute: motion}
+  window: {start: "00:10", end: "01:00"}
+"""
+
+
+def _dispatch_corpus(registry):
+    return compile_corpus(parse_rules(DISPATCH_RULES, registry),
+                          parse_user_policies(DISPATCH_UPS, registry), registry)
+
+
+def _value_strategy(desc):
+    if desc.kind is AttributeKind.NUMERIC:
+        return st.sampled_from([40.0, 86.0, 88.0, 90.0, 95.0])
+    return st.sampled_from(list(desc.values))
+
+
+def _event_sequences(registry):
+    # R1's trigger and condition keys are drawn more often, so diffKeep
+    # reports (delayed) and their flush by a newer event on the key occur.
+    keys = registry.all_pairs() + [("ps1", "presence"), ("ts1", "temperature")] * 3
+    step = st.sampled_from(keys).flatmap(
+        lambda key: st.tuples(
+            st.just(key), _value_strategy(registry.lookup(*key)),
+            st.sampled_from([0, 1, 299, 300, 60_000, 300_000, 400_000]),
+        )
+    )
+    return st.lists(step, max_size=60)
+
+
+def test_dispatch_index_matches_full_scan(mini_registry):
+    corpus = _dispatch_corpus(mini_registry)
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_event_sequences(mini_registry), seed=st.integers(0, 3))
+    def check(steps, seed):
+        indexed = PolicyEngine(corpus, EngineConfig(seed=seed))
+        reference = _ScanningEngine(corpus, EngineConfig(seed=seed))
+        now = 0
+        for (device, attribute), value, gap in steps:
+            now += gap
+            event = Event(device, attribute, value, now)
+            assert indexed.tick(now) == reference.tick(now)
+            assert indexed.process_event(event) == reference.process_event(event)
+        assert indexed.tick(now + 10**7) == reference.tick(now + 10**7)
+        assert indexed.emitted == reference.emitted
+        assert indexed.timers == reference.timers
+
+    check()
+
+
+def test_device_wildcard_user_policy_reaches_every_attribute(mini_registry):
+    engine = PolicyEngine(_dispatch_corpus(mini_registry), EngineConfig(seed=0))
+    # No automation policy reads am1.humidity; the wildcard keeps it while
+    # the mode is away and leaves it blocked otherwise.
+    assert engine.process_event(Event("am1", "humidity", 60.0, 1000)) == []
+    engine.process_event(Event("mode1", "mode", "away", 2000))
+    out = engine.process_event(Event("am1", "humidity", 61.0, 3000))
+    assert [(e.key(), e.value, e.kind, e.provenance) for e in out] == [
+        (("am1", "humidity"), 61.0, KIND_REPORT, ("up:upw",))
+    ]
+
+
+def test_unreferenced_key_evaluates_no_policy(mini_registry, monkeypatch):
+    calls = []
+    real = engine_module.evaluate_policy
+
+    def counting(event, policy, *args):
+        calls.append(policy.id)
+        return real(event, policy, *args)
+
+    monkeypatch.setattr(engine_module, "evaluate_policy", counting)
+    engine = _engine(mini_registry, R1)
+    assert engine.process_event(Event("am1", "humidity", 60.0, 1000)) == []
+    assert calls == []
+    assert engine.store.current(("am1", "humidity")) == 60.0
+    engine.process_event(Event("ps1", "presence", "present", 2000))
+    assert calls == ["ap:r1"]
