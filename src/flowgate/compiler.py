@@ -91,7 +91,6 @@ def _trigger_block(rule: Rule, registry: Registry, diffkeep_ms: int) -> TriggerB
         # platform's view when its stored value masks a real crossing.
         return TriggerBlock(
             match=trig,
-            fetch_star=True,
             branch=trig,
             run_action=block(),
             else_action=_randomize_for(trig, desc),
@@ -100,7 +99,6 @@ def _trigger_block(rule: Rule, registry: Registry, diffkeep_ms: int) -> TriggerB
         value = str(trig.value) if trig.operator is Operator.EQ else "*"
         return TriggerBlock(
             match=trig,
-            fetch_star=True,
             branch=trig,
             run_action=diff_keep(value, diffkeep_ms),
             else_action=keep(),
@@ -112,17 +110,8 @@ def _condition_check(c: Constraint, registry: Registry) -> CheckBlock:
     if c.is_time:
         return CheckBlock(fetch=c)
     desc = registry.lookup(c.subject, c.attribute)
-    if desc.kind is AttributeKind.NUMERIC:
-        return CheckBlock(
-            fetch=c,
-            fetch_star=True,
-            branch=c,
-            run_action=block(),
-            else_action=_randomize_for(c, desc),
-        )
     return CheckBlock(
         fetch=c,
-        fetch_star=True,
         branch=c,
         run_action=block(),
         else_action=_randomize_for(c, desc),

@@ -151,19 +151,13 @@ def sample_interval(
 def apply_method(
     call: MethodCall,
     current: Value,
-    last_reported: Value,
     rng: random.Random,
-    clock: int,
     *,
     constraint: Optional[Constraint] = None,
     values: tuple[str, ...] = (),
     diffkeep_ms: int = 300,
 ) -> list[tuple[Value, int, str]]:
-    """Concrete emission plan for a report method: (value, delay_ms, kind) items.
-
-    Timer methods never reach this function; the engine applies them to its
-    timer table directly.
-    """
+    """Concrete emission plan for a report method: (value, delay_ms, kind) items."""
     m = call.method
     if m is Method.KEEP:
         return [(current, call.delay_ms, KIND_REPORT)]
@@ -179,13 +173,12 @@ def apply_method(
         prefix = others[0] if len(others) == 1 else others[rng.randrange(len(others))]
         delay = call.delay_ms or diffkeep_ms
         return [(prefix, 0, KIND_SYNC), (target, delay, KIND_REPORT)]
-    if m is Method.RANDOMIZE:
-        if call.params and isinstance(call.params[0], str):
-            members = tuple(call.params)
-            return [(members[rng.randrange(len(members))], call.delay_ms, KIND_REPORT)]
-        lo, hi = float(call.params[0]), float(call.params[1])
-        return [(sample_interval(rng, lo, hi, constraint), call.delay_ms, KIND_REPORT)]
-    raise EngineError(f"method {m.value} is not a report method")
+    # Method.RANDOMIZE
+    if call.params and isinstance(call.params[0], str):
+        members = tuple(call.params)
+        return [(members[rng.randrange(len(members))], call.delay_ms, KIND_REPORT)]
+    lo, hi = float(call.params[0]), float(call.params[1])
+    return [(sample_interval(rng, lo, hi, constraint), call.delay_ms, KIND_REPORT)]
 
 
 def _fetch_state(store: StateStore, c: Constraint, clock: int) -> Value:
@@ -462,6 +455,11 @@ class PolicyEngine:
         decisions: list[ReportDecision],
         sanctioned: set[str],
     ) -> list[Emission]:
+        if not decisions:
+            # Each user policy on the key ran the checks _up_disposition runs
+            # and decides whenever they pass: nothing decided means no user
+            # disposition either, so the event stays blocked.
+            return []
         now = event.timestamp
         ekey = event.key()
 
@@ -472,12 +470,9 @@ class PolicyEngine:
         trigger_plan, trig_prov = self._trigger_plan(
             event, prev, [d for d in decisions if d.key() == ekey]
         )
+        # A passing user keep decided too, so its report is already planned.
         if self._up_disposition(ekey, now) == "suppress":
             trigger_plan = []
-        elif not any(k == KIND_REPORT for _, _, k in trigger_plan):
-            if self._up_disposition(ekey, now) == "keep":
-                trigger_plan = [(event.value, 0, KIND_REPORT)]
-                trig_prov = trig_prov or ("up",)
 
         # 3. Consistency repairs computed against the planned platform view.
         out.extend(self._consistency_repairs(event, trigger_plan, sanctioned, now))
@@ -529,10 +524,8 @@ class PolicyEngine:
             plan = [(self._cell_sample(event.key(), float(event.value)), 0, KIND_REPORT)]  # type: ignore[arg-type]
         elif any(m.method is Method.DIFF_KEEP for m in methods):
             call = next(m for m in methods if m.method is Method.DIFF_KEEP)
-            plan = apply_method(
-                call, event.value, self.store.last_reported(event.key()), self.rng,
-                event.timestamp, values=desc.values, diffkeep_ms=self.config.diffkeep_ms,
-            )
+            plan = apply_method(call, event.value, self.rng, values=desc.values,
+                                diffkeep_ms=self.config.diffkeep_ms)
         elif any(m.method is Method.KEEP for m in methods):
             delay = min(m.delay_ms for m in methods if m.method is Method.KEEP)
             plan = [(event.value, delay, KIND_REPORT)]

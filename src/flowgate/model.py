@@ -85,10 +85,6 @@ class AttributeDescriptor:
             raise ModelError(f"attribute {self.name!r}: {value!r} not in {self.values}")
         return value
 
-    def other_values(self, value: str) -> tuple[str, ...]:
-        """Members of the value set different from ``value``."""
-        return tuple(v for v in self.values if v != value)
-
 
 @dataclass(frozen=True)
 class DeviceDescriptor:

@@ -28,7 +28,6 @@ from .model import (
 class _NativeTimer:
     rule: Rule
     deadline: int
-    start_value: Value
     running: bool = True
 
 
@@ -132,7 +131,6 @@ class SimulatedPlatform:
             timer = _NativeTimer(
                 rule=rule,
                 deadline=ts + rule.condition_timer.duration_ms,  # type: ignore[union-attr]
-                start_value=value,
             )
             self._timers[rule.id] = timer  # create or reset
             self._push(timer.deadline, "timer", timer)

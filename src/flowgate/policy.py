@@ -8,7 +8,7 @@ based on the last value reported upstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -20,18 +20,11 @@ class Method(Enum):
     BLOCK = "block"
     DIFF_KEEP = "diffKeep"
     RANDOMIZE = "randomize"
-    START_TIMER = "startTimer"
-    STOP_TIMER = "stopTimer"
-    FIRE_TIMER = "fireTimer"
-    ADD_CALLBACK = "addCallback"
-
-
-REPORT_METHODS = frozenset({Method.KEEP, Method.BLOCK, Method.DIFF_KEEP, Method.RANDOMIZE})
 
 
 @dataclass(frozen=True)
 class MethodCall:
-    """A report or timer method with its parameters and report delay."""
+    """A report method with its parameters and report delay."""
 
     method: Method
     params: tuple = ()
@@ -80,14 +73,11 @@ class TriggerBlock:
     """Matches the incoming event and decides how to report it."""
 
     match: Constraint                       # match + satisfy over the new event
-    fetch_star: bool = False                # query the last reported value
-    branch: Optional[Constraint] = None     # evaluated against the fetched value
+    branch: Optional[Constraint] = None     # fetch* the last reported value, test it
     run_action: Optional[MethodCall] = None
     else_action: Optional[MethodCall] = None
 
     def __post_init__(self) -> None:
-        if (self.branch is None) != (not self.fetch_star):
-            raise ModelError("branch present iff fetch* present")
         if self.else_action is not None and self.branch is None:
             raise ModelError("else action needs a branch")
 
@@ -97,14 +87,11 @@ class CheckBlock:
     """Fetches one stored state and checks a constraint against it."""
 
     fetch: Constraint                       # fetch + satisfy over current state
-    fetch_star: bool = False
     branch: Optional[Constraint] = None
     run_action: Optional[MethodCall] = None
     else_action: Optional[MethodCall] = None
 
     def __post_init__(self) -> None:
-        if (self.branch is None) != (not self.fetch_star):
-            raise ModelError("branch present iff fetch* present")
         if self.else_action is not None and self.branch is None:
             raise ModelError("else action needs a branch")
 
@@ -176,9 +163,8 @@ def dump_policy(policy: Policy) -> str:
     lines.append("TRIGGER:{")
     lines.append(f"    match {_fmt_subject(tb.match)}")
     lines.append(f"    satisfy {_fmt_satisfy(tb.match)}")
-    if tb.fetch_star:
+    if tb.branch is not None:
         lines.append(f"    fetch* {_fmt_subject(tb.match)}*")
-        assert tb.branch is not None
         lines.append(f"    branch {_fmt_satisfy(tb.branch)}")
     extra = []
     if policy.timer_start:
@@ -199,9 +185,8 @@ def dump_policy(policy: Policy) -> str:
                 lines.append("}, {")
             lines.append(f"    fetch {_fmt_subject(cb.fetch)}")
             lines.append(f"    satisfy {_fmt_satisfy(cb.fetch)}")
-            if cb.fetch_star:
+            if cb.branch is not None:
                 lines.append(f"    fetch* {_fmt_subject(cb.fetch)}*")
-                assert cb.branch is not None
                 lines.append(f"    branch {_fmt_satisfy(cb.branch)}")
             if cb.run_action is not None:
                 lines.append(f"    run {cb.run_action}")

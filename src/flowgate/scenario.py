@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Optional, Union
 
@@ -96,7 +96,6 @@ class Scenario:
     drop_prob: float = 0.0
     refresh_ms: int = 0
     fidelity_floor: float = 0.0
-    base_dir: Path = field(default_factory=Path)
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
@@ -151,5 +150,4 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         drop_prob=float(engine.get("drop_prob", 0.0)),
         refresh_ms=int(engine.get("refresh_ms", 0)),
         fidelity_floor=float(data.get("fidelity_floor", 0.0)),
-        base_dir=base,
     )

@@ -12,11 +12,14 @@ events go upstream:
 
 The loop keeps two rules:
 
-* Entries due at the same millisecond run in push order. Trace events are
-  pushed first, so a device event lands before any timer, delayed report or
-  delayed action due at that instant. The raw replay defines this order, and
-  a held-duration timer that ends exactly when its condition's device changes
-  must see the change in every pipeline alike.
+* The trace, sorted once by timestamp, is streamed past a heap of
+  everything else (deadlines, daily instants, deliveries, actuations, manual
+  commands). A trace event is taken before any heap entry due at the same
+  millisecond, so a device event lands before any timer, delayed report or
+  delayed action due at that instant; same-millisecond trace events keep
+  their trace order and heap entries run in push order. The raw replay
+  defines this order, and a held-duration timer that ends exactly when its
+  condition's device changes must see the change in every pipeline alike.
 * Each deadline is armed once. After every step the engine's and the
   platform's next deadlines are pushed at most once per (source, timestamp),
   and the engine ticks only when its own deadline pops.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional
 
 from .compiler import CompiledCorpus
@@ -110,6 +114,7 @@ def _daily_instants(minutes: Iterable[int], horizon_ms: int) -> list[int]:
 
 
 _Handler = Callable[[int, Any], None]
+_timestamp = attrgetter("timestamp")
 
 
 class _Replay:
@@ -137,12 +142,11 @@ class _Replay:
         self.platform = SimulatedPlatform(
             rules, registry, mode=mode, tag_gated=tag_gated, command_sink=self._issued.append,
         )
-        self.horizon = (trace[-1].timestamp if trace else 0) + config.grace_ms
+        self._trace = sorted(trace, key=_timestamp)  # stable: ties keep trace order
+        self.horizon = (self._trace[-1].timestamp if trace else 0) + config.grace_ms
         self._heap: list[tuple[int, int, _Handler, Any]] = []
         self._seq = 0
         self._armed: set[tuple[Callable[[int], None], int]] = set()
-        for event in trace:
-            self.push(event.timestamp, self._device_event, event)
         for ts in _daily_instants(self.platform.time_trigger_minutes(), self.horizon):
             self.push(ts, self._platform_time, None)
 
@@ -151,14 +155,22 @@ class _Replay:
         heapq.heappush(self._heap, (when, self._seq, handler, payload))
 
     def run(self) -> RunArtifacts:
+        for event in self._trace:
+            self._run_heap(event.timestamp)
+            self._device_event(event.timestamp, event)
+            self.arm_deadlines()
+        self._run_heap(None)
+        self.artifacts.p_commands.sort(key=_timestamp)
+        self.artifacts.truth_events.sort(key=_timestamp)
+        return self.artifacts
+
+    def _run_heap(self, before: Optional[int]) -> None:
+        """Run the heap entries due before ``before`` (all of them if ``None``)."""
         heap = self._heap
-        while heap:
+        while heap and (before is None or heap[0][0] < before):
             now, _, handler, payload = heapq.heappop(heap)
             handler(now, payload)
             self.arm_deadlines()
-        self.artifacts.p_commands.sort(key=lambda c: c.timestamp)
-        self.artifacts.truth_events.sort(key=lambda e: e.timestamp)
-        return self.artifacts
 
     # -- deadlines ---------------------------------------------------------------
 
@@ -332,24 +344,18 @@ def remove_redundant(
     mediated pipeline is entitled to suppress.
     """
     states: dict[tuple[str, str], Value] = dict(registry.initial_states())
-    items: list[tuple[int, int, int, object]] = []
-    for i, e in enumerate(raw_trace):
-        items.append((e.timestamp, 0, i, e))
-    for i, c in enumerate(gt_commands):
-        items.append((c.timestamp, 1, i, c))  # events land before same-time commands
-    items.sort(key=lambda t: (t[0], t[1], t[2]))
+    events = sorted(raw_trace, key=_timestamp)
+    i = 0
     kept: list[Command] = []
-    for _, _, _, obj in items:
-        if isinstance(obj, Event):
-            states[obj.key()] = obj.value
-        else:
-            assert isinstance(obj, Command)
-            desc = registry.lookup(obj.device, obj.attribute)
-            value = desc.validate_value(obj.value)
-            if states.get(obj.key()) == value:
-                continue
-            states[obj.key()] = value
-            kept.append(obj)
+    for cmd in sorted(gt_commands, key=_timestamp):
+        while i < len(events) and events[i].timestamp <= cmd.timestamp:  # events land first
+            states[events[i].key()] = events[i].value
+            i += 1
+        value = registry.lookup(cmd.device, cmd.attribute).validate_value(cmd.value)
+        if states.get(cmd.key()) == value:
+            continue
+        states[cmd.key()] = value
+        kept.append(cmd)
     return kept
 
 

@@ -21,7 +21,7 @@ def test_derive_r1_matches_known_shape(mini_registry, r1):
     tb = policy.trigger_block
     assert tb.match.key() == ("ps1", "presence")
     assert tb.match.operator is Operator.EQ and tb.match.value == "present"
-    assert tb.fetch_star and tb.branch == tb.match
+    assert tb.branch == tb.match
     assert tb.run_action.method is Method.DIFF_KEEP
     assert tb.run_action.params == ("present",)
     assert tb.else_action.method is Method.KEEP
@@ -164,7 +164,7 @@ def test_randomize_always_satisfies_originating_constraint(mini_registry):
     call = MethodCall(Method.RANDOMIZE, (86.0, 10000.0))
     rng = random.Random(11)
     for _ in range(10_000):
-        [(value, _, _)] = apply_method(call, 90.0, 70.0, rng, 0, constraint=c)
+        [(value, _, _)] = apply_method(call, 90.0, rng, constraint=c)
         assert 86.0 < value <= 10000.0
 
 

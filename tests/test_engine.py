@@ -12,6 +12,7 @@ from flowgate.engine import (
     KIND_EXPIRY,
     KIND_REPORT,
     KIND_SYNC,
+    Emission,
     EngineConfig,
     EngineError,
     PolicyEngine,
@@ -97,7 +98,7 @@ def test_evaluate_unseeded_state_is_configuration_error(mini_registry, r1):
 def test_apply_diffkeep_emits_complement_then_value():
     rng = random.Random(0)
     plan = apply_method(
-        MethodCall(Method.DIFF_KEEP, ("present",), 300), "present", "present", rng, 0,
+        MethodCall(Method.DIFF_KEEP, ("present",), 300), "present", rng,
         values=("present", "not-present"),
     )
     assert plan == [("not-present", 0, KIND_SYNC), ("present", 300, KIND_REPORT)]
@@ -105,21 +106,21 @@ def test_apply_diffkeep_emits_complement_then_value():
 
 def test_apply_keep_is_identity():
     rng = random.Random(0)
-    assert apply_method(MethodCall(Method.KEEP), "X", "Y", rng, 0) == [("X", 0, KIND_REPORT)]
-    assert apply_method(MethodCall(Method.BLOCK), "X", "Y", rng, 0) == []
+    assert apply_method(MethodCall(Method.KEEP), "X", rng) == [("X", 0, KIND_REPORT)]
+    assert apply_method(MethodCall(Method.BLOCK), "X", rng) == []
 
 
 def test_apply_diffkeep_rejects_numeric():
     rng = random.Random(0)
     with pytest.raises(EngineError):
-        apply_method(MethodCall(Method.DIFF_KEEP, (90.0,)), 90.0, 80.0, rng, 0)
+        apply_method(MethodCall(Method.DIFF_KEEP, (90.0,)), 90.0, rng)
 
 
 def test_apply_randomize_respects_interval():
     rng = random.Random(1)
     call = MethodCall(Method.RANDOMIZE, (86.0, 10000.0))
     for _ in range(1000):
-        [(v, _, _)] = apply_method(call, 90.0, 70.0, rng, 0)
+        [(v, _, _)] = apply_method(call, 90.0, rng)
         assert 86.0 <= v <= 10000.0
 
 
@@ -293,7 +294,8 @@ def test_db_star_tracks_last_emission(mini_registry):
 # ---------------------------------------------------------------------------
 
 class _ScanningEngine(PolicyEngine):
-    """Reference dispatch: every policy is tested against every event."""
+    """Reference dispatch: every policy is tested against every event and the
+    merge runs in full even when nothing was decided."""
 
     def process_event(self, event):
         key = event.key()
@@ -323,6 +325,30 @@ class _ScanningEngine(PolicyEngine):
                 action = policy.trigger_block.run_action
                 return "suppress" if action.method is Method.BLOCK else "keep"
         return None
+
+    def _merge_and_emit(self, event, prev, decisions, sanctioned):
+        # All four steps on every event, whether or not anything was decided.
+        now = event.timestamp
+        ekey = event.key()
+        out = self._emit_sync_decisions([d for d in decisions if d.key() != ekey], now)
+        trigger_plan, trig_prov = self._trigger_plan(
+            event, prev, [d for d in decisions if d.key() == ekey]
+        )
+        if self._up_disposition(ekey, now) == "suppress":
+            trigger_plan = []
+        elif not any(k == KIND_REPORT for _, _, k in trigger_plan):
+            if self._up_disposition(ekey, now) == "keep":
+                trigger_plan = [(event.value, 0, KIND_REPORT)]
+                trig_prov = trig_prov or ("up",)
+        out.extend(self._consistency_repairs(event, trigger_plan, sanctioned, now))
+        for value, delay, kind in trigger_plan:
+            emission = Emission(ekey[0], ekey[1], value, now + delay, kind, provenance=trig_prov)
+            if delay > 0:
+                self._push(now + delay, "emission", emission)
+                self._pending_reports[ekey] += 1
+            else:
+                out.append(self._emit(emission))
+        return out
 
     def _flush_key_pendings(self, key, now):
         kept, flushed = [], []

@@ -1,4 +1,7 @@
+import heapq
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowgate import synth
 from flowgate.compiler import compile_corpus
@@ -6,8 +9,12 @@ from flowgate.dsl import parse_rules
 from flowgate.engine import PolicyEngine
 from flowgate.model import Command, Event
 from flowgate.platform_sim import SimulatedPlatform
+from flowgate.scenario import parse_user_policies
 from flowgate.simulator import (
     SimConfig,
+    _MediatedReplay,
+    _PullReplay,
+    _RawReplay,
     remove_redundant,
     run_mediated,
     run_pull_baseline,
@@ -182,9 +189,148 @@ def test_each_deadline_ticks_once(monkeypatch):
     assert calls["platform"] / len(trace) < 2
 
 
+class _HeapTrace:
+    """Reference loop: every trace event goes onto the heap, pushed before
+    any other entry, and the heap alone orders the run."""
+
+    def __init__(self, trace, *args):
+        super().__init__(trace, *args)
+        for seq, event in enumerate(trace, start=-len(trace)):
+            heapq.heappush(self._heap, (event.timestamp, seq, self._device_event, event))
+        self._trace = []
+
+
+class _HeapRawReplay(_HeapTrace, _RawReplay):
+    pass
+
+
+class _HeapPullReplay(_HeapTrace, _PullReplay):
+    pass
+
+
+class _HeapMediatedReplay(_HeapTrace, _MediatedReplay):
+    pass
+
+
+# A held-duration timer (engine and platform deadlines), diffKeep-delayed
+# binary triggers, a numeric trigger, a delayed action, a clock rule and a
+# conditional user policy.
+REPLAY_RULES = "\n".join([
+    R1,
+    "rt: when mo1.motion == inactive for 60000 if ps1.presence == present "
+    "then sl1.switch := on",
+    "rn: when ts1.temperature > 90 then sl1.switch := off",
+    "rm: when am1.motion == active if mode1.mode != away then f1.switch := off after 60000",
+    "rc: when time.clock == 00:02 then f1.switch := off",
+])
+REPLAY_UPS = """
+- id: upw
+  style: conditional
+  target: {device: am1}
+  context: [{device: mode1, attribute: mode, op: "==", value: away}]
+  action: keep
+"""
+REPLAY_VALUES = {
+    ("ps1", "presence"): ["present", "not-present"],
+    ("ts1", "temperature"): [40.0, 88.0, 95.0],
+    ("am1", "humidity"): [40.0, 60.0],
+    ("am1", "motion"): ["active", "inactive"],
+    ("mo1", "motion"): ["active", "inactive"],
+    ("mode1", "mode"): ["home", "away"],
+    ("f1", "switch"): ["on", "off"],
+}
+# Gaps that land events on the same millisecond, on a diffKeep report
+# (300 ms, delivered 250 ms later), on the 60 s timer and delayed-action
+# deadlines and on the 00:02 clock instant.
+REPLAY_GAPS = [0, 0, 1, 250, 300, 550, 59_700, 60_000, 60_250, 60_300]
+
+
+@st.composite
+def _replay_traces(draw):
+    now, trace = 0, []
+    for _ in range(draw(st.integers(0, 14))):
+        now += draw(st.sampled_from(REPLAY_GAPS))
+        key = draw(st.sampled_from(sorted(REPLAY_VALUES)))
+        trace.append(Event(key[0], key[1], draw(st.sampled_from(REPLAY_VALUES[key])), now))
+    if draw(st.booleans()):
+        trace = draw(st.permutations(trace))
+    manual = [Command("sl1", "switch", draw(st.sampled_from(["on", "off"])), ts)
+              for ts in draw(st.lists(st.sampled_from([0, 300, 60_000, 120_000]), max_size=2))]
+    return trace, manual
+
+
+def test_streamed_trace_matches_heap_replay(mini_registry):
+    rules = parse_rules(REPLAY_RULES, mini_registry)
+    corpus = compile_corpus(rules, parse_user_policies(REPLAY_UPS, mini_registry), mini_registry)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_replay_traces(), seed=st.integers(0, 3))
+    def check(case, seed):
+        trace, manual = case
+        config = SimConfig(seed=seed, refresh_ms=60_000)
+        assert (_RawReplay(trace, rules, mini_registry, config).run()
+                == _HeapRawReplay(trace, rules, mini_registry, config).run())
+        assert (_PullReplay(trace, rules, mini_registry, config).run()
+                == _HeapPullReplay(trace, rules, mini_registry, config).run())
+        assert (_MediatedReplay(trace, corpus, config, manual).run()
+                == _HeapMediatedReplay(trace, corpus, config, manual).run())
+
+    check()
+
+
+def test_out_of_order_trace_replays_in_timestamp_order(mini_registry):
+    rules = parse_rules(REPLAY_RULES, mini_registry)
+    corpus = compile_corpus(rules, [], mini_registry)
+    trace = [
+        Event("ps1", "presence", "present", 80_000),
+        Event("mo1", "motion", "active", 10_000),
+        Event("ts1", "temperature", 95.0, 80_000),
+        Event("mo1", "motion", "inactive", 20_000),
+        Event("ps1", "presence", "not-present", 80_000),
+        Event("ps1", "presence", "present", 80_000),
+    ]
+    config = SimConfig(seed=0)
+    raw = _RawReplay(trace, rules, mini_registry, config).run()
+    assert raw == _HeapRawReplay(trace, rules, mini_registry, config).run()
+    assert raw.truth_events[:len(trace)] == sorted(trace, key=lambda e: e.timestamp)
+    assert (_MediatedReplay(trace, corpus, config, []).run()
+            == _HeapMediatedReplay(trace, corpus, config, []).run())
+
+
 # ---------------------------------------------------------------------------
 # redundancy pruning
 # ---------------------------------------------------------------------------
+
+def _remove_redundant_sorted(gt_commands, raw_trace, registry):
+    """Reference pruning: one sort over every event and command."""
+    states = dict(registry.initial_states())
+    items = [(e.timestamp, 0, i, e) for i, e in enumerate(raw_trace)]
+    items += [(c.timestamp, 1, i, c) for i, c in enumerate(gt_commands)]
+    kept = []
+    for _, is_command, _, obj in sorted(items, key=lambda t: t[:3]):
+        if not is_command:
+            states[obj.key()] = obj.value
+        elif states.get(obj.key()) != obj.value:
+            states[obj.key()] = obj.value
+            kept.append(obj)
+    return kept
+
+
+_switch_items = st.tuples(
+    st.sampled_from([("f1", "switch"), ("sl1", "switch")]),
+    st.sampled_from(["on", "off"]),
+    st.sampled_from([0, 1000, 1000, 2000, 3000]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=st.lists(_switch_items, max_size=12), commands=st.lists(_switch_items, max_size=12))
+def test_remove_redundant_matches_sorted_merge(mini_registry, events, commands):
+    trace = [Event(d, a, v, t) for (d, a), v, t in events]
+    gt = [Command(d, a, v, t, f"r{i}") for i, ((d, a), v, t) in enumerate(commands)]
+    kept = remove_redundant(gt, trace, mini_registry)
+    assert [id(c) for c in kept] == [id(c) for c in _remove_redundant_sorted(gt, trace, mini_registry)]
+
 
 def test_remove_redundant_drops_repeat(mini_registry):
     commands = [
