@@ -81,10 +81,8 @@ class StateStore:
 class TimerState:
     id: str
     deadline: int
-    seq: int
     running: bool = True
     start_value: Value = ""
-    start_time: int = 0
     callbacks: list[str] = field(default_factory=list)  # policy ids, in add order
 
 
@@ -384,13 +382,10 @@ class PolicyEngine:
         if not (tb.match.satisfied_by(event.value) and not tb.match.satisfied_by(prev)):
             return
         if policy.timer_start:
-            self._seq += 1
             timer = TimerState(
                 id=policy.timer_start,
                 deadline=event.timestamp + policy.timer_duration_ms,
-                seq=self._seq,
                 start_value=event.value,
-                start_time=event.timestamp,
                 callbacks=[policy.id],
             )
             self.timers[timer.id] = timer  # create or reset
@@ -418,7 +413,7 @@ class PolicyEngine:
         key = policy.trigger_block.match.key()
         out = self._flush_key_pendings(key, now)
         out.extend(self._emit_sync_decisions(decisions, now))
-        if self._up_disposition(key, now) != "suppress":
+        if not self._up_suppresses(key, now):
             out.append(
                 self._emit(
                     Emission(
@@ -436,15 +431,15 @@ class PolicyEngine:
 
     # -- user-policy precedence ---------------------------------------------------
 
-    def _up_disposition(self, key: tuple[str, str], clock: int) -> Optional[str]:
-        """How user policies dispose of data on ``key`` right now, if at all."""
+    def _up_suppresses(self, key: tuple[str, str], clock: int) -> bool:
+        """Whether the first user policy on ``key`` whose checks pass blocks it."""
         for policy in self._user_by_key.get(key, ()):
             if _run_checks(policy, self.store, clock) is None:
                 continue
             action = policy.trigger_block.run_action
             assert action is not None
-            return "suppress" if action.method is Method.BLOCK else "keep"
-        return None
+            return action.method is Method.BLOCK
+        return False
 
     # -- merging and emission -------------------------------------------------------
 
@@ -456,7 +451,7 @@ class PolicyEngine:
         sanctioned: set[str],
     ) -> list[Emission]:
         if not decisions:
-            # Each user policy on the key ran the checks _up_disposition runs
+            # Each user policy on the key ran the checks _up_suppresses runs
             # and decides whenever they pass: nothing decided means no user
             # disposition either, so the event stays blocked.
             return []
@@ -471,7 +466,7 @@ class PolicyEngine:
             event, prev, [d for d in decisions if d.key() == ekey]
         )
         # A passing user keep decided too, so its report is already planned.
-        if self._up_disposition(ekey, now) == "suppress":
+        if self._up_suppresses(ekey, now):
             trigger_plan = []
 
         # 3. Consistency repairs computed against the planned platform view.
@@ -723,7 +718,7 @@ class PolicyEngine:
             by_key.setdefault(d.key(), []).append(d)
         out: list[Emission] = []
         for key in sorted(by_key):
-            if self._up_disposition(key, now) == "suppress":
+            if self._up_suppresses(key, now):
                 continue
             plan = self._merge_check_plan(key, by_key[key])
             provenance = tuple(dict.fromkeys(p for d in by_key[key] for p in d.provenance))

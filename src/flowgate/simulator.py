@@ -10,7 +10,7 @@ events go upstream:
 * pull     -- nothing is pushed; the platform only learns states it
   explicitly refreshes, so only time-triggered rules can run.
 
-The loop keeps two rules:
+The loop keeps three rules:
 
 * The trace, sorted once by timestamp, is streamed past a heap of
   everything else (deadlines, daily instants, deliveries, actuations, manual
@@ -23,6 +23,14 @@ The loop keeps two rules:
 * Each deadline is armed once. After every step the engine's and the
   platform's next deadlines are pushed at most once per (source, timestamp),
   and the engine ticks only when its own deadline pops.
+* Quiet keys skip the upstream: mediated, a key no policy indexes (it never
+  has a delayed report pending); raw, a key no rule triggers on; pull, every
+  key. A trace event on a seeded quiet key only updates the device state,
+  the truth log, the raw count and the upstream's own store, and arms
+  nothing. The raw platform runs its due work on every delivery, so while
+  platform work is due at or before the event's millisecond the event takes
+  the full path: a timer due then still fires before later events of that
+  millisecond.
 
 Fidelity is scored the way commands are verified in the field: every
 command issued under mediation must have a raw counterpart within a short
@@ -120,8 +128,8 @@ _timestamp = attrgetter("timestamp")
 class _Replay:
     """The scheduler loop every pipeline runs; subclasses are the upstreams.
 
-    A subclass decides where device events go (``upstream``) and may push
-    entries of its own.
+    A subclass decides where device events go (``upstream``), which keys
+    skip it (``quiet_keys``, ``store_quiet``) and may push entries of its own.
     """
 
     command_delay_ms = 0     # platform -> device transport delay
@@ -155,10 +163,24 @@ class _Replay:
         heapq.heappush(self._heap, (when, self._seq, handler, payload))
 
     def run(self) -> RunArtifacts:
+        quiet = self.quiet_keys()
+        store_quiet = self.store_quiet
+        heap, platform_due = self._heap, self.platform._pending
+        states = self.farm.states
+        truth, counts = self.artifacts.truth_events, self.artifacts.raw_counts
         for event in self._trace:
-            self._run_heap(event.timestamp)
-            self._device_event(event.timestamp, event)
-            self.arm_deadlines()
+            ts = event.timestamp
+            if heap and heap[0][0] < ts:
+                self._run_heap(ts)
+            key = event.key()
+            if key in quiet and not (platform_due and platform_due[0][0] <= ts):
+                states[key] = event.value
+                truth.append(event)
+                counts[key] = counts.get(key, 0) + 1
+                store_quiet(key, event)
+            else:
+                self._device_event(ts, event)
+                self.arm_deadlines()
         self._run_heap(None)
         self.artifacts.p_commands.sort(key=_timestamp)
         self.artifacts.truth_events.sort(key=_timestamp)
@@ -190,6 +212,14 @@ class _Replay:
 
     def upstream(self, event: Event, now: int) -> None:
         """Carry one device event (trace or actuation) towards the platform."""
+        raise NotImplementedError
+
+    def quiet_keys(self) -> set[tuple[str, str]]:
+        """Seeded keys whose events ``upstream`` would only store."""
+        raise NotImplementedError
+
+    def store_quiet(self, key: tuple[str, str], event: Event) -> None:
+        """The upstream's own state write for an event on a quiet key."""
         raise NotImplementedError
 
     def lost_in_transit(self) -> bool:
@@ -228,6 +258,12 @@ class _RawReplay(_Replay):
         self.platform.receive(event.device, event.attribute, event.value, now)
         self.drain_platform(now)
 
+    def quiet_keys(self) -> set[tuple[str, str]]:
+        return self.platform.db.keys() - self.platform._by_key.keys()
+
+    def store_quiet(self, key: tuple[str, str], event: Event) -> None:
+        self.platform.db[key] = event.value
+
 
 class _PullReplay(_Replay):
     def __init__(self, trace: list[Event], rules: list[Rule], registry: Registry,
@@ -239,6 +275,12 @@ class _PullReplay(_Replay):
 
     def upstream(self, event: Event, now: int) -> None:
         pass  # nothing is pushed
+
+    def quiet_keys(self) -> set[tuple[str, str]]:
+        return set(self.platform.db)
+
+    def store_quiet(self, key: tuple[str, str], event: Event) -> None:
+        pass
 
     def _refresh(self, now: int, _: None) -> None:
         self.platform.refresh(dict(self.farm.states), now)
@@ -252,6 +294,7 @@ class _MediatedReplay(_Replay):
         self.engine = PolicyEngine(corpus, config.engine_config())
         self.command_delay_ms = config.l2_ms
         self.latency = config.l1_ms + config.l2_ms
+        self._latency_row = (config.l1_ms, config.l2_ms, config.l1_ms + 2 * config.l2_ms)
         self._drop_rng = random.Random((config.seed << 8) ^ 0x5F)
         for ts in _daily_instants(self.engine.time_trigger_minutes(), self.horizon):
             self.push(max(0, ts - self.latency - 1), self._engine_time, ts)
@@ -270,11 +313,18 @@ class _MediatedReplay(_Replay):
     def upstream(self, event: Event, now: int) -> None:
         self._report(self.engine.process_event(event))
 
+    def quiet_keys(self) -> set[tuple[str, str]]:
+        return self.engine.store.db.keys() - self.engine._by_key.keys()
+
+    def store_quiet(self, key: tuple[str, str], event: Event) -> None:
+        self.engine.store.db[key] = (event.value, event.timestamp)
+        samples = self.artifacts.latency_samples
+        samples.append((len(samples), *self._latency_row))
+
     def _device_event(self, now: int, event: Event) -> None:
         super()._device_event(now, event)
-        c = self.config
         samples = self.artifacts.latency_samples
-        samples.append((len(samples), c.l1_ms, c.l2_ms, c.l1_ms + 2 * c.l2_ms))
+        samples.append((len(samples), *self._latency_row))
 
     def _engine_tick(self, now: int) -> None:
         self._report(self.engine.tick(now))

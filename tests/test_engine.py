@@ -315,7 +315,11 @@ class _ScanningEngine(PolicyEngine):
         out.extend(self._merge_and_emit(event, prev, decisions, sanctioned))
         return out
 
-    def _up_disposition(self, key, clock):
+    def _up_suppresses(self, key, clock):
+        return self._scan_disposition(key, clock) == "suppress"
+
+    def _scan_disposition(self, key, clock):
+        """The first passing user policy's "suppress" or "keep", else None."""
         for policy in self.corpus.user_policies:
             m = policy.trigger_block.match
             if m.subject != key[0] or m.attribute not in ("*", key[1]):
@@ -334,10 +338,10 @@ class _ScanningEngine(PolicyEngine):
         trigger_plan, trig_prov = self._trigger_plan(
             event, prev, [d for d in decisions if d.key() == ekey]
         )
-        if self._up_disposition(ekey, now) == "suppress":
+        if self._scan_disposition(ekey, now) == "suppress":
             trigger_plan = []
         elif not any(k == KIND_REPORT for _, _, k in trigger_plan):
-            if self._up_disposition(ekey, now) == "keep":
+            if self._scan_disposition(ekey, now) == "keep":
                 trigger_plan = [(event.value, 0, KIND_REPORT)]
                 trig_prov = trig_prov or ("up",)
         out.extend(self._consistency_repairs(event, trigger_plan, sanctioned, now))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from flowgate import synth
 from flowgate.compiler import compile_corpus
 from flowgate.dsl import parse_rules
-from flowgate.engine import PolicyEngine
+from flowgate.engine import EngineError, PolicyEngine
 from flowgate.model import Command, Event
 from flowgate.platform_sim import SimulatedPlatform
 from flowgate.scenario import parse_user_policies
@@ -295,6 +295,60 @@ def test_out_of_order_trace_replays_in_timestamp_order(mini_registry):
     assert raw.truth_events[:len(trace)] == sorted(trace, key=lambda e: e.timestamp)
     assert (_MediatedReplay(trace, corpus, config, []).run()
             == _HeapMediatedReplay(trace, corpus, config, []).run())
+
+
+def test_quiet_event_on_platform_deadline_takes_full_path(mini_registry):
+    # rt's native timer falls due at 80 000. mode1.mode, one of its
+    # conditions, is quiet in raw; it changes at that millisecond, before a
+    # non-quiet ps1 change. Delivering the quiet event runs the due timer
+    # while ps1 is still present, so rt fires before rq.
+    rules = parse_rules(
+        "rt: when mo1.motion == inactive for 60000 if ps1.presence == present and "
+        "mode1.mode != away then sl1.switch := on\n"
+        "rq: when ps1.presence == not-present then f1.switch := on",
+        mini_registry,
+    )
+    trace = [
+        Event("ps1", "presence", "present", 10_000),
+        Event("mo1", "motion", "active", 10_000),
+        Event("mo1", "motion", "inactive", 20_000),
+        Event("mode1", "mode", "vacation", 80_000),
+        Event("ps1", "presence", "not-present", 80_000),
+    ]
+    config = SimConfig(seed=0)
+    replay = _RawReplay(trace, rules, mini_registry, config)
+    assert ("mode1", "mode") in replay.quiet_keys()
+    assert ("ps1", "presence") not in replay.quiet_keys()
+    raw = replay.run()
+    assert raw == _HeapRawReplay(trace, rules, mini_registry, config).run()
+    assert [(c.timestamp, c.key(), c.value, c.origin) for c in raw.p_commands] == [
+        (80_000, ("sl1", "switch"), "on", "rt"),
+        (80_000, ("f1", "switch"), "on", "rq"),
+    ]
+
+
+def test_quiet_lane_keeps_unknown_keys_on_full_path(mini_registry):
+    _, corpus = _corpus(mini_registry)
+    with pytest.raises(EngineError):
+        run_mediated([Event("zz9", "motion", "active", 1000)], corpus, SimConfig(seed=0))
+
+
+def test_all_quiet_trace_reports_nothing_and_counts_everything(mini_registry):
+    rules, corpus = _corpus(mini_registry)  # R1 reads ps1, ts1 and f1 only
+    trace = [
+        Event("am1", "humidity", 60.0, 1000),
+        Event("mo1", "motion", "active", 1000),
+        Event("am1", "motion", "active", 2000),
+        Event("mo1", "motion", "inactive", 3000),
+    ]
+    counts = {("am1", "humidity"): 1, ("mo1", "motion"): 2, ("am1", "motion"): 1}
+    med = run_mediated(trace, corpus, SimConfig(seed=0))
+    assert med.reported_events == [] and med.p_commands == []
+    assert med.raw_counts == counts
+    assert med.truth_events == trace
+    assert len(med.latency_samples) == len(trace)
+    for run in (run_raw, run_pull_baseline):
+        assert run(trace, rules, mini_registry, SimConfig()).raw_counts == counts
 
 
 # ---------------------------------------------------------------------------
