@@ -99,9 +99,11 @@ def _emission_log(artifacts: RunArtifacts) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _latency_csv(artifacts: RunArtifacts) -> str:
+def _latency_csv(events: int, config: SimConfig) -> str:
+    """The modelled latency L_HA = L1 + 2*L2 of each of ``events`` device events."""
+    l1, l2 = config.l1_ms, config.l2_ms
     rows = ["event,l1_ms,l2_ms,l_ha_ms"]
-    rows.extend(f"{i},{l1},{l2},{lha}" for i, l1, l2, lha in artifacts.latency_samples)
+    rows.extend(f"{i},{l1},{l2},{l1 + 2 * l2}" for i in range(events))
     return "\n".join(rows) + "\n"
 
 
@@ -112,13 +114,18 @@ def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
     total_raw = 0
     total_reported = 0
     truth_by_key: dict[tuple[str, str], list[Event]] = {}
-    for e in artifacts.truth_events:
+    for e in scenario.trace:
+        truth_by_key.setdefault(e.key(), []).append(e)
+    raw_counts = {key: len(events) for key, events in truth_by_key.items()}
+    # Appended after the trace, so a stable sort by time keeps same-millisecond
+    # trace events ahead of actuations, the order the replay applied them in.
+    for e in artifacts.actuations:
         truth_by_key.setdefault(e.key(), []).append(e)
     observed_by_key: dict[tuple[str, str], list[Event]] = {}
     for r in artifacts.reported_events:
         observed_by_key.setdefault(r.key(), []).append(r.as_event())
     for key in registry.all_pairs():
-        raw = artifacts.raw_counts.get(key, 0)
+        raw = raw_counts.get(key, 0)
         reported = len(observed_by_key.get(key, ()))
         desc = registry.lookup(*key)
         entry: dict = {"raw": raw, "reported": reported}
@@ -172,7 +179,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     (out / "p_commands.log").write_text(format_commands(run.p_commands))
     (out / "gt_commands.log").write_text(format_commands(raw.p_commands))
     (out / "gt_pruned.log").write_text(format_commands(gt_pruned))
-    (out / "latency.csv").write_text(_latency_csv(run))
+    # Pull mode pushes no device events, so it models no latency.
+    events = 0 if scenario.mode == "pull" else len(scenario.trace)
+    (out / "latency.csv").write_text(_latency_csv(events, config))
     (out / "policies.txt").write_text(
         "\n\n".join(dump_policy(p) for p in corpus.policies) + "\n"
     )

@@ -365,9 +365,8 @@ def parse_trace(
         max_ts = max(ts, max_ts) if max_ts is not None else ts
         value: Union[str, float]
         if registry is not None:
-            desc = registry.lookup(device, attribute)
             try:
-                value = desc.validate_value(value_text)
+                value = registry.lookup(device, attribute).validate_value(value_text)
             except ModelError as exc:
                 raise ParseError(str(exc), line_no) from None
         else:

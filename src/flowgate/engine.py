@@ -274,7 +274,6 @@ class PolicyEngine:
         # Pending delayed emissions and timer deadlines share one heap.
         self._pending: list[tuple[int, int, str, object]] = []
         self._pending_reports: Counter[tuple[str, str]] = Counter()  # delayed emissions per key
-        self.emitted: list[Emission] = []
         # Dispatch index: each (device, attribute) key -> the policies whose
         # trigger can match an event on it, in corpus order (timer pushes and
         # decision order follow it). A device wildcard covers every attribute
@@ -748,5 +747,4 @@ class PolicyEngine:
 
     def _emit(self, emission: Emission) -> Emission:
         self.store.db_star[emission.key()] = (emission.value, emission.timestamp)
-        self.emitted.append(emission)
         return emission

@@ -25,12 +25,11 @@ The loop keeps three rules:
   and the engine ticks only when its own deadline pops.
 * Quiet keys skip the upstream: mediated, a key no policy indexes (it never
   has a delayed report pending); raw, a key no rule triggers on; pull, every
-  key. A trace event on a seeded quiet key only updates the device state,
-  the truth log, the raw count and the upstream's own store, and arms
-  nothing. The raw platform runs its due work on every delivery, so while
-  platform work is due at or before the event's millisecond the event takes
-  the full path: a timer due then still fires before later events of that
-  millisecond.
+  key. A trace event on a seeded quiet key only updates the device state
+  and the upstream's own store, and arms nothing. The raw platform runs its
+  due work on every delivery, so while platform work is due at or before the
+  event's millisecond the event takes the full path: a timer due then still
+  fires before later events of that millisecond.
 
 Fidelity is scored the way commands are verified in the field: every
 command issued under mediation must have a raw counterpart within a short
@@ -101,14 +100,11 @@ class DeviceFarm:
 
 @dataclass
 class RunArtifacts:
-    """Everything one pipeline run produced."""
+    """What only the replay produces; the trace and config determine the rest."""
 
     reported_events: list[Emission] = field(default_factory=list)
     p_commands: list[Command] = field(default_factory=list)
-    truth_events: list[Event] = field(default_factory=list)     # trace + actuations
-    latency_samples: list[tuple[int, int, int, int]] = field(default_factory=list)
-    raw_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    reported_counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    actuations: list[Event] = field(default_factory=list)   # state changes commands caused
 
 
 def _daily_instants(minutes: Iterable[int], horizon_ms: int) -> list[int]:
@@ -167,7 +163,6 @@ class _Replay:
         store_quiet = self.store_quiet
         heap, platform_due = self._heap, self.platform._pending
         states = self.farm.states
-        truth, counts = self.artifacts.truth_events, self.artifacts.raw_counts
         for event in self._trace:
             ts = event.timestamp
             if heap and heap[0][0] < ts:
@@ -175,15 +170,12 @@ class _Replay:
             key = event.key()
             if key in quiet and not (platform_due and platform_due[0][0] <= ts):
                 states[key] = event.value
-                truth.append(event)
-                counts[key] = counts.get(key, 0) + 1
                 store_quiet(key, event)
             else:
                 self._device_event(ts, event)
                 self.arm_deadlines()
         self._run_heap(None)
         self.artifacts.p_commands.sort(key=_timestamp)
-        self.artifacts.truth_events.sort(key=_timestamp)
         return self.artifacts
 
     def _run_heap(self, before: Optional[int]) -> None:
@@ -227,15 +219,12 @@ class _Replay:
 
     def _device_event(self, now: int, event: Event) -> None:
         self.farm.observe(event)
-        self.artifacts.truth_events.append(event)
-        counts = self.artifacts.raw_counts
-        counts[event.key()] = counts.get(event.key(), 0) + 1
         self.upstream(event, now)
 
     def _actuate(self, now: int, cmd: Command) -> None:
         change = self.farm.actuate(Command(cmd.device, cmd.attribute, cmd.value, now, cmd.origin))
         if change is not None:
-            self.artifacts.truth_events.append(change)
+            self.artifacts.actuations.append(change)
             self.upstream(change, now)
 
     def _platform_time(self, now: int, _: None) -> None:
@@ -294,7 +283,6 @@ class _MediatedReplay(_Replay):
         self.engine = PolicyEngine(corpus, config.engine_config())
         self.command_delay_ms = config.l2_ms
         self.latency = config.l1_ms + config.l2_ms
-        self._latency_row = (config.l1_ms, config.l2_ms, config.l1_ms + 2 * config.l2_ms)
         self._drop_rng = random.Random((config.seed << 8) ^ 0x5F)
         for ts in _daily_instants(self.engine.time_trigger_minutes(), self.horizon):
             self.push(max(0, ts - self.latency - 1), self._engine_time, ts)
@@ -318,29 +306,17 @@ class _MediatedReplay(_Replay):
 
     def store_quiet(self, key: tuple[str, str], event: Event) -> None:
         self.engine.store.db[key] = (event.value, event.timestamp)
-        samples = self.artifacts.latency_samples
-        samples.append((len(samples), *self._latency_row))
-
-    def _device_event(self, now: int, event: Event) -> None:
-        super()._device_event(now, event)
-        samples = self.artifacts.latency_samples
-        samples.append((len(samples), *self._latency_row))
 
     def _engine_tick(self, now: int) -> None:
         self._report(self.engine.tick(now))
 
     def _engine_time(self, now: int, target: int) -> None:
         for e in self.engine.time_tick(target):
-            self._send(e, max(e.timestamp - 1, now))
+            self.push(max(e.timestamp - 1, now), self._deliver, e)
 
     def _report(self, emissions: list[Emission]) -> None:
         for e in emissions:
-            self._send(e, e.timestamp + self.latency)
-
-    def _send(self, e: Emission, when: int) -> None:
-        counts = self.artifacts.reported_counts
-        counts[e.key()] = counts.get(e.key(), 0) + 1
-        self.push(when, self._deliver, e)
+            self.push(e.timestamp + self.latency, self._deliver, e)
 
     def _deliver(self, now: int, e: Emission) -> None:
         self.artifacts.reported_events.append(e)

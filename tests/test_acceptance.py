@@ -6,12 +6,13 @@ criterion.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 import yaml
 
 from flowgate import synth
-from flowgate.cli import main as cli_main
+from flowgate.cli import _latency_csv, main as cli_main
 from flowgate.compiler import compile_corpus
 from flowgate.conflicts import detect_conflict
 from flowgate.dsl import format_trace, load_home, parse_rules
@@ -140,17 +141,19 @@ def test_criterion_04_reduction_structure():
         corpus = compile_corpus(rules, [], registry)
         trace = synth.generate_trace(registry, seed=17, days=7, events_target=12_000)
         run = run_mediated(trace, corpus, SimConfig(seed=17))
-        total_raw += sum(run.raw_counts.values())
-        total_reported += sum(run.reported_counts.values())
+        raw_counts = Counter(e.key() for e in trace)
+        reported_counts = Counter(e.key() for e in run.reported_events)
+        total_raw += sum(raw_counts.values())
+        total_reported += sum(reported_counts.values())
         referenced = set()
         for rule in rules:
             for c in (rule.trigger, *rule.condition):
                 if not c.is_time:
                     referenced.add(c.key())
-        for key, raw_n in run.raw_counts.items():
+        for key, raw_n in raw_counts.items():
             desc = registry.lookup(*key)
             if desc.kind is AttributeKind.NUMERIC and key not in referenced and raw_n:
-                if reduction_rate(raw_n, run.reported_counts.get(key, 0)) != 1.0:
+                if reduction_rate(raw_n, reported_counts[key]) != 1.0:
                     unused_ok = False
     aggregate = reduction_rate(total_raw, total_reported)
     ok = aggregate >= 0.90 and unused_ok
@@ -274,14 +277,13 @@ def test_criterion_07_alternation_property():
 
 
 def test_criterion_08_latency_accounting():
-    tb = synth.testbed("t1")
-    registry = tb.registry()
-    corpus = compile_corpus(tb.rules(registry), [], registry)
+    registry = synth.testbed("t1").registry()
     trace = synth.generate_trace(registry, seed=8, days=1, events_target=1500)
-    run = run_mediated(trace, corpus, SimConfig(seed=8, l1_ms=12, l2_ms=250))
-    exact = all(l_ha == l1 + 2 * l2 == 512 for _, l1, l2, l_ha in run.latency_samples)
-    ok = exact and len(run.latency_samples) == len(trace)
-    _verdict(8, ok, f"{len(run.latency_samples)} events, L_HA = L1 + 2*L2 exactly: {exact}")
+    csv = _latency_csv(len(trace), SimConfig(seed=8, l1_ms=12, l2_ms=250))
+    rows = [tuple(map(int, row.split(","))) for row in csv.splitlines()[1:]]
+    exact = all(l_ha == l1 + 2 * l2 == 512 for _, l1, l2, l_ha in rows)
+    ok = exact and [row[0] for row in rows] == list(range(len(trace)))
+    _verdict(8, ok, f"{len(rows)} events, L_HA = L1 + 2*L2 exactly: {exact}")
 
 
 def test_criterion_09_activity_inference_degradation():

@@ -5,9 +5,12 @@ import pytest
 import yaml
 
 from flowgate import synth
-from flowgate.cli import main as cli_main
+from flowgate.cli import _metrics_summary, main as cli_main
 from flowgate.dsl import format_trace
-from flowgate.scenario import load_scenario
+from flowgate.engine import Emission
+from flowgate.model import Event
+from flowgate.scenario import Scenario, load_scenario
+from flowgate.simulator import RunArtifacts
 
 
 @pytest.fixture()
@@ -95,12 +98,38 @@ def test_run_pull_mode(demo_scenario, capsys):
     assert code == 0
     verification = json.loads((out / "verification.json").read_text())
     assert verification["r_c"] < 1.0  # device-triggered rules never execute
-    # Reduction rates still count every trace event as raw input.
-    trace_counts = Counter(f"{e.device}.{e.attribute}" for e in load_scenario(path).trace)
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["aggregate_rr"] is not None
+
+
+@pytest.mark.parametrize("mode", ["mediated", "pull"])
+def test_run_counts_every_trace_event(demo_scenario, capsys, mode):
+    path = demo_scenario / "scenario.yaml"
+    out = demo_scenario / f"run-counts-{mode}"
+    cli_main(["run", "--scenario", str(path), "--mode", mode, "--out", str(out)])
+    trace = load_scenario(path).trace
+    # Reduction rates count every trace event as raw input, in both modes.
+    trace_counts = Counter(f"{e.device}.{e.attribute}" for e in trace)
     metrics = json.loads((out / "metrics.json").read_text())
     raw_counts = {k: v["raw"] for k, v in metrics["per_attribute"].items() if v["raw"]}
     assert raw_counts == trace_counts
-    assert metrics["aggregate_rr"] is not None
+    # One modelled latency row per pushed event; pull pushes none.
+    rows = (out / "latency.csv").read_text().splitlines()
+    assert rows[0] == "event,l1_ms,l2_ms,l_ha_ms"
+    assert len(rows) - 1 == (len(trace) if mode == "mediated" else 0)
+
+
+def test_truth_applies_actuation_after_same_millisecond_trace_event(mini_registry):
+    # The replay runs every trace event of a millisecond before the heap's
+    # actuations, so the fan is truly on from 60 500 although a switch
+    # record at that millisecond says off.
+    trace = [Event("f1", "switch", "off", 60_500), Event("mo1", "motion", "active", 120_000)]
+    run = RunArtifacts(reported_events=[Emission("f1", "switch", "on", 0)],
+                       actuations=[Event("f1", "switch", "on", 60_500)])
+    scenario = Scenario("tie", mini_registry, [], [], trace)
+    entry = _metrics_summary(scenario, run)["per_attribute"]["f1.switch"]
+    assert entry["raw"] == 1
+    assert entry["catr"] == round((120_000 - 60_500) / 120_000, 4)
 
 
 def test_run_raw_mode(demo_scenario, capsys):

@@ -122,9 +122,15 @@ def test_parse_trace_orders_and_dedupes(mini_registry):
     assert events[2].value == 90.0
 
 
-def test_parse_trace_bounds_error(mini_registry):
-    with pytest.raises(ParseError):
-        parse_trace("1000 ts1 temperature 20000\n", mini_registry)
+@pytest.mark.parametrize("record", [
+    "1000 ts1 temperature 20000",
+    "1000 zz9 motion active",
+    "1000 mo1 humidity 40",
+], ids=["out-of-bounds", "unknown-device", "unknown-attribute"])
+def test_parse_trace_bounds_error(mini_registry, record):
+    with pytest.raises(ParseError) as err:
+        parse_trace(f"500 ts1 temperature 20\n{record}\n", mini_registry)
+    assert err.value.line == 2
 
 
 def test_parse_trace_regression_error(mini_registry):

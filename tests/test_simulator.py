@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowgate import synth
+from flowgate.cli import _latency_csv, _metrics_summary
 from flowgate.compiler import compile_corpus
 from flowgate.dsl import parse_rules
 from flowgate.engine import EngineError, PolicyEngine
 from flowgate.model import Command, Event
 from flowgate.platform_sim import SimulatedPlatform
-from flowgate.scenario import parse_user_policies
+from flowgate.scenario import Scenario, parse_user_policies
 from flowgate.simulator import (
     SimConfig,
     _MediatedReplay,
@@ -290,9 +291,9 @@ def test_out_of_order_trace_replays_in_timestamp_order(mini_registry):
         Event("ps1", "presence", "present", 80_000),
     ]
     config = SimConfig(seed=0)
-    raw = _RawReplay(trace, rules, mini_registry, config).run()
-    assert raw == _HeapRawReplay(trace, rules, mini_registry, config).run()
-    assert raw.truth_events[:len(trace)] == sorted(trace, key=lambda e: e.timestamp)
+    replay = _RawReplay(trace, rules, mini_registry, config)
+    assert replay._trace == sorted(trace, key=lambda e: e.timestamp)
+    assert replay.run() == _HeapRawReplay(trace, rules, mini_registry, config).run()
     assert (_MediatedReplay(trace, corpus, config, []).run()
             == _HeapMediatedReplay(trace, corpus, config, []).run())
 
@@ -341,14 +342,16 @@ def test_all_quiet_trace_reports_nothing_and_counts_everything(mini_registry):
         Event("am1", "motion", "active", 2000),
         Event("mo1", "motion", "inactive", 3000),
     ]
-    counts = {("am1", "humidity"): 1, ("mo1", "motion"): 2, ("am1", "motion"): 1}
+    scenario = Scenario("quiet", mini_registry, rules, [], trace)
+    counts = {"am1.humidity": 1, "mo1.motion": 2, "am1.motion": 1}
     med = run_mediated(trace, corpus, SimConfig(seed=0))
     assert med.reported_events == [] and med.p_commands == []
-    assert med.raw_counts == counts
-    assert med.truth_events == trace
-    assert len(med.latency_samples) == len(trace)
-    for run in (run_raw, run_pull_baseline):
-        assert run(trace, rules, mini_registry, SimConfig()).raw_counts == counts
+    runs = [med] + [run(trace, rules, mini_registry, SimConfig())
+                    for run in (run_raw, run_pull_baseline)]
+    for run in runs:
+        assert run.actuations == []
+        per_attribute = _metrics_summary(scenario, run)["per_attribute"]
+        assert {k: v["raw"] for k, v in per_attribute.items() if v["raw"]} == counts
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +522,13 @@ def test_pull_refresh_sees_states_not_events(mini_registry):
 # transport details
 # ---------------------------------------------------------------------------
 
-def test_latency_accounting_exact(mini_registry):
-    rules, corpus = _corpus(mini_registry)
-    trace = [
-        Event("ts1", "temperature", 90.0, 10_000),
-        Event("ps1", "presence", "present", 60_000),
-        Event("ps1", "presence", "not-present", 90_000),
-    ]
-    run = run_mediated(trace, corpus, SimConfig(seed=0, l1_ms=7, l2_ms=250))
-    assert len(run.latency_samples) == len(trace)
-    for _, l1, l2, l_ha in run.latency_samples:
-        assert (l1, l2) == (7, 250)
+def test_latency_accounting_exact():
+    rows = _latency_csv(3, SimConfig(seed=0, l1_ms=7, l2_ms=250)).splitlines()
+    assert rows[0] == "event,l1_ms,l2_ms,l_ha_ms"
+    assert len(rows) == 3 + 1
+    for i, row in enumerate(rows[1:]):
+        event, l1, l2, l_ha = map(int, row.split(","))
+        assert (event, l1, l2) == (i, 7, 250)
         assert l_ha == l1 + 2 * l2
 
 
@@ -574,6 +573,5 @@ def test_commands_pass_through_to_devices(mini_registry):
         Event("ps1", "presence", "present", 60_000),
     ]
     run = run_mediated(trace, corpus, SimConfig(seed=0))
-    actuations = [e for e in run.truth_events if e.key() == ("f1", "switch")]
-    assert [(e.value,) for e in actuations] == [("on",)]
-    assert actuations[0].timestamp == run.p_commands[0].timestamp + 250  # one-way delay
+    assert [(e.key(), e.value) for e in run.actuations] == [(("f1", "switch"), "on")]
+    assert run.actuations[0].timestamp == run.p_commands[0].timestamp + 250  # one-way delay
