@@ -115,7 +115,8 @@ def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
     total_reported = 0
     truth_by_key: dict[tuple[str, str], list[Event]] = {}
     for e in scenario.trace:
-        truth_by_key.setdefault(e.key(), []).append(e)
+        device, attribute, _, _ = e
+        truth_by_key.setdefault((device, attribute), []).append(e)
     raw_counts = {key: len(events) for key, events in truth_by_key.items()}
     # Appended after the trace, so a stable sort by time keeps same-millisecond
     # trace events ahead of actuations, the order the replay applied them in.
@@ -155,7 +156,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.mode:
         scenario.mode = args.mode
     config = _sim_config(scenario, args)
-    corpus = _compile(scenario, config)
     out = Path(args.out or f"runs/{scenario.name}-{scenario.mode}")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -169,6 +169,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"({len(gt_pruned)} after redundancy pruning)")
         return 0
 
+    corpus = _compile(scenario, config)
     if scenario.mode == "pull":
         run = run_pull_baseline(scenario.trace, scenario.rules, scenario.registry, config)
     else:

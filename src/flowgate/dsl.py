@@ -14,6 +14,7 @@ gateway does not minimize.
 from __future__ import annotations
 
 import io
+import math
 import re
 from typing import IO, Iterable, Optional, Union
 
@@ -35,6 +36,7 @@ from .model import (
     Rule,
     RuleAction,
     TIME_SUBJECT,
+    Value,
     device_constraint,
     format_value,
     parse_hhmm,
@@ -340,46 +342,70 @@ def parse_trace(
     Exact duplicate records collapse to one event. A record whose timestamp
     regresses more than ``tolerance_ms`` behind the running maximum is an
     error; smaller regressions are repaired by the final stable sort.
+
+    One pass: each distinct ``device attribute value`` text is looked up and
+    validated once. Only events no older than the running maximum minus
+    ``tolerance_ms`` are kept for the duplicate check, since a record older
+    than that raises.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
     events: list[Event] = []
-    seen: set[tuple[str, str, object, int]] = set()
-    max_ts = None
+    # Validated (device, attribute, value), keyed by the record's text after its timestamp.
+    validated: dict[str, tuple[str, str, Value]] = {}
+    # The events of events[oldest:], a superset of those at or after ``floor``.
+    recent: set[Event] = set()
+    oldest = 0
+    max_ts = floor = -math.inf
+    regressed = False
     for line_no, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        if len(fields) < 4:
-            raise ParseError(f"trace record needs 4 fields, got {len(fields)}", line_no)
-        ts_text, device, attribute, value_text = fields[:4]
+        # head[-1] is the text after the timestamp; a one-field line's lone
+        # field holds no whitespace, so it matches no key.
+        head = line.split(None, 1)
+        record = validated.get(head[-1])
+        if record is None:
+            fields = line.split()
+            if len(fields) < 4:
+                raise ParseError(f"trace record needs 4 fields, got {len(fields)}", line_no)
         try:
-            ts = int(ts_text)
+            ts = int(head[0])
         except ValueError:
-            raise ParseError(f"bad timestamp {ts_text!r}", line_no) from None
-        if max_ts is not None and ts < max_ts - tolerance_ms:
+            raise ParseError(f"bad timestamp {head[0]!r}", line_no) from None
+        if ts < floor:
             raise ParseError(
                 f"timestamp {ts} regresses more than {tolerance_ms}ms behind {max_ts}", line_no
             )
-        max_ts = max(ts, max_ts) if max_ts is not None else ts
-        value: Union[str, float]
-        if registry is not None:
-            try:
-                value = registry.lookup(device, attribute).validate_value(value_text)
-            except ModelError as exc:
-                raise ParseError(str(exc), line_no) from None
-        else:
-            try:
-                value = float(value_text)
-            except ValueError:
-                value = value_text
-        key = (device, attribute, value, ts)
-        if key in seen:
+        if ts > max_ts:
+            max_ts, floor = ts, ts - tolerance_ms
+            while oldest < len(events) and events[oldest].timestamp < floor:
+                recent.discard(events[oldest])
+                oldest += 1
+        elif ts < max_ts:
+            regressed = True
+        if record is None:
+            device, attribute, value_text = fields[1:4]
+            if registry is None:
+                # Unchecked and not cached, so each "nan" stays its own value.
+                try:
+                    record = (device, attribute, float(value_text))
+                except ValueError:
+                    record = (device, attribute, value_text)
+            else:
+                try:
+                    value = registry.lookup(device, attribute).validate_value(value_text)
+                except ModelError as exc:
+                    raise ParseError(str(exc), line_no) from None
+                record = validated[head[1]] = (device, attribute, value)
+        event = Event(*record, ts)
+        if event in recent:
             continue
-        seen.add(key)
-        events.append(Event(device, attribute, value, ts))
-    events.sort(key=lambda e: e.timestamp)
+        recent.add(event)
+        events.append(event)
+    if regressed:
+        events.sort(key=lambda e: e.timestamp)
     return events
 
 

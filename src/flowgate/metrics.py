@@ -53,29 +53,35 @@ class StateTimeline:
         i = bisect.bisect_right(self.times, t)
         return self.initial if i == 0 else self.values[i - 1]
 
-    def breakpoints(self, t0: int, t1: int) -> list[int]:
-        return [t for t in self.times if t0 < t < t1]
-
     def events(self) -> list[tuple[int, Value]]:
         return list(zip(self.times, self.values))
 
 
-def _measure(
-    true_tl: StateTimeline,
-    obs_tl: StateTimeline,
-    t0: int,
-    t1: int,
-    want,
-) -> int:
-    """Total time in [t0, t1) where ``want(true_value, observed_value)``."""
-    if t1 <= t0:
-        return 0
-    cuts = sorted({t0, t1, *true_tl.breakpoints(t0, t1), *obs_tl.breakpoints(t0, t1)})
-    total = 0
-    for a, b in zip(cuts, cuts[1:]):
-        if want(true_tl.value_at(a), obs_tl.value_at(a)):
-            total += b - a
-    return total
+def _pair_durations(
+    true_tl: StateTimeline, obs_tl: StateTimeline, t0: int, t1: int
+) -> dict[tuple[Value, Value], int]:
+    """Time in [t0, t1) spent in each (true value, observed value) pair.
+
+    One merge walk over the change instants of both step functions.
+    """
+    out: dict[tuple[Value, Value], int] = {}
+    ta, va, na = true_tl.times, true_tl.values, len(true_tl.times)
+    tb, vb, nb = obs_tl.times, obs_tl.values, len(obs_tl.times)
+    i, j = bisect.bisect_right(ta, t0), bisect.bisect_right(tb, t0)
+    tv = va[i - 1] if i else true_tl.initial
+    ov = vb[j - 1] if j else obs_tl.initial
+    now = t0
+    while now < t1:
+        cut = min(ta[i] if i < na else t1, tb[j] if j < nb else t1, t1)
+        out[tv, ov] = out.get((tv, ov), 0) + cut - now
+        if i < na and ta[i] == cut:
+            tv = va[i]
+            i += 1
+        if j < nb and tb[j] == cut:
+            ov = vb[j]
+            j += 1
+        now = cut
+    return out
 
 
 def ctr(true_tl: StateTimeline, observed_tl: StateTimeline, horizon: tuple[int, int]) -> float:
@@ -83,7 +89,8 @@ def ctr(true_tl: StateTimeline, observed_tl: StateTimeline, horizon: tuple[int, 
     t0, t1 = horizon
     if t1 <= t0:
         raise ModelError("empty horizon")
-    equal = _measure(true_tl, observed_tl, t0, t1, lambda tv, ov: tv == ov)
+    spans = _pair_durations(true_tl, observed_tl, t0, t1)
+    equal = sum(ms for (tv, ov), ms in spans.items() if tv == ov)
     return equal / (t1 - t0)
 
 
@@ -96,13 +103,14 @@ def catr(
     """Correct active-state tracking; None when the observer never guesses active."""
     if not active_value:
         raise ModelError("catr needs an active value")
-    t0, t1 = horizon
-    believed_active = _measure(true_tl, observed_tl, t0, t1, lambda tv, ov: ov == active_value)
+    believed_active = both = 0
+    for (tv, ov), ms in _pair_durations(true_tl, observed_tl, *horizon).items():
+        if ov == active_value:
+            believed_active += ms
+            if tv == active_value:
+                both += ms
     if believed_active == 0:
         return None
-    both = _measure(
-        true_tl, observed_tl, t0, t1, lambda tv, ov: ov == active_value and tv == active_value
-    )
     return both / believed_active
 
 

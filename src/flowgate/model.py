@@ -4,13 +4,18 @@ Everything here is immutable after construction and safe to share between
 pipeline stages. Values of binary and enumerated attributes are kept as the
 strings the devices actually emit (e.g. ``present`` / ``not-present``), never
 coerced to booleans.
+
+``Event`` and ``Command``, built once per trace record or issued command, are
+named tuples: cheap to build, hashable, and equal to a plain tuple of their
+fields. An ``Event`` never equals a ``Command``, whose five fields make a
+longer tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 MS_PER_MINUTE = 60_000
 MS_PER_DAY = 86_400_000
@@ -133,8 +138,7 @@ class Registry:
         return {(d, a): self.initial_state(d, a) for d, a in self.all_pairs()}
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A timestamped attribute reading from a device."""
 
     device: str
@@ -146,8 +150,7 @@ class Event:
         return (self.device, self.attribute)
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """An actuation directive emitted by the platform toward a device."""
 
     device: str

@@ -164,13 +164,13 @@ class _Replay:
         heap, platform_due = self._heap, self.platform._pending
         states = self.farm.states
         for event in self._trace:
-            ts = event.timestamp
+            device, attribute, value, ts = event
             if heap and heap[0][0] < ts:
                 self._run_heap(ts)
-            key = event.key()
+            key = (device, attribute)
             if key in quiet and not (platform_due and platform_due[0][0] <= ts):
-                states[key] = event.value
-                store_quiet(key, event)
+                states[key] = value
+                store_quiet(key, value, ts)
             else:
                 self._device_event(ts, event)
                 self.arm_deadlines()
@@ -210,7 +210,7 @@ class _Replay:
         """Seeded keys whose events ``upstream`` would only store."""
         raise NotImplementedError
 
-    def store_quiet(self, key: tuple[str, str], event: Event) -> None:
+    def store_quiet(self, key: tuple[str, str], value: Value, ts: int) -> None:
         """The upstream's own state write for an event on a quiet key."""
         raise NotImplementedError
 
@@ -250,8 +250,8 @@ class _RawReplay(_Replay):
     def quiet_keys(self) -> set[tuple[str, str]]:
         return self.platform.db.keys() - self.platform._by_key.keys()
 
-    def store_quiet(self, key: tuple[str, str], event: Event) -> None:
-        self.platform.db[key] = event.value
+    def store_quiet(self, key: tuple[str, str], value: Value, ts: int) -> None:
+        self.platform.db[key] = value
 
 
 class _PullReplay(_Replay):
@@ -268,7 +268,7 @@ class _PullReplay(_Replay):
     def quiet_keys(self) -> set[tuple[str, str]]:
         return set(self.platform.db)
 
-    def store_quiet(self, key: tuple[str, str], event: Event) -> None:
+    def store_quiet(self, key: tuple[str, str], value: Value, ts: int) -> None:
         pass
 
     def _refresh(self, now: int, _: None) -> None:
@@ -304,8 +304,8 @@ class _MediatedReplay(_Replay):
     def quiet_keys(self) -> set[tuple[str, str]]:
         return self.engine.store.db.keys() - self.engine._by_key.keys()
 
-    def store_quiet(self, key: tuple[str, str], event: Event) -> None:
-        self.engine.store.db[key] = (event.value, event.timestamp)
+    def store_quiet(self, key: tuple[str, str], value: Value, ts: int) -> None:
+        self.engine.store.db[key] = (value, ts)
 
     def _engine_tick(self, now: int) -> None:
         self._report(self.engine.tick(now))
@@ -371,11 +371,14 @@ def remove_redundant(
     """
     states: dict[tuple[str, str], Value] = dict(registry.initial_states())
     events = sorted(raw_trace, key=_timestamp)
-    i = 0
+    i, n = 0, len(events)
     kept: list[Command] = []
     for cmd in sorted(gt_commands, key=_timestamp):
-        while i < len(events) and events[i].timestamp <= cmd.timestamp:  # events land first
-            states[events[i].key()] = events[i].value
+        while i < n:
+            device, attribute, state, ts = events[i]
+            if ts > cmd.timestamp:  # events at the command's millisecond land first
+                break
+            states[device, attribute] = state
             i += 1
         value = registry.lookup(cmd.device, cmd.attribute).validate_value(cmd.value)
         if states.get(cmd.key()) == value:

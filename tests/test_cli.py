@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 import yaml
 
-from flowgate import synth
+from flowgate import cli, synth
 from flowgate.cli import _metrics_summary, main as cli_main
 from flowgate.dsl import format_trace
 from flowgate.engine import Emission
@@ -157,3 +157,19 @@ def test_metrics_without_run_fails(demo_scenario, capsys):
     code = cli_main(["metrics", "--scenario", str(demo_scenario / "scenario.yaml"),
                      "--out", str(demo_scenario / "nowhere")])
     assert code == 2
+
+
+@pytest.mark.parametrize("mode, compiles", [("raw", 0), ("mediated", 1)])
+def test_run_compiles_only_when_policies_are_used(demo_scenario, monkeypatch, mode, compiles):
+    calls = []
+    compile_corpus = cli.compile_corpus
+
+    def counting(*args, **kwargs):
+        calls.append(mode)
+        return compile_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compile_corpus", counting)
+    code = cli_main(["run", "--scenario", str(demo_scenario / "scenario.yaml"), "--mode", mode,
+                     "--out", str(demo_scenario / mode)])
+    assert code == 0
+    assert len(calls) == compiles

@@ -1,7 +1,9 @@
+import io
 import random
+from typing import Union
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flowgate.dsl import (
     ParseError,
@@ -12,7 +14,7 @@ from flowgate.dsl import (
     parse_trace,
     print_rule,
 )
-from flowgate.model import Event, Operator
+from flowgate.model import Event, ModelError, Operator
 
 
 def test_parse_condition_rule(mini_registry):
@@ -137,6 +139,121 @@ def test_parse_trace_regression_error(mini_registry):
     text = "5000 ts1 temperature 90\n1000 ts1 temperature 80\n"
     with pytest.raises(ParseError):
         parse_trace(text, mini_registry, tolerance_ms=0)
+
+
+def reference_parse_trace(source, registry=None, tolerance_ms=0):
+    """The two-pass parser: every record validated, every record kept for dedupe, always sorted."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    events = []
+    seen = set()
+    max_ts = None
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) < 4:
+            raise ParseError(f"trace record needs 4 fields, got {len(fields)}", line_no)
+        ts_text, device, attribute, value_text = fields[:4]
+        try:
+            ts = int(ts_text)
+        except ValueError:
+            raise ParseError(f"bad timestamp {ts_text!r}", line_no) from None
+        if max_ts is not None and ts < max_ts - tolerance_ms:
+            raise ParseError(
+                f"timestamp {ts} regresses more than {tolerance_ms}ms behind {max_ts}", line_no
+            )
+        max_ts = max(ts, max_ts) if max_ts is not None else ts
+        value: Union[str, float]
+        if registry is not None:
+            try:
+                value = registry.lookup(device, attribute).validate_value(value_text)
+            except ModelError as exc:
+                raise ParseError(str(exc), line_no) from None
+        else:
+            try:
+                value = float(value_text)
+            except ValueError:
+                value = value_text
+        key = (device, attribute, value, ts)
+        if key in seen:
+            continue
+        seen.add(key)
+        events.append(Event(device, attribute, value, ts))
+    events.sort(key=lambda e: e.timestamp)
+    return events
+
+
+# Value spellings per key; equal numbers are written several ways.
+TRACE_VALUES = {
+    ("ts1", "temperature"): ["20", "20.0", "020", "21.5", "-3"],
+    ("am1", "humidity"): ["20", "45"],
+    ("mo1", "motion"): ["active", "inactive"],
+    ("am1", "motion"): ["active", "inactive"],
+    ("ps1", "presence"): ["present", "not-present"],
+    ("mode1", "mode"): ["home", "away", "vacation"],
+}
+RESPELL = {"20": "20.0", "20.0": "020", "020": "20"}
+BAD_RECORDS = [
+    "mo1 motion", "12x mo1 motion active", "5.5 ps1 presence present", "{ts} mo1 motion maybe",
+    "{ts} ts1 temperature 20000", "{ts} ts1 temperature nan", "{ts} zz9 motion active",
+    "{ts} mo1 humidity 40",
+]
+NOISE = ["", "   ", "# a comment", "\t# indented comment"]
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace files with noise, re-spelled repeats, regressions and at most one bad record."""
+    records: list[tuple[int, str, str, str]] = []
+    lines = []
+    ts = draw(st.integers(0, 3)) * 1000
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["new"] * 4 + ["repeat"] * 2 + ["noise"]))
+        if kind == "noise":
+            lines.append(draw(st.sampled_from(NOISE)))
+            continue
+        if kind == "repeat" and records:
+            old_ts, device, attribute, text = draw(st.sampled_from(records[-6:]))
+            if draw(st.booleans()):   # the same value, spelled another way
+                text = RESPELL.get(text, text)
+            record = (old_ts, device, attribute, text)
+        else:
+            ts = max(0, ts + draw(st.sampled_from([0, 0, 500, 1000, 1000, 2500, -500, -1500])))
+            device, attribute = draw(st.sampled_from(sorted(TRACE_VALUES)))
+            record = (ts, device, attribute, draw(st.sampled_from(TRACE_VALUES[device, attribute])))
+        records.append(record)
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        tail = draw(st.sampled_from(["", "", " # note", " extra-field", "  "]))
+        lines.append(sep.join(str(f) for f in record) + tail)
+    bad = draw(st.one_of(st.none(), st.sampled_from(BAD_RECORDS)))
+    if bad is not None:   # sometimes also regressing, which is reported first
+        bad_ts = max(0, ts - draw(st.sampled_from([0, 0, 1500, 6000])))
+        lines.insert(draw(st.integers(0, len(lines))), bad.format(ts=bad_ts))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, text, registry, tolerance_ms):
+    try:
+        return repr(parse(text, registry, tolerance_ms=tolerance_ms))
+    except ParseError as exc:
+        return ("ParseError", exc.line, str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_texts(), st.sampled_from([0, 1000, 2000, 5000]), st.booleans())
+def test_parse_trace_matches_reference(mini_registry, text, tolerance_ms, checked):
+    registry = mini_registry if checked else None
+    expected = _outcome(reference_parse_trace, text, registry, tolerance_ms)
+    assert _outcome(parse_trace, text, registry, tolerance_ms) == expected
+    assert _outcome(parse_trace, io.StringIO(text), registry, tolerance_ms) == expected
+
+
+def test_parse_trace_unchecked_nan_records_stay_distinct():
+    # NaN never equals itself, so without a registry equal "nan" records do not collapse.
+    text = "1000 ts1 temperature nan\n1000 ts1 temperature nan\n"
+    assert len(parse_trace(text)) == len(reference_parse_trace(text)) == 2
 
 
 def test_trace_round_trip_idempotent(mini_registry):

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from flowgate.metrics import (
     ActivityLabel,
+    _pair_durations,
     HomeMeta,
     StateTimeline,
     attack_report,
@@ -121,6 +123,59 @@ def test_catr_matches_grid_oracle(seed):
         assert actual is None
     else:
         assert actual == pytest.approx(num / denom, abs=1e-9)
+
+
+def bisect_measure(true_tl, obs_tl, t0, t1, want):
+    """Reference: sort every change instant in (t0, t1), bisect both timelines at each cut."""
+    if t1 <= t0:
+        return 0
+    inside = [t for tl in (true_tl, obs_tl) for t in tl.times if t0 < t < t1]
+    cuts = sorted({t0, t1, *inside})
+    total = 0
+    for a, b in zip(cuts, cuts[1:]):
+        if want(true_tl.value_at(a), obs_tl.value_at(a)):
+            total += b - a
+    return total
+
+
+@st.composite
+def timeline_pairs(draw):
+    """Two timelines over a shared vocabulary, plus a horizon that may cut them anywhere."""
+    values = draw(st.sampled_from([["active", "inactive"], [0.0, 1.0, 2.5], ["a", "b", "c"]]))
+
+    def timeline():
+        times = sorted(draw(st.sets(st.integers(0, 20), max_size=12)))
+        tl = StateTimeline(initial=draw(st.sampled_from(values)))
+        for t in times:
+            tl.add(t * 1000, draw(st.sampled_from(values)))
+        return tl
+
+    t0 = draw(st.integers(-3, 23)) * 1000
+    t1 = t0 + draw(st.integers(-2, 25)) * 1000
+    return timeline(), timeline(), (t0, t1), values[0]
+
+
+@given(timeline_pairs())
+def test_pair_durations_match_bisect_reference(case):
+    true_tl, obs_tl, (t0, t1), active = case
+    spans = _pair_durations(true_tl, obs_tl, t0, t1)
+    for want in (
+        lambda tv, ov: tv == ov,
+        lambda tv, ov: ov == active,
+        lambda tv, ov: ov == active and tv == active,
+    ):
+        got = sum(ms for (tv, ov), ms in spans.items() if want(tv, ov))
+        assert got == bisect_measure(true_tl, obs_tl, t0, t1, want)
+    assert sum(spans.values()) == max(0, t1 - t0)
+    if t1 > t0:
+        equal = bisect_measure(true_tl, obs_tl, t0, t1, lambda tv, ov: tv == ov)
+        assert ctr(true_tl, obs_tl, (t0, t1)) == equal / (t1 - t0)
+    if isinstance(active, str):
+        believed = bisect_measure(true_tl, obs_tl, t0, t1, lambda tv, ov: ov == active)
+        both = bisect_measure(
+            true_tl, obs_tl, t0, t1, lambda tv, ov: ov == active and tv == active
+        )
+        assert catr(true_tl, obs_tl, active, (t0, t1)) == (both / believed if believed else None)
 
 
 def test_timeline_rebuild_is_fixed_point():

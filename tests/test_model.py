@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 from flowgate.model import (
     AttributeDescriptor,
     AttributeKind,
+    Command,
     DailyWindow,
+    Event,
     ModelError,
     Operator,
     device_constraint,
@@ -127,3 +129,21 @@ def test_registry_lookup_unknown(mini_registry):
         mini_registry.lookup("nosuch", "motion")
     with pytest.raises(ModelError):
         mini_registry.lookup("ps1", "color")
+
+
+def test_event_and_command_are_immutable_hashable_tuples():
+    event = Event("mo1", "motion", "active", 1000)
+    with pytest.raises(AttributeError):
+        event.value = "inactive"  # type: ignore[misc]
+    assert event.key() == ("mo1", "motion")
+    assert event == ("mo1", "motion", "active", 1000)
+    assert {event, Event("mo1", "motion", "active", 1000)} == {event}
+    assert hash(Event("ts1", "temperature", 20.0, 5)) == hash(Event("ts1", "temperature", 20, 5))
+    command = Command("mo1", "motion", "active", 1000)
+    assert command.origin == "manual"
+    assert command.key() == event.key()
+    with pytest.raises(AttributeError):
+        command.origin = "r1"  # type: ignore[misc]
+    assert event != command and command != event
+    assert event != Command(*event, "r1")
+    assert len({event, command}) == 2
