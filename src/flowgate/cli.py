@@ -14,7 +14,7 @@ from .dsl import format_commands
 from .metrics import StateTimeline, catr, ctr, reduction_rate
 from .model import AttributeKind, Event, format_value
 from .policy import dump_policy
-from .scenario import Scenario, load_scenario
+from .scenario import MODES, Scenario, load_scenario
 from .simulator import (
     RunArtifacts,
     SimConfig,
@@ -29,7 +29,6 @@ from .simulator import (
 def _sim_config(scenario: Scenario, args: argparse.Namespace) -> SimConfig:
     return SimConfig(
         seed=args.seed if args.seed is not None else scenario.seed,
-        diffkeep_ms=args.diffkeep_ms if args.diffkeep_ms is not None else scenario.diffkeep_ms,
         l1_ms=scenario.l1_ms,
         l2_ms=args.l2_ms if args.l2_ms is not None else scenario.l2_ms,
         drop_prob=args.drop_prob if args.drop_prob is not None else scenario.drop_prob,
@@ -37,16 +36,21 @@ def _sim_config(scenario: Scenario, args: argparse.Namespace) -> SimConfig:
     )
 
 
-def _compile(scenario: Scenario, config: SimConfig) -> CompiledCorpus:
+def _compile(scenario: Scenario, args: argparse.Namespace) -> CompiledCorpus:
+    diffkeep_ms = args.diffkeep_ms if args.diffkeep_ms is not None else scenario.diffkeep_ms
     return compile_corpus(
-        scenario.rules, scenario.user_specs, scenario.registry, diffkeep_ms=config.diffkeep_ms
+        scenario.rules, scenario.user_specs, scenario.registry, diffkeep_ms=diffkeep_ms
     )
+
+
+def _out_dir(scenario: Scenario, args: argparse.Namespace) -> Path:
+    """``--out``, else ``runs/<scenario name>-<mode>`` with ``--mode`` over the scenario's."""
+    return Path(args.out or f"runs/{scenario.name}-{args.mode or scenario.mode}")
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    config = _sim_config(scenario, args)
-    corpus = _compile(scenario, config)
+    corpus = _compile(scenario, args)
     dump = "\n\n".join(dump_policy(p) for p in corpus.policies)
     if args.out:
         out = Path(args.out)
@@ -64,8 +68,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_conflicts(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    config = _sim_config(scenario, args)
-    corpus = _compile(scenario, config)
+    corpus = _compile(scenario, args)
     rows = []
     for up in corpus.user_policies:
         for report in scan_on_update(up, corpus.policies, scenario.registry):
@@ -156,7 +159,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.mode:
         scenario.mode = args.mode
     config = _sim_config(scenario, args)
-    out = Path(args.out or f"runs/{scenario.name}-{scenario.mode}")
+    out = _out_dir(scenario, args)
     out.mkdir(parents=True, exist_ok=True)
 
     raw = run_raw(scenario.trace, scenario.rules, scenario.registry, config)
@@ -169,7 +172,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"({len(gt_pruned)} after redundancy pruning)")
         return 0
 
-    corpus = _compile(scenario, config)
+    corpus = _compile(scenario, args)
     if scenario.mode == "pull":
         run = run_pull_baseline(scenario.trace, scenario.rules, scenario.registry, config)
     else:
@@ -216,9 +219,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    out = Path(args.out or f"runs/{scenario.name}-{scenario.mode}")
-    path = out / "metrics.json"
+    path = _out_dir(load_scenario(args.scenario), args) / "metrics.json"
     if not path.exists():
         print(f"no metrics at {path}; run `flowgate run` first", file=sys.stderr)
         return 2
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--diffkeep-ms", type=int, default=None)
         p.add_argument("--l2-ms", type=int, default=None)
-        p.add_argument("--mode", choices=["mediated", "raw", "pull"], default=None)
+        p.add_argument("--mode", choices=MODES, default=None)
         p.add_argument("--drop-prob", type=float, default=None)
         p.add_argument("--out", default=None, help="artifact directory")
         p.add_argument("--floor", type=float, default=None,

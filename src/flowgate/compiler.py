@@ -11,7 +11,6 @@ platform has the timer removed so it is not applied twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .model import (
     AttributeDescriptor,
@@ -265,13 +264,6 @@ class CompiledCorpus:
     forwarded_rules: list[Rule] = field(default_factory=list)   # platform-side rule set
     tag_gated: set[str] = field(default_factory=set)            # rule ids firing on expiry only
     trigger_thresholds: dict[tuple[str, str], tuple[float, ...]] = field(default_factory=dict)
-
-    def policy_by_id(self, policy_id: str) -> Policy:
-        return self._policies_by_id[policy_id]
-
-    @cached_property
-    def _policies_by_id(self) -> dict[str, Policy]:
-        return {p.id: p for p in reversed(self.policies)}  # the first of equal ids wins
 
 
 def compile_corpus(

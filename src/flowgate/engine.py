@@ -44,46 +44,33 @@ class EngineError(ModelError):
 
 
 @dataclass
-class EngineConfig:
-    seed: int = 0
-    diffkeep_ms: int = 300
-    l1_ms: int = 0    # fixed virtual computation latency
-    l2_ms: int = 250  # one-way transmission latency to the platform
-
-
-@dataclass
 class StateStore:
     """DB (true current states) and DB* (last values reported upstream)."""
 
-    db: dict[tuple[str, str], tuple[Value, int]] = field(default_factory=dict)
-    db_star: dict[tuple[str, str], tuple[Value, int]] = field(default_factory=dict)
+    db: dict[tuple[str, str], Value] = field(default_factory=dict)
+    db_star: dict[tuple[str, str], Value] = field(default_factory=dict)
 
     @classmethod
     def seeded(cls, initial: dict[tuple[str, str], Value]) -> "StateStore":
-        store = cls()
-        for key, value in initial.items():
-            store.db[key] = (value, 0)
-            store.db_star[key] = (value, 0)
-        return store
+        return cls(dict(initial), dict(initial))
 
     def current(self, key: tuple[str, str]) -> Value:
         if key not in self.db:
             raise EngineError(f"no state seeded for {key[0]}.{key[1]}")
-        return self.db[key][0]
+        return self.db[key]
 
     def last_reported(self, key: tuple[str, str]) -> Value:
         if key not in self.db_star:
             raise EngineError(f"no reported state seeded for {key[0]}.{key[1]}")
-        return self.db_star[key][0]
+        return self.db_star[key]
 
 
 @dataclass
 class TimerState:
-    id: str
-    deadline: int
-    running: bool = True
-    start_value: Value = ""
-    callbacks: list[str] = field(default_factory=list)  # policy ids, in add order
+    """A running timer: the start policy that armed it and the value it reports."""
+
+    policy: Policy
+    start_value: Value
 
 
 KIND_REPORT = "report"
@@ -116,8 +103,7 @@ class ReportDecision:
 
     device: str
     attribute: str
-    disposition: str                   # "emit" | "suppress"
-    method: Optional[MethodCall] = None
+    method: MethodCall                 # block() suppresses the attribute
     provenance: tuple[str, ...] = ()
     is_trigger: bool = False           # reports the triggering event itself
     origin: PolicyOrigin = PolicyOrigin.AUTOMATION
@@ -153,7 +139,6 @@ def apply_method(
     *,
     constraint: Optional[Constraint] = None,
     values: tuple[str, ...] = (),
-    diffkeep_ms: int = 300,
 ) -> list[tuple[Value, int, str]]:
     """Concrete emission plan for a report method: (value, delay_ms, kind) items."""
     m = call.method
@@ -169,8 +154,7 @@ def apply_method(
             raise EngineError("diffKeep needs the attribute value set")
         others = tuple(v for v in values if v != target)
         prefix = others[0] if len(others) == 1 else others[rng.randrange(len(others))]
-        delay = call.delay_ms or diffkeep_ms
-        return [(prefix, 0, KIND_SYNC), (target, delay, KIND_REPORT)]
+        return [(prefix, 0, KIND_SYNC), (target, call.delay_ms, KIND_REPORT)]
     # Method.RANDOMIZE
     if call.params and isinstance(call.params[0], str):
         members = tuple(call.params)
@@ -202,11 +186,9 @@ def _block_decision(
             chosen = block.else_action
     if chosen is None:
         return None
-    disposition = "suppress" if chosen.method is Method.BLOCK else "emit"
     return ReportDecision(
         device=subject,
         attribute=attribute,
-        disposition=disposition,
         method=chosen,
         provenance=(policy.id,),
         is_trigger=is_trigger,
@@ -264,12 +246,11 @@ def evaluate_policy(
 class PolicyEngine:
     """Executes a compiled corpus over an incoming event stream."""
 
-    def __init__(self, corpus: CompiledCorpus, config: Optional[EngineConfig] = None):
+    def __init__(self, corpus: CompiledCorpus, seed: int = 0):
         self.corpus = corpus
-        self.config = config or EngineConfig()
-        self.rng = random.Random(self.config.seed)
+        self.rng = random.Random(seed)
         self.store = StateStore.seeded(corpus.registry.initial_states())
-        self.timers: dict[str, TimerState] = {}
+        self.timers: dict[str, TimerState] = {}   # running timers by id
         self._seq = 0
         # Pending delayed emissions and timer deadlines share one heap.
         self._pending: list[tuple[int, int, str, object]] = []
@@ -321,8 +302,8 @@ class PolicyEngine:
         if key not in self.store.db:
             raise EngineError(f"no state seeded for {key[0]}.{key[1]}")
         out = self._flush_key_pendings(key, event.timestamp)
-        prev = self.store.db[key][0]
-        self.store.db[key] = (event.value, event.timestamp)
+        prev = self.store.db[key]
+        self.store.db[key] = event.value
 
         decisions: list[ReportDecision] = []
         sanctioned: set[str] = set()
@@ -350,8 +331,10 @@ class PolicyEngine:
                 out.append(self._emit(payload))
             else:
                 assert isinstance(payload, TimerState)
-                if payload.running and self.timers.get(payload.id) is payload:
-                    out.extend(self._fire_timer(payload, deadline))
+                timer_id = payload.policy.timer_start
+                if self.timers.get(timer_id) is payload:
+                    del self.timers[timer_id]
+                    out.extend(self._run_timer_callback(payload, deadline))
         return out
 
     def time_tick(self, target_ts: int) -> list[Emission]:
@@ -381,31 +364,15 @@ class PolicyEngine:
         if not (tb.match.satisfied_by(event.value) and not tb.match.satisfied_by(prev)):
             return
         if policy.timer_start:
-            timer = TimerState(
-                id=policy.timer_start,
-                deadline=event.timestamp + policy.timer_duration_ms,
-                start_value=event.value,
-                callbacks=[policy.id],
-            )
-            self.timers[timer.id] = timer  # create or reset
-            self._push(timer.deadline, "timer", timer)
+            timer = TimerState(policy, event.value)
+            self.timers[policy.timer_start] = timer  # create or reset
+            self._push(event.timestamp + policy.timer_duration_ms, "timer", timer)
         elif policy.timer_stop:
-            existing = self.timers.get(policy.timer_stop)
-            if existing is not None and existing.running:
-                existing.running = False
-                existing.callbacks.clear()
+            self.timers.pop(policy.timer_stop, None)
 
-    def _fire_timer(self, timer: TimerState, now: int) -> list[Emission]:
-        timer.running = False
-        out: list[Emission] = []
-        for policy_id in list(timer.callbacks):
-            policy = self.corpus.policy_by_id(policy_id)
-            out.extend(self._run_timer_callback(policy, timer, now))
-        timer.callbacks.clear()
-        return out
-
-    def _run_timer_callback(self, policy: Policy, timer: TimerState, now: int) -> list[Emission]:
+    def _run_timer_callback(self, timer: TimerState, now: int) -> list[Emission]:
         """Re-check conditions at expiry, then report the timer-starting event."""
+        policy = timer.policy
         decisions = _run_checks(policy, self.store, now)
         if decisions is None:
             return []
@@ -484,7 +451,7 @@ class PolicyEngine:
     def _merge_check_plan(
         self, key: tuple[str, str], decisions: list[ReportDecision]
     ) -> list[tuple[Value, int, str]]:
-        methods = [d.method for d in decisions if d.disposition == "emit" and d.method is not None]
+        methods = [d.method for d in decisions if d.method.method is not Method.BLOCK]
         if not methods:
             return []
         current = self.store.current(key)
@@ -502,7 +469,7 @@ class PolicyEngine:
             return [], ()
         provenance = tuple(dict.fromkeys(p for d in decisions for p in d.provenance))
         desc = self.corpus.registry.lookup(*event.key())
-        methods = [d.method for d in decisions if d.disposition == "emit" and d.method is not None]
+        methods = [d.method for d in decisions if d.method.method is not Method.BLOCK]
         numeric = desc.kind is AttributeKind.NUMERIC
 
         ap_triggered = any(
@@ -518,8 +485,7 @@ class PolicyEngine:
             plan = [(self._cell_sample(event.key(), float(event.value)), 0, KIND_REPORT)]  # type: ignore[arg-type]
         elif any(m.method is Method.DIFF_KEEP for m in methods):
             call = next(m for m in methods if m.method is Method.DIFF_KEEP)
-            plan = apply_method(call, event.value, self.rng, values=desc.values,
-                                diffkeep_ms=self.config.diffkeep_ms)
+            plan = apply_method(call, event.value, self.rng, values=desc.values)
         elif any(m.method is Method.KEEP for m in methods):
             delay = min(m.delay_ms for m in methods if m.method is Method.KEEP)
             plan = [(event.value, delay, KIND_REPORT)]
@@ -746,5 +712,5 @@ class PolicyEngine:
         return [self._emit(replace(p, timestamp=now)) for _, _, _, p in sorted(due)]  # type: ignore[type-var]
 
     def _emit(self, emission: Emission) -> Emission:
-        self.store.db_star[emission.key()] = (emission.value, emission.timestamp)
+        self.store.db_star[emission.key()] = emission.value
         return emission

@@ -4,16 +4,17 @@ Executes trigger-condition-action rules over the event stream it receives.
 An event fires a rule when the rule's trigger predicate becomes true with it
 (an equal binary value or a numeric reading on the same side of the threshold
 fires nothing, mirroring commercial platforms' state-change semantics).
-Time triggers fire from the platform's own clock. In push mode the state
-database updates only from delivered events; in pull mode only from explicit
-state refreshes.
+Time triggers fire from the platform's own clock. The state database updates
+from delivered events and from explicit state refreshes; the pull replay
+never delivers an event, so its platform learns states only by refreshing.
+Issued commands collect in ``issued`` until the caller drains them.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .model import (
     Command,
@@ -27,8 +28,6 @@ from .model import (
 @dataclass
 class _NativeTimer:
     rule: Rule
-    deadline: int
-    running: bool = True
 
 
 class SimulatedPlatform:
@@ -38,27 +37,20 @@ class SimulatedPlatform:
         self,
         rules: list[Rule],
         registry: Registry,
-        mode: str = "push",
         tag_gated: Optional[set[str]] = None,
-        command_sink: Optional[Callable[[Command], None]] = None,
     ):
-        if mode not in ("push", "pull"):
-            raise ValueError(f"unknown platform mode {mode!r}")
-        self.mode = mode
-        self.registry = registry
-        self.rules = list(rules)
         self.tag_gated = set(tag_gated or ())
-        self.command_sink = command_sink
-        self.db: dict[tuple[str, str], Value] = dict(registry.initial_states().items())
+        self.db: dict[tuple[str, str], Value] = registry.initial_states()
+        self.issued: list[Command] = []
         self._seq = 0
         # Delayed actions and native rule timers share one deadline heap.
         self._pending: list[tuple[int, int, str, object]] = []
-        self._timers: dict[str, _NativeTimer] = {}
+        self._timers: dict[str, _NativeTimer] = {}   # running timers by rule id
         self._by_key: dict[tuple[str, str], list[Rule]] = {}
-        for rule in self.rules:
+        for rule in rules:
             if not rule.trigger.is_time:
                 self._by_key.setdefault(rule.trigger.key(), []).append(rule)
-        self._time_rules = [r for r in self.rules if r.trigger.is_time]
+        self._time_rules = [r for r in rules if r.trigger.is_time]
 
     # -- scheduling ------------------------------------------------------------
 
@@ -76,9 +68,7 @@ class SimulatedPlatform:
 
     def receive(self, device: str, attribute: str, value: Value, ts: int,
                 kind: str = "report", tag: str = "") -> None:
-        """Consume one delivered message (push mode only)."""
-        if self.mode != "push":
-            return
+        """Consume one delivered message."""
         key = (device, attribute)
         prev = self.db.get(key)
         self.db[key] = value
@@ -99,7 +89,7 @@ class SimulatedPlatform:
             elif rule.trigger.fires(value, prev):
                 self._fire_rule(rule, ts)
 
-    def refresh(self, snapshot: dict[tuple[str, str], Value], ts: int) -> None:
+    def refresh(self, snapshot: dict[tuple[str, str], Value]) -> None:
         """A state-refresh (pull) response: states update, no events fire."""
         self.db.update(snapshot)
 
@@ -115,29 +105,25 @@ class SimulatedPlatform:
             deadline, _, kind, payload = heapq.heappop(self._pending)
             if kind == "action":
                 assert isinstance(payload, Command)
-                self._issue(payload)
+                self.issued.append(payload)
             else:
                 assert isinstance(payload, _NativeTimer)
-                if payload.running and self._timers.get(payload.rule.id) is payload:
-                    payload.running = False
-                    if self._conditions_pass(payload.rule, deadline):
-                        self._execute_actions(payload.rule, deadline)
+                rule = payload.rule
+                if self._timers.get(rule.id) is payload:
+                    del self._timers[rule.id]
+                    if self._conditions_pass(rule, deadline):
+                        self._execute_actions(rule, deadline)
 
     # -- rule execution --------------------------------------------------------------
 
     def _drive_native_timer(self, rule: Rule, value: Value, prev: Value, ts: int) -> None:
         watched = rule.condition_timer.watched  # type: ignore[union-attr]
         if watched.fires(value, prev):
-            timer = _NativeTimer(
-                rule=rule,
-                deadline=ts + rule.condition_timer.duration_ms,  # type: ignore[union-attr]
-            )
+            timer = _NativeTimer(rule)
             self._timers[rule.id] = timer  # create or reset
-            self._push(timer.deadline, "timer", timer)
+            self._push(ts + rule.condition_timer.duration_ms, "timer", timer)  # type: ignore[union-attr]
         elif watched.satisfied_by(prev) and not watched.satisfied_by(value):
-            existing = self._timers.get(rule.id)
-            if existing is not None:
-                existing.running = False
+            self._timers.pop(rule.id, None)
 
     def _fire_rule(self, rule: Rule, ts: int) -> None:
         if rule.condition_timer is not None and rule.id not in self.tag_gated:
@@ -158,8 +144,4 @@ class SimulatedPlatform:
             if act.delay_ms:
                 self._push(command.timestamp, "action", command)
             else:
-                self._issue(command)
-
-    def _issue(self, command: Command) -> None:
-        if self.command_sink is not None:
-            self.command_sink(command)
+                self.issued.append(command)

@@ -64,10 +64,6 @@ def diff_keep(value: str, delay_ms: int) -> MethodCall:
     return MethodCall(Method.DIFF_KEEP, (value,), delay_ms)
 
 
-def randomize(v1: float, v2: float) -> MethodCall:
-    return MethodCall(Method.RANDOMIZE, (float(v1), float(v2)))
-
-
 @dataclass(frozen=True)
 class TriggerBlock:
     """Matches the incoming event and decides how to report it."""

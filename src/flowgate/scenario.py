@@ -29,6 +29,8 @@ _OP_NAMES = {
     "in-range": Operator.IN_RANGE,
 }
 
+MODES = ("mediated", "raw", "pull")
+
 
 def parse_user_policies(source: Union[str, IO[str]], registry: Registry) -> list[UserPolicySpec]:
     """Load the user-policy configuration file."""
@@ -134,6 +136,9 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             user_specs = parse_user_policies(fh, registry)
     with trace_path.open() as fh:
         trace = parse_trace(fh, registry)
+    mode = str(data.get("mode", "mediated"))
+    if mode not in MODES:
+        raise ModelError(f"scenario mode must be one of {', '.join(MODES)}, got {mode!r}")
 
     engine = data.get("engine") or {}
     return Scenario(
@@ -142,7 +147,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         rules=rules,
         user_specs=user_specs,
         trace=trace,
-        mode=str(data.get("mode", "mediated")),
+        mode=mode,
         seed=int(engine.get("seed", 0)),
         diffkeep_ms=int(engine.get("diffkeep_ms", 300)),
         l1_ms=int(engine.get("l1_ms", 0)),

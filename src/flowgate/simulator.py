@@ -46,7 +46,7 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional
 
 from .compiler import CompiledCorpus
-from .engine import Emission, EngineConfig, PolicyEngine
+from .engine import Emission, PolicyEngine
 from .model import (
     MS_PER_DAY,
     MS_PER_MINUTE,
@@ -66,17 +66,11 @@ DEFAULT_GRACE_MS = 2 * 3600 * 1000
 @dataclass
 class SimConfig:
     seed: int = 0
-    diffkeep_ms: int = 300
-    l1_ms: int = 0
-    l2_ms: int = 250
+    l1_ms: int = 0                  # fixed virtual computation latency
+    l2_ms: int = 250                # one-way transmission latency to the platform
     drop_prob: float = 0.0          # mediated command-loss probability
     refresh_ms: int = 0             # pull mode: state-refresh period (0: never)
     grace_ms: int = DEFAULT_GRACE_MS
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            seed=self.seed, diffkeep_ms=self.diffkeep_ms, l1_ms=self.l1_ms, l2_ms=self.l2_ms
-        )
 
 
 class DeviceFarm:
@@ -136,16 +130,12 @@ class _Replay:
         rules: list[Rule],
         registry: Registry,
         config: SimConfig,
-        mode: str = "push",
         tag_gated: Optional[set[str]] = None,
     ):
         self.config = config
         self.farm = DeviceFarm(registry)
         self.artifacts = RunArtifacts()
-        self._issued: list[Command] = []
-        self.platform = SimulatedPlatform(
-            rules, registry, mode=mode, tag_gated=tag_gated, command_sink=self._issued.append,
-        )
+        self.platform = SimulatedPlatform(rules, registry, tag_gated)
         self._trace = sorted(trace, key=_timestamp)  # stable: ties keep trace order
         self.horizon = (self._trace[-1].timestamp if trace else 0) + config.grace_ms
         self._heap: list[tuple[int, int, _Handler, Any]] = []
@@ -170,7 +160,7 @@ class _Replay:
             key = (device, attribute)
             if key in quiet and not (platform_due and platform_due[0][0] <= ts):
                 states[key] = value
-                store_quiet(key, value, ts)
+                store_quiet(key, value)
             else:
                 self._device_event(ts, event)
                 self.arm_deadlines()
@@ -210,7 +200,7 @@ class _Replay:
         """Seeded keys whose events ``upstream`` would only store."""
         raise NotImplementedError
 
-    def store_quiet(self, key: tuple[str, str], value: Value, ts: int) -> None:
+    def store_quiet(self, key: tuple[str, str], value: Value) -> None:
         """The upstream's own state write for an event on a quiet key."""
         raise NotImplementedError
 
@@ -234,12 +224,13 @@ class _Replay:
     def drain_platform(self, now: int) -> None:
         """Run the platform's due work and send the commands it issued."""
         self.platform.tick(now)
-        for cmd in self._issued:
+        issued = self.platform.issued
+        for cmd in issued:
             if self.lost_in_transit():
                 continue
             self.artifacts.p_commands.append(cmd)
             self.push(cmd.timestamp + self.command_delay_ms, self._actuate, cmd)
-        self._issued.clear()
+        issued.clear()
 
 
 class _RawReplay(_Replay):
@@ -250,14 +241,14 @@ class _RawReplay(_Replay):
     def quiet_keys(self) -> set[tuple[str, str]]:
         return self.platform.db.keys() - self.platform._by_key.keys()
 
-    def store_quiet(self, key: tuple[str, str], value: Value, ts: int) -> None:
+    def store_quiet(self, key: tuple[str, str], value: Value) -> None:
         self.platform.db[key] = value
 
 
 class _PullReplay(_Replay):
     def __init__(self, trace: list[Event], rules: list[Rule], registry: Registry,
                  config: SimConfig):
-        super().__init__(trace, rules, registry, config, mode="pull")
+        super().__init__(trace, rules, registry, config)
         if config.refresh_ms:
             for ts in range(0, self.horizon + 1, config.refresh_ms):
                 self.push(ts, self._refresh, None)
@@ -268,11 +259,11 @@ class _PullReplay(_Replay):
     def quiet_keys(self) -> set[tuple[str, str]]:
         return set(self.platform.db)
 
-    def store_quiet(self, key: tuple[str, str], value: Value, ts: int) -> None:
+    def store_quiet(self, key: tuple[str, str], value: Value) -> None:
         pass
 
     def _refresh(self, now: int, _: None) -> None:
-        self.platform.refresh(dict(self.farm.states), now)
+        self.platform.refresh(self.farm.states)
 
 
 class _MediatedReplay(_Replay):
@@ -280,7 +271,7 @@ class _MediatedReplay(_Replay):
                  manual_commands: list[Command]):
         super().__init__(trace, corpus.forwarded_rules, corpus.registry, config,
                          tag_gated=corpus.tag_gated)
-        self.engine = PolicyEngine(corpus, config.engine_config())
+        self.engine = PolicyEngine(corpus, config.seed)
         self.command_delay_ms = config.l2_ms
         self.latency = config.l1_ms + config.l2_ms
         self._drop_rng = random.Random((config.seed << 8) ^ 0x5F)
@@ -304,8 +295,8 @@ class _MediatedReplay(_Replay):
     def quiet_keys(self) -> set[tuple[str, str]]:
         return self.engine.store.db.keys() - self.engine._by_key.keys()
 
-    def store_quiet(self, key: tuple[str, str], value: Value, ts: int) -> None:
-        self.engine.store.db[key] = (value, ts)
+    def store_quiet(self, key: tuple[str, str], value: Value) -> None:
+        self.engine.store.db[key] = value
 
     def _engine_tick(self, now: int) -> None:
         self._report(self.engine.tick(now))

@@ -16,7 +16,7 @@ from flowgate.cli import _latency_csv, main as cli_main
 from flowgate.compiler import compile_corpus
 from flowgate.conflicts import detect_conflict
 from flowgate.dsl import format_trace, load_home, parse_rules
-from flowgate.engine import EngineConfig, PolicyEngine
+from flowgate.engine import PolicyEngine
 from flowgate.metrics import (
     HomeMeta,
     attack_report,
@@ -75,11 +75,11 @@ def test_criterion_02_case_analysis(mini_registry, r1):
     corpus = compile_corpus([r1], [], mini_registry)
 
     def emissions(db, db_star, event):
-        engine = PolicyEngine(corpus, EngineConfig(seed=3))
+        engine = PolicyEngine(corpus, seed=3)
         for k, v in db.items():
-            engine.store.db[k] = (v, 0)
+            engine.store.db[k] = v
         for k, v in db_star.items():
-            engine.store.db_star[k] = (v, 0)
+            engine.store.db_star[k] = v
         out = engine.process_event(event)
         out.extend(engine.tick(10**9))
         return out

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import yaml
@@ -8,9 +9,11 @@ from flowgate import cli, synth
 from flowgate.cli import _metrics_summary, main as cli_main
 from flowgate.dsl import format_trace
 from flowgate.engine import Emission
-from flowgate.model import Event
+from flowgate.model import Event, ModelError
 from flowgate.scenario import Scenario, load_scenario
 from flowgate.simulator import RunArtifacts
+
+DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo"
 
 
 @pytest.fixture()
@@ -151,6 +154,43 @@ def test_metrics_recomputes_table(demo_scenario, capsys):
     table = capsys.readouterr().out
     assert "aggregate RR" in table
     assert "mo1.motion" in table
+
+
+def test_metrics_default_directory_follows_mode(demo_scenario, monkeypatch, capsys):
+    monkeypatch.chdir(demo_scenario)
+    path = str(demo_scenario / "scenario.yaml")
+    assert cli_main(["run", "--scenario", path, "--mode", "pull"]) == 0
+    assert (demo_scenario / "runs" / "demo-pull" / "metrics.json").exists()
+    capsys.readouterr()
+    assert cli_main(["metrics", "--scenario", path, "--mode", "pull"]) == 0
+    assert "aggregate RR" in capsys.readouterr().out
+    # Without --mode the scenario's own mode (mediated) names the directory.
+    assert cli_main(["metrics", "--scenario", path]) == 2
+
+
+def test_unknown_scenario_mode_is_rejected(demo_scenario):
+    data = yaml.safe_load((demo_scenario / "scenario.yaml").read_text())
+    path = demo_scenario / "scenario-pul.yaml"
+    path.write_text(yaml.safe_dump(dict(data, mode="pul")))
+    with pytest.raises(ModelError, match="mediated, raw, pull, got 'pul'"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("delay", [0, 500])
+def test_diffkeep_ms_sets_the_report_delay(tmp_path, capsys, delay):
+    out = tmp_path / "run"
+    cli_main(["run", "--scenario", str(DEMO / "scenario.yaml"), "--diffkeep-ms", str(delay),
+              "--out", str(out)])
+    last: dict[tuple[str, str], list[str]] = {}
+    gaps = []
+    for line in (out / "reported_events.log").read_text().splitlines():
+        ts, device, attribute, value, provenance, kind = line.split()
+        prev = last.get((device, attribute))
+        # A diffKeep report follows its policy's complement sync on the same key.
+        if kind == "report" and prev and prev[2:] == [provenance, "sync"] and prev[1] != value:
+            gaps.append(int(ts) - int(prev[0]))
+        last[device, attribute] = [ts, value, provenance, kind]
+    assert gaps and set(gaps) == {delay}
 
 
 def test_metrics_without_run_fails(demo_scenario, capsys):

@@ -6,7 +6,7 @@ import yaml
 from flowgate.compiler import compile_corpus, derive_policy, derive_timer_bundle, encode_user_policy
 from flowgate.conflicts import ConstraintSet, detect_conflict, satisfiable, scan_on_update
 from flowgate.dsl import load_home, parse_rule
-from flowgate.engine import EngineConfig, PolicyEngine, evaluate_policy
+from flowgate.engine import PolicyEngine, evaluate_policy
 from flowgate.model import (
     DailyWindow,
     Event,
@@ -125,11 +125,11 @@ def test_conditional_up_blocks_only_in_context(mini_registry):
         action=MethodCall(Method.BLOCK),
     )
     corpus = compile_corpus([rule], [spec], mini_registry)
-    engine = PolicyEngine(corpus, EngineConfig(seed=0))
-    engine.store.db[("mode1", "mode")] = ("home", 0)
+    engine = PolicyEngine(corpus, seed=0)
+    engine.store.db[("mode1", "mode")] = "home"
     out = engine.process_event(Event("ps1", "presence", "present", 1000))
     assert [e.value for e in out] == ["present"]
-    engine.store.db[("mode1", "mode")] = ("vacation", 0)
+    engine.store.db[("mode1", "mode")] = "vacation"
     out = engine.process_event(Event("ps1", "presence", "not-present", 2000))
     assert out == []
 
@@ -249,12 +249,12 @@ def test_conflict_witness_replays_to_differing_decisions(mini_registry, r1):
     report = detect_conflict(ap, up, mini_registry)
     assert report.is_conflict
     corpus = compile_corpus([r1], [], mini_registry)
-    engine = PolicyEngine(corpus, EngineConfig(seed=0))
+    engine = PolicyEngine(corpus, seed=0)
     for key, value in report.witness.items():
         if key != ("time", "clock"):
-            engine.store.db[key] = (value, 0)
+            engine.store.db[key] = value
     for key, value in (report.witness_star or {}).items():
-        engine.store.db_star[key] = (value, 0)
+        engine.store.db_star[key] = value
     obj = report.shared_object
     event = Event(obj[0], obj[1], report.witness[obj], 1000)
     ap_decisions = evaluate_policy(event, ap, engine.store, 1000)
@@ -262,4 +262,5 @@ def test_conflict_witness_replays_to_differing_decisions(mini_registry, r1):
     ap_on_obj = [d for d in ap_decisions if d.key() == obj]
     up_on_obj = [d for d in up_decisions if d.key() == obj]
     assert ap_on_obj and up_on_obj
-    assert ap_on_obj[0].disposition != up_on_obj[0].disposition
+    ap_blocks = ap_on_obj[0].method.method is Method.BLOCK
+    assert ap_blocks != (up_on_obj[0].method.method is Method.BLOCK)

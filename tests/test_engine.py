@@ -13,7 +13,6 @@ from flowgate.engine import (
     KIND_REPORT,
     KIND_SYNC,
     Emission,
-    EngineConfig,
     EngineError,
     PolicyEngine,
     _fetch_state,
@@ -28,14 +27,14 @@ from flowgate.scenario import parse_user_policies
 def _engine(mini_registry, rules_text, seed=0, ups=()):
     rules = parse_rules(rules_text, mini_registry)
     corpus = compile_corpus(rules, list(ups), mini_registry)
-    return PolicyEngine(corpus, EngineConfig(seed=seed))
+    return PolicyEngine(corpus, seed=seed)
 
 
 def _set(engine, db=None, db_star=None):
     for k, v in (db or {}).items():
-        engine.store.db[k] = (v, 0)
+        engine.store.db[k] = v
     for k, v in (db_star or {}).items():
-        engine.store.db_star[k] = (v, 0)
+        engine.store.db_star[k] = v
 
 
 R1 = "r1: when ps1.presence == present if ts1.temperature > 86 then f1.switch := on"
@@ -78,7 +77,7 @@ def test_evaluate_r1_blocks_temp_when_platform_already_satisfied(mini_registry, 
          db_star={("ts1", "temperature"): 90.0, ("ps1", "presence"): "present"})
     event = Event("ps1", "presence", "present", 1000)
     decisions = evaluate_policy(event, policy, engine.store, 1000, "not-present")
-    assert decisions[0].disposition == "suppress"           # block: platform already > 86
+    assert decisions[0].method.method is Method.BLOCK       # platform already > 86
     assert decisions[1].method.method is Method.DIFF_KEEP   # alternation must be restored
 
 
@@ -141,7 +140,7 @@ def test_up_block_overrides_ap_emit(mini_registry):
                           target_attribute="presence")
     rules = parse_rules(R1, mini_registry)
     corpus = compile_corpus(rules, [spec], mini_registry)
-    engine = PolicyEngine(corpus, EngineConfig(seed=0))
+    engine = PolicyEngine(corpus, seed=0)
     _set(engine, db={("ts1", "temperature"): 90.0})
     out = engine.process_event(Event("ps1", "presence", "present", 1000))
     assert [e for e in out if e.key() == ("ps1", "presence")] == []
@@ -248,13 +247,23 @@ def test_two_timers_same_deadline_fire_in_creation_order(mini_registry):
     assert [e.tag for e in out] == ["ra", "rb"]
 
 
-def test_timer_with_no_callbacks_fires_quietly(mini_registry):
+def test_timers_hold_only_running_timers(mini_registry):
     engine = _engine(mini_registry, TIMER)
+    _set(engine, db={("sl1", "switch"): "on"})
     engine.process_event(Event("mo1", "motion", "active", 1000))
     engine.process_event(Event("mo1", "motion", "inactive", 10_000))
     timer = engine.timers["rt"]
-    timer.callbacks.clear()
+    assert engine.timers == {"rt": timer}
+    assert (timer.policy.id, timer.start_value) == ("ap:rt:start", "inactive")
+    engine.process_event(Event("mo1", "motion", "active", 20_000))   # the counter edge
+    assert engine.timers == {}
     assert engine.tick(400_000) == []
+    engine.process_event(Event("mo1", "motion", "inactive", 500_000))   # restart
+    assert list(engine.timers) == ["rt"]
+    out = engine.tick(10**7)
+    assert [(e.timestamp, e.kind, e.tag) for e in out] == [(800_000, KIND_EXPIRY, "rt")]
+    assert engine.timers == {}
+    assert engine.tick(10**8) == []
 
 
 def test_deterministic_replay(mini_registry):
@@ -283,7 +292,7 @@ def test_db_star_tracks_last_emission(mini_registry):
     _set(engine, db={("ts1", "temperature"): 90.0})
     emitted = engine.process_event(Event("ps1", "presence", "present", 1000))
     emitted += engine.tick(10_000)
-    for key, (value, _) in engine.store.db_star.items():
+    for key, value in engine.store.db_star.items():
         matching = [e for e in emitted if e.key() == key]
         if matching:
             assert matching[-1].value == value
@@ -300,8 +309,8 @@ class _ScanningEngine(PolicyEngine):
     def process_event(self, event):
         key = event.key()
         out = self._flush_key_pendings(key, event.timestamp)
-        prev = self.store.db[key][0]
-        self.store.db[key] = (event.value, event.timestamp)
+        prev = self.store.db[key]
+        self.store.db[key] = event.value
         decisions, sanctioned = [], set()
         for policy in self.corpus.policies:
             if policy.timer_start or policy.timer_stop:
@@ -422,8 +431,8 @@ def test_dispatch_index_matches_full_scan(mini_registry):
     @settings(max_examples=150, deadline=None)
     @given(steps=_event_sequences(mini_registry), seed=st.integers(0, 3))
     def check(steps, seed):
-        indexed = PolicyEngine(corpus, EngineConfig(seed=seed))
-        reference = _ScanningEngine(corpus, EngineConfig(seed=seed))
+        indexed = PolicyEngine(corpus, seed=seed)
+        reference = _ScanningEngine(corpus, seed=seed)
         now = 0
         for (device, attribute), value, gap in steps:
             now += gap
@@ -437,7 +446,7 @@ def test_dispatch_index_matches_full_scan(mini_registry):
 
 
 def test_device_wildcard_user_policy_reaches_every_attribute(mini_registry):
-    engine = PolicyEngine(_dispatch_corpus(mini_registry), EngineConfig(seed=0))
+    engine = PolicyEngine(_dispatch_corpus(mini_registry), seed=0)
     # No automation policy reads am1.humidity; the wildcard keeps it while
     # the mode is away and leaves it blocked otherwise.
     assert engine.process_event(Event("am1", "humidity", 60.0, 1000)) == []

@@ -127,6 +127,26 @@ def test_raw_timer_cancelled_by_renewed_motion(mini_registry):
         mini_registry.devices["sl1"].initial["switch"] = "off"
 
 
+def test_platform_native_timer_cancel_reset_and_fire(mini_registry):
+    rules = parse_rules(
+        "rt: when mo1.motion == inactive for 60000 then sl1.switch := on", mini_registry
+    )
+    platform = SimulatedPlatform(rules, mini_registry)
+    platform.receive("mo1", "motion", "active", 1000)
+    platform.receive("mo1", "motion", "inactive", 2000)       # starts: due at 62 000
+    assert list(platform._timers) == ["rt"]
+    platform.receive("mo1", "motion", "active", 30_000)       # the counter edge cancels
+    assert platform._timers == {}
+    platform.receive("mo1", "motion", "inactive", 40_000)     # reset: due at 100 000
+    platform.tick(99_999)
+    assert platform.issued == []
+    platform.tick(100_000)
+    assert platform.issued == [Command("sl1", "switch", "on", 100_000, "rt")]
+    assert platform._timers == {}
+    platform.tick(10**9)
+    assert len(platform.issued) == 1
+
+
 # ---------------------------------------------------------------------------
 # same-instant ordering and deadline scheduling
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from flowgate import synth
 from flowgate.compiler import compile_corpus
-from flowgate.engine import EngineConfig, PolicyEngine
+from flowgate.engine import PolicyEngine
 from flowgate.model import DailyWindow, Event
 from flowgate.policy import UserPolicySpec
 from flowgate.simulator import SimConfig, run_mediated
@@ -59,8 +59,8 @@ def test_windowed_user_policy_blocks_only_in_window(mini_registry, r1):
     corpus = compile_corpus([r1], [spec], mini_registry)
 
     def run_at(hour):
-        engine = PolicyEngine(corpus, EngineConfig(seed=0))
-        engine.store.db[("ts1", "temperature")] = (90.0, 0)
+        engine = PolicyEngine(corpus, seed=0)
+        engine.store.db[("ts1", "temperature")] = 90.0
         ts = hour * 3_600_000
         return engine.process_event(Event("ps1", "presence", "present", ts))
 
