@@ -105,9 +105,8 @@ def _emission_log(artifacts: RunArtifacts) -> str:
 def _latency_csv(events: int, config: SimConfig) -> str:
     """The modelled latency L_HA = L1 + 2*L2 of each of ``events`` device events."""
     l1, l2 = config.l1_ms, config.l2_ms
-    rows = ["event,l1_ms,l2_ms,l_ha_ms"]
-    rows.extend(f"{i},{l1},{l2},{l1 + 2 * l2}" for i in range(events))
-    return "\n".join(rows) + "\n"
+    suffix = f",{l1},{l2},{l1 + 2 * l2}\n"  # the same on every row
+    return "event,l1_ms,l2_ms,l_ha_ms\n" + "".join(f"{i}{suffix}" for i in range(events))
 
 
 def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
@@ -237,6 +236,17 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+_FLAGS: dict[str, dict] = {
+    "--seed": {"type": int},
+    "--diffkeep-ms": {"type": int},
+    "--l2-ms": {"type": int},
+    "--mode": {"choices": MODES},
+    "--drop-prob": {"type": float},
+    "--out": {"help": "artifact directory"},
+    "--floor": {"type": float, "help": "exit nonzero when R_S or R_C falls below this"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowgate",
@@ -244,22 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate the mediated home and score fidelity and privacy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("compile", cmd_compile),
-        ("conflicts", cmd_conflicts),
-        ("run", cmd_run),
-        ("metrics", cmd_metrics),
+    # Each command takes only the flags it reads.
+    for name, fn, flags in (
+        ("compile", cmd_compile, ("--diffkeep-ms", "--out")),
+        ("conflicts", cmd_conflicts, ("--diffkeep-ms",)),
+        ("run", cmd_run, tuple(_FLAGS)),
+        ("metrics", cmd_metrics, ("--mode", "--out")),
     ):
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario YAML path")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--diffkeep-ms", type=int, default=None)
-        p.add_argument("--l2-ms", type=int, default=None)
-        p.add_argument("--mode", choices=MODES, default=None)
-        p.add_argument("--drop-prob", type=float, default=None)
-        p.add_argument("--out", default=None, help="artifact directory")
-        p.add_argument("--floor", type=float, default=None,
-                       help="exit nonzero when R_S or R_C falls below this")
+        for flag in flags:
+            p.add_argument(flag, default=None, **_FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 

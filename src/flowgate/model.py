@@ -13,9 +13,10 @@ longer tuple.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 MS_PER_MINUTE = 60_000
 MS_PER_DAY = 86_400_000
@@ -228,15 +229,85 @@ TIME_SUBJECT = "time"
 TIME_ATTRIBUTE = "clock"
 
 
+# The numeric comparison each operator makes once both sides are floats.
+_NUMERIC_TESTS: dict[Operator, Callable[[float, float], bool]] = {
+    Operator.EQ: operator.eq,
+    Operator.NE: operator.ne,
+    Operator.LT: operator.lt,
+    Operator.LE: operator.le,
+    Operator.GT: operator.gt,
+    Operator.GE: operator.ge,
+}
+_CONVERSION_ERRORS = (TypeError, ValueError, OverflowError)
+
+
+def _always(value: Value) -> bool:
+    return True
+
+
+def _constraint_test(op: Operator, ref: object) -> Callable[[Value], bool]:
+    """Build the test of ``value op ref`` against a concrete value.
+
+    The ref is converted here, once. A ref that does not convert (the DSL
+    parser builds ``presence > present`` before it reports the operator's
+    kind) raises nothing here: its test converts it on every call instead,
+    and raises then, in the order the conversions always ran.
+    """
+    if op is Operator.ANY:
+        return _always
+    if op is Operator.IN_WINDOW:
+        assert isinstance(ref, DailyWindow), f"{op.value} needs a DailyWindow, got {ref!r}"
+        contains = ref.contains
+        return lambda value: contains(int(value))
+    if op is Operator.IN_RANGE:
+        try:
+            lo, hi = ref  # type: ignore[misc]
+            lo, hi = float(lo), float(hi)
+        except _CONVERSION_ERRORS:
+            def in_range(value: Value) -> bool:
+                lo, hi = ref  # type: ignore[misc]
+                return float(lo) <= float(value) <= float(hi)
+            return in_range
+        return lambda value: lo <= float(value) <= hi
+    if (op is Operator.EQ or op is Operator.NE) and (
+        isinstance(ref, bool) or not isinstance(ref, (int, float))
+    ):
+        if op is Operator.EQ:
+            return lambda value: value == ref
+        return lambda value: value != ref
+    compare = _NUMERIC_TESTS[op]
+    try:
+        number = float(ref)  # type: ignore[arg-type]
+    except _CONVERSION_ERRORS:
+        return lambda value: compare(float(value), float(ref))  # type: ignore[arg-type]
+    return lambda value: compare(float(value), number)
+
+
 @dataclass(frozen=True)
 class Constraint:
-    """One atom over a device attribute or the time of day."""
+    """One atom over a device attribute or the time of day.
+
+    ``satisfied_by(value)`` evaluates the atom against a concrete value
+    (minute of day for time). ``fires(new, prev)`` is edge-trigger semantics:
+    the atom becomes true on this event. That covers both the platform's
+    binary de-duplication (an equal value fires no event) and
+    threshold-crossing for numeric triggers. Both are built once, at
+    construction, by ``_constraint_test``; equality, hash and repr still use
+    only the five fields below.
+    """
 
     type: str                      # "device" | "time"
     subject: str                   # device id, or "time"
     attribute: str                 # attribute name, or "clock"
     operator: Operator
     value: object                  # Value | tuple[float, float] | DailyWindow | int
+    satisfied_by: Callable[[Value], bool] = field(init=False, repr=False, compare=False)
+    fires: Callable[[Value, Value], bool] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        test = _constraint_test(self.operator, self.value)
+        object.__setattr__(self, "satisfied_by", test)
+        object.__setattr__(self, "fires", lambda new, prev: test(new) and not test(prev))
 
     def key(self) -> tuple[str, str]:
         return (self.subject, self.attribute)
@@ -244,41 +315,6 @@ class Constraint:
     @property
     def is_time(self) -> bool:
         return self.type == "time"
-
-    def satisfied_by(self, value: Value) -> bool:
-        """Evaluate the atom against a concrete value (minute of day for time)."""
-        op = self.operator
-        if op is Operator.ANY:
-            return True
-        if op is Operator.IN_WINDOW:
-            assert isinstance(self.value, DailyWindow)
-            return self.value.contains(int(value))
-        if op is Operator.IN_RANGE:
-            lo, hi = self.value  # type: ignore[misc]
-            return float(lo) <= float(value) <= float(hi)
-        if op in (Operator.EQ, Operator.NE):
-            if isinstance(self.value, (int, float)) and not isinstance(self.value, bool):
-                same = float(value) == float(self.value)
-            else:
-                same = value == self.value
-            return same if op is Operator.EQ else not same
-        v = float(value)
-        ref = float(self.value)  # type: ignore[arg-type]
-        if op is Operator.LT:
-            return v < ref
-        if op is Operator.LE:
-            return v <= ref
-        if op is Operator.GT:
-            return v > ref
-        return v >= ref
-
-    def fires(self, new: Value, prev: Value) -> bool:
-        """Edge-trigger semantics: the predicate becomes true on this event.
-
-        Covers both the platform's binary de-duplication (an equal value fires
-        no event) and threshold-crossing for numeric triggers.
-        """
-        return self.satisfied_by(new) and not self.satisfied_by(prev)
 
     def __str__(self) -> str:
         if self.operator is Operator.ANY:

@@ -60,7 +60,9 @@ from .model import (
 from .platform_sim import SimulatedPlatform
 
 DEFAULT_MATCH_WINDOW_MS = 3000
-DEFAULT_GRACE_MS = 2 * 3600 * 1000
+# Time-of-day triggers and pull-mode refreshes are scheduled up to this long
+# past the last trace event.
+GRACE_MS = 2 * 3600 * 1000
 
 
 @dataclass
@@ -70,7 +72,6 @@ class SimConfig:
     l2_ms: int = 250                # one-way transmission latency to the platform
     drop_prob: float = 0.0          # mediated command-loss probability
     refresh_ms: int = 0             # pull mode: state-refresh period (0: never)
-    grace_ms: int = DEFAULT_GRACE_MS
 
 
 class DeviceFarm:
@@ -137,7 +138,7 @@ class _Replay:
         self.artifacts = RunArtifacts()
         self.platform = SimulatedPlatform(rules, registry, tag_gated)
         self._trace = sorted(trace, key=_timestamp)  # stable: ties keep trace order
-        self.horizon = (self._trace[-1].timestamp if trace else 0) + config.grace_ms
+        self.horizon = (self._trace[-1].timestamp if trace else 0) + GRACE_MS
         self._heap: list[tuple[int, int, _Handler, Any]] = []
         self._seq = 0
         self._armed: set[tuple[Callable[[int], None], int]] = set()

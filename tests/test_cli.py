@@ -213,3 +213,38 @@ def test_run_compiles_only_when_policies_are_used(demo_scenario, monkeypatch, mo
                      "--out", str(demo_scenario / mode)])
     assert code == 0
     assert len(calls) == compiles
+
+
+# Every flag but --scenario, with a value argparse accepts.
+_FLAG_VALUES = {
+    "--seed": "1", "--diffkeep-ms": "300", "--l2-ms": "250", "--mode": "pull",
+    "--drop-prob": "0.1", "--out": "runs/x", "--floor": "1.0",
+}
+_COMMAND_FLAGS = {
+    "compile": {"--diffkeep-ms", "--out"},
+    "conflicts": {"--diffkeep-ms"},
+    "metrics": {"--mode", "--out"},
+    "run": set(_FLAG_VALUES),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command, used in _COMMAND_FLAGS.items()
+    for flag in _FLAG_VALUES
+    if flag not in used
+])
+def test_unused_flag_is_a_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--scenario", "scenario.yaml", flag, _FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_each_command_takes_the_flags_it_reads(command):
+    argv = [command, "--scenario", "scenario.yaml"]
+    for flag in sorted(_COMMAND_FLAGS[command]):
+        argv += [flag, _FLAG_VALUES[flag]]
+    args = cli.build_parser().parse_args(argv)
+    assert args.fn is getattr(cli, f"cmd_{command}")

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,10 +8,12 @@ from flowgate.model import (
     AttributeDescriptor,
     AttributeKind,
     Command,
+    Constraint,
     DailyWindow,
     Event,
     ModelError,
     Operator,
+    Value,
     device_constraint,
     format_hhmm,
     minute_of_day,
@@ -75,6 +80,138 @@ def test_constraint_fires_on_edges_only():
     eq = device_constraint("ps1", "presence", Operator.EQ, "present")
     assert eq.fires("present", "not-present")
     assert not eq.fires("present", "present")  # repeated value fires no event
+
+
+def reference_satisfied_by(c: Constraint, value: Value) -> bool:
+    """The interpreter ``Constraint.satisfied_by`` replaced: it re-reads the
+    operator and converts the ref on every call."""
+    op = c.operator
+    if op is Operator.ANY:
+        return True
+    if op is Operator.IN_WINDOW:
+        assert isinstance(c.value, DailyWindow)
+        return c.value.contains(int(value))
+    if op is Operator.IN_RANGE:
+        lo, hi = c.value  # type: ignore[misc]
+        return float(lo) <= float(value) <= float(hi)
+    if op in (Operator.EQ, Operator.NE):
+        if isinstance(c.value, (int, float)) and not isinstance(c.value, bool):
+            same = float(value) == float(c.value)
+        else:
+            same = value == c.value
+        return same if op is Operator.EQ else not same
+    v = float(value)
+    ref = float(c.value)  # type: ignore[arg-type]
+    if op is Operator.LT:
+        return v < ref
+    if op is Operator.LE:
+        return v <= ref
+    if op is Operator.GT:
+        return v > ref
+    return v >= ref
+
+
+def _outcome(fn, *args):
+    """``fn``'s result with its type, or the type of the exception it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # the comparison is of exception types
+        return ("raises", type(exc))
+    return ("returns", type(result), result)
+
+
+def _assert_matches_reference(c: Constraint, new: Value, prev: Value) -> None:
+    """``satisfied_by`` and ``fires`` return or raise as the reference does."""
+    assert _outcome(c.satisfied_by, new) == _outcome(reference_satisfied_by, c, new), (c, new)
+    expected = _outcome(
+        lambda: reference_satisfied_by(c, new) and not reference_satisfied_by(c, prev)
+    )
+    assert _outcome(c.fires, new, prev) == expected, (c, new, prev)
+
+
+_STRINGS = st.sampled_from(
+    ["20", "020", "20.0", " 7 ", "1e3", "nan", "-inf", "", "present", "not-present"]
+) | st.text(max_size=3)
+_SCALARS = st.one_of(
+    _STRINGS,
+    st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 20.0, 0.0, -0.0]),
+    st.integers() | st.sampled_from([20, 0, 1, 2 ** 1100]),
+    st.booleans(),
+)
+_WINDOWS = st.tuples(
+    st.integers(min_value=0, max_value=1439), st.integers(min_value=0, max_value=1439)
+).filter(lambda w: w[0] != w[1]).map(lambda w: DailyWindow(*w))
+
+
+def _refs(op: Operator):
+    """Refs for ``op``: scalars of every kind, plus the shapes the operator takes.
+
+    An IN_WINDOW ref is a DailyWindow wherever a constraint is built; the
+    test asserts that at construction rather than on every call.
+    """
+    if op is Operator.IN_WINDOW:
+        return _WINDOWS
+    if op is Operator.IN_RANGE:
+        return _SCALARS | st.tuples(_SCALARS, _SCALARS) | st.lists(_SCALARS, max_size=3)
+    if op is Operator.ANY:
+        return _SCALARS | st.none()
+    return _SCALARS
+
+
+@given(st.sampled_from(Operator).flatmap(lambda op: st.tuples(st.just(op), _refs(op))),
+       _SCALARS, _SCALARS)
+def test_constraint_test_matches_reference_interpreter(op_ref, new, prev):
+    op, ref = op_ref
+    c = device_constraint("d", "a", op, ref)  # never raises, whatever the ref
+    _assert_matches_reference(c, new, prev)
+
+
+_GRID_SCALARS = [
+    -1, 0, 1, 20, 2 ** 1100, -1.0, 0.0, 20.0, 20.5, math.nan, math.inf, -math.inf,
+    True, False, "20", "020", "20.0", "present", "",
+]
+
+
+@pytest.mark.parametrize("op", list(Operator))
+def test_constraint_test_matches_reference_on_a_grid(op):
+    """Every ref and probe pair of a small grid, so equal bounds always meet."""
+    refs = [DailyWindow(0, 20), DailyWindow(20, 1)] if op is Operator.IN_WINDOW else [
+        *_GRID_SCALARS, (0.0, 20.0), (20, 20), ("0", 20.0), (0.0, "present"), ("present", 1),
+    ]
+    for ref in refs:
+        c = device_constraint("d", "a", op, ref)
+        for new in _GRID_SCALARS:
+            for prev in _GRID_SCALARS:
+                _assert_matches_reference(c, new, prev)
+
+
+def test_in_window_needs_a_daily_window():
+    with pytest.raises(AssertionError, match="DailyWindow"):
+        device_constraint("time", "clock", Operator.IN_WINDOW, 600)
+
+
+def test_unconvertible_ref_raises_when_evaluated():
+    c = device_constraint("ps1", "presence", Operator.GT, "present")
+    with pytest.raises(ValueError):
+        c.satisfied_by(1.0)
+    # The upper bound converts only when the comparison reaches it.
+    r = device_constraint("ts1", "temperature", Operator.IN_RANGE, (10.0, "high"))
+    assert not r.satisfied_by(5.0)
+    with pytest.raises(ValueError):
+        r.satisfied_by(15.0)
+
+
+def test_constraint_identity_uses_only_its_fields():
+    c = device_constraint("ts1", "temperature", Operator.GT, 86.0)
+    same = device_constraint("ts1", "temperature", Operator.GT, 86)
+    assert c == same and hash(c) == hash(same)
+    assert c != device_constraint("ts1", "temperature", Operator.GE, 86.0)
+    assert repr(c) == (
+        "Constraint(type='device', subject='ts1', attribute='temperature', "
+        "operator=<Operator.GT: '>'>, value=86.0)"
+    )
+    moved = dataclasses.replace(c, value=90.0)
+    assert moved.satisfied_by(95.0) and not moved.satisfied_by(88.0)
 
 
 def test_daily_window_wraps_midnight():
