@@ -5,14 +5,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from heapq import merge
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .compiler import CompiledCorpus, compile_corpus
 from .conflicts import scan_on_update
 from .dsl import format_commands
 from .metrics import StateTimeline, catr, ctr, reduction_rate
-from .model import AttributeKind, Event, format_value
+from .model import AttributeKind, Event, ModelError, Trace, Value, format_value
 from .policy import dump_policy
 from .scenario import MODES, Scenario, load_scenario
 from .simulator import (
@@ -111,24 +113,20 @@ def _latency_csv(events: int, config: SimConfig) -> str:
 
 def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
     registry = scenario.registry
-    horizon = (0, scenario.trace[-1].timestamp if scenario.trace else 0)
+    trace = Trace.of(scenario.trace)
+    horizon = (0, trace.end)
     per_attribute = {}
     total_raw = 0
     total_reported = 0
-    truth_by_key: dict[tuple[str, str], list[Event]] = {}
-    for e in scenario.trace:
-        device, attribute, _, _ = e
-        truth_by_key.setdefault((device, attribute), []).append(e)
-    raw_counts = {key: len(events) for key, events in truth_by_key.items()}
-    # Appended after the trace, so a stable sort by time keeps same-millisecond
-    # trace events ahead of actuations, the order the replay applied them in.
-    for e in artifacts.actuations:
-        truth_by_key.setdefault(e.key(), []).append(e)
+    actuations: dict[tuple[str, str], list[tuple[int, Value]]] = {}
+    for device, attribute, value, ts in artifacts.actuations:
+        actuations.setdefault((device, attribute), []).append((ts, value))
     observed_by_key: dict[tuple[str, str], list[Event]] = {}
     for r in artifacts.reported_events:
         observed_by_key.setdefault(r.key(), []).append(r.as_event())
     for key in registry.all_pairs():
-        raw = raw_counts.get(key, 0)
+        times, values = trace.column(key)
+        raw = len(times)
         reported = len(observed_by_key.get(key, ()))
         desc = registry.lookup(*key)
         entry: dict = {"raw": raw, "reported": reported}
@@ -138,7 +136,12 @@ def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
         total_reported += min(reported, raw)
         if horizon[1] > 0:
             initial = registry.initial_state(*key)
-            true_tl = StateTimeline.from_events(truth_by_key.get(key, []), initial)
+            # Same-millisecond trace events land before actuations, the order
+            # the replay applied them in; merge keeps that order on ties.
+            steps: Iterable[tuple[int, Value]] = zip(times, values)
+            if key in actuations:
+                steps = merge(steps, actuations[key], key=itemgetter(0))
+            true_tl = StateTimeline.from_steps(steps, initial)
             obs_tl = StateTimeline.from_events(observed_by_key.get(key, []), initial)
             if desc.kind is AttributeKind.NUMERIC:
                 entry["ctr"] = round(ctr(true_tl, obs_tl, horizon), 4)
@@ -271,7 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ModelError as exc:   # bad input: one line, and a code of its own
+        print(f"flowgate: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from .model import (
     Rule,
     RuleAction,
     TIME_SUBJECT,
+    Trace,
     Value,
     device_constraint,
     format_value,
@@ -161,7 +162,7 @@ def _parse_constraint(tok: _Tokens, registry: Optional[Registry], line: int) -> 
         if not lo < hi:
             raise ParseError(f"empty range {lo}..{hi}", line, col)
         c = device_constraint(subject, attribute, Operator.IN_RANGE, (lo, hi))
-        _check_operator_kind(c, registry, line, col)
+        check_operator_kind(c, registry, line, col)
         return c
 
     kind, text, col = tok.next("op")
@@ -181,11 +182,14 @@ def _parse_constraint(tok: _Tokens, registry: Optional[Registry], line: int) -> 
     else:
         value = tok.next("word")[1]
     c = device_constraint(subject, attribute, op, value)
-    _check_operator_kind(c, registry, line, col)
+    check_operator_kind(c, registry, line, col)
     return c
 
 
-def _check_operator_kind(c: Constraint, registry: Optional[Registry], line: int, col: int) -> None:
+def check_operator_kind(
+    c: Constraint, registry: Optional[Registry], line: int = 0, col: int = 0
+) -> None:
+    """Reject an operator or value the attribute's kind cannot take."""
     if registry is None or c.is_time:
         return
     desc = registry.lookup(c.subject, c.attribute)
@@ -336,35 +340,35 @@ def parse_trace(
     source: Union[str, IO[str]],
     registry: Optional[Registry] = None,
     tolerance_ms: int = 0,
-) -> list[Event]:
-    """Parse a trace file into timestamp-ordered events.
+) -> Trace:
+    """Parse a trace file into a timestamp-ordered :class:`Trace`.
 
     Exact duplicate records collapse to one event. A record whose timestamp
     regresses more than ``tolerance_ms`` behind the running maximum is an
-    error; smaller regressions are repaired by the final stable sort.
+    error; smaller regressions are repaired by a final stable sort.
 
     One pass: each distinct ``device attribute value`` text is looked up and
-    validated once. Only events no older than the running maximum minus
-    ``tolerance_ms`` are kept for the duplicate check, since a record older
-    than that raises.
+    validated once, and each record lands in its key's columns. Only a
+    record that sets no new maximum can repeat an earlier one, so only such
+    a record is compared with its key's latest events.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    events: list[Event] = []
-    # Validated (device, attribute, value), keyed by the record's text after its timestamp.
-    validated: dict[str, tuple[str, str, Value]] = {}
-    # The events of events[oldest:], a superset of those at or after ``floor``.
-    recent: set[Event] = set()
-    oldest = 0
+    trace = Trace()
+    order = trace.order
+    # Validated (key's timestamps, key's values, key id, value), keyed by the
+    # record's text after its timestamp.
+    validated: dict[str, tuple[list[int], list[Value], int, Value]] = {}
     max_ts = floor = -math.inf
     regressed = False
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(source, start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         # head[-1] is the text after the timestamp; a one-field line's lone
         # field holds no whitespace, so it matches no key.
         head = line.split(None, 1)
+        if not head:
+            continue
         record = validated.get(head[-1])
         if record is None:
             fields = line.split()
@@ -378,35 +382,55 @@ def parse_trace(
             raise ParseError(
                 f"timestamp {ts} regresses more than {tolerance_ms}ms behind {max_ts}", line_no
             )
-        if ts > max_ts:
-            max_ts, floor = ts, ts - tolerance_ms
-            while oldest < len(events) and events[oldest].timestamp < floor:
-                recent.discard(events[oldest])
-                oldest += 1
-        elif ts < max_ts:
-            regressed = True
         if record is None:
             device, attribute, value_text = fields[1:4]
+            value: Value
             if registry is None:
                 # Unchecked and not cached, so each "nan" stays its own value.
                 try:
-                    record = (device, attribute, float(value_text))
+                    value = float(value_text)
                 except ValueError:
-                    record = (device, attribute, value_text)
+                    value = value_text
             else:
                 try:
                     value = registry.lookup(device, attribute).validate_value(value_text)
                 except ModelError as exc:
                     raise ParseError(str(exc), line_no) from None
-                record = validated[head[1]] = (device, attribute, value)
-        event = Event(*record, ts)
-        if event in recent:
-            continue
-        recent.add(event)
-        events.append(event)
-    if regressed:
-        events.sort(key=lambda e: e.timestamp)
-    return events
+            kid = trace.key_id((device, attribute))
+            record = (trace.times[kid], trace.values[kid], kid, value)
+            if registry is not None:
+                validated[head[1]] = record
+        times, values, kid, value = record
+        if ts > max_ts:
+            max_ts, floor = ts, ts - tolerance_ms
+        else:
+            regressed = regressed or ts < max_ts
+            if _repeats(times, values, ts, value, tolerance_ms):
+                continue
+        times.append(ts)
+        values.append(value)
+        order.append(kid)
+    # Iterating the unsorted columns yields record order; Trace.of sorts it.
+    return Trace.of(list(trace)) if regressed else trace
+
+
+def _repeats(
+    times: list[int], values: list[Value], ts: int, value: Value, tolerance_ms: int
+) -> bool:
+    """Whether one key's kept events already hold ``value`` at ``ts``.
+
+    An event kept at ``t`` came within ``tolerance_ms`` of the running
+    maximum, so every event kept before it is at most ``t + tolerance_ms``:
+    the walk back stops at the first event older than ``ts - tolerance_ms``.
+    """
+    since = ts - tolerance_ms
+    for j in range(len(times) - 1, -1, -1):
+        t = times[j]
+        if t < since:
+            return False
+        if t == ts and (values[j] is value or values[j] == value):
+            return True
+    return False
 
 
 def format_trace(events: Iterable[Event]) -> str:

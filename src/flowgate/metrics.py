@@ -35,10 +35,14 @@ class StateTimeline:
 
     @classmethod
     def from_events(cls, events: Iterable[Event], initial: Value) -> "StateTimeline":
-        tl = cls(initial=initial)
-        for e in sorted(events, key=lambda e: e.timestamp):
-            tl.add(e.timestamp, e.value)
-        return tl
+        ordered = sorted(events, key=lambda e: e.timestamp)
+        return cls.from_steps(((e.timestamp, e.value) for e in ordered), initial)
+
+    @classmethod
+    def from_steps(cls, steps: Iterable[tuple[int, Value]], initial: Value) -> "StateTimeline":
+        """The timeline of time-ordered ``(t, value)`` steps; a millisecond's last value holds."""
+        last = dict(steps)   # keys stay in first-seen order, values take the last write
+        return cls(initial, list(last), list(last.values()))
 
     def add(self, t: int, value: Value) -> None:
         if self.times and t < self.times[-1]:

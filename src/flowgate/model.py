@@ -5,17 +5,21 @@ pipeline stages. Values of binary and enumerated attributes are kept as the
 strings the devices actually emit (e.g. ``present`` / ``not-present``), never
 coerced to booleans.
 
-``Event`` and ``Command``, built once per trace record or issued command, are
-named tuples: cheap to build, hashable, and equal to a plain tuple of their
-fields. An ``Event`` never equals a ``Command``, whose five fields make a
-longer tuple.
+``Event`` and ``Command``, built once per replayed event or issued command,
+are named tuples: cheap to build, hashable, and equal to a plain tuple of
+their fields. An ``Event`` never equals a ``Command``, whose five fields make
+a longer tuple. A loaded ``Trace`` keeps its records in per-key columns and
+builds ``Event`` tuples only when they are read.
 """
 
 from __future__ import annotations
 
 import operator
+from array import array
+from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, repeat
 from typing import Callable, NamedTuple, Optional, Union
 
 MS_PER_MINUTE = 60_000
@@ -162,6 +166,96 @@ class Command(NamedTuple):
 
     def key(self) -> tuple[str, str]:
         return (self.device, self.attribute)
+
+
+_timestamp = operator.attrgetter("timestamp")
+
+
+class Trace(Sequence[Event]):
+    """A trace stored by key; read as a sequence of events in timestamp order.
+
+    Each key has a column of ascending timestamps and one of the values
+    read at them; ``order`` holds the key id of every event in trace order
+    (ties in record order). Events are built only when read, and
+    ``events(keys)`` builds only those on ``keys``.
+    """
+
+    __slots__ = ("keys", "times", "values", "order", "_ids")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self) -> None:
+        self.keys: list[tuple[str, str]] = []    # key id -> (device, attribute)
+        self.times: list[list[int]] = []          # key id -> its timestamps
+        self.values: list[list[Value]] = []       # key id -> its values
+        self.order = array("I")                    # key id of each event
+        self._ids: dict[tuple[str, str], int] = {}
+
+    @classmethod
+    def of(cls, events: Iterable[Event]) -> "Trace":
+        """``events`` as a trace, stably sorted by timestamp."""
+        if isinstance(events, Trace):
+            return events
+        trace = cls()
+        for device, attribute, value, ts in sorted(events, key=_timestamp):
+            kid = trace.key_id((device, attribute))
+            trace.times[kid].append(ts)
+            trace.values[kid].append(value)
+            trace.order.append(kid)
+        return trace
+
+    def key_id(self, key: tuple[str, str]) -> int:
+        """The id of ``key``, given empty columns when first seen."""
+        kid = self._ids.get(key)
+        if kid is None:
+            kid = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.times.append([])
+            self.values.append([])
+        return kid
+
+    def column(self, key: tuple[str, str]) -> tuple[list[int], list[Value]]:
+        """The timestamps of ``key``'s events and their values."""
+        kid = self._ids.get(key)
+        return ([], []) if kid is None else (self.times[kid], self.values[kid])
+
+    @property
+    def end(self) -> int:
+        """The last event's timestamp; 0 for an empty trace."""
+        return max((times[-1] for times in self.times if times), default=0)
+
+    def events(self, keys: Optional[Container[tuple[str, str]]] = None) -> Iterator[Event]:
+        """The events in trace order, only those on ``keys`` if given."""
+        order: Iterable[int] = self.order
+        if keys is not None:
+            wanted = [key in keys for key in self.keys]
+            order = compress(order, map(wanted.__getitem__, order))
+        streams = [
+            map(Event, repeat(device), repeat(attribute), values, times)
+            for (device, attribute), times, values in zip(self.keys, self.times, self.values)
+        ]
+        return map(next, map(streams.__getitem__, order))
+
+    def __iter__(self) -> Iterator[Event]:
+        return self.events()
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return list(self)[i]
+        kid = self.order[i]
+        nth = self.order[: i % len(self.order)].count(kid)
+        device, attribute = self.keys[kid]
+        return Event(device, attribute, self.values[kid][nth], self.times[kid][nth])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Optional, Sequence, Union
 
-from .dsl import load_home, load_yaml, parse_rules, parse_trace
+from .dsl import check_operator_kind, load_home, load_yaml, parse_rules, parse_trace
 from .model import (
+    AttributeKind,
     Constraint,
     DailyWindow,
     Event,
@@ -32,6 +33,21 @@ _OP_NAMES = {
 MODES = ("mediated", "raw", "pull")
 
 
+def _context_constraint(c: dict, registry: Registry) -> Constraint:
+    """One user-policy context atom, checked as the rule DSL checks its atoms."""
+    device, attribute, op = str(c["device"]), str(c["attribute"]), _OP_NAMES[c["op"]]
+    value = c["value"]
+    if registry.lookup(device, attribute).kind is AttributeKind.NUMERIC:
+        if op is Operator.IN_RANGE:
+            lo, hi = value
+            value = (float(lo), float(hi))
+        else:
+            value = float(value)
+    constraint = Constraint("device", device, attribute, op, value)
+    check_operator_kind(constraint, registry)
+    return constraint
+
+
 def parse_user_policies(source: Union[str, IO[str]], registry: Registry) -> list[UserPolicySpec]:
     """Load the user-policy configuration file."""
     data = load_yaml(source)
@@ -48,13 +64,13 @@ def parse_user_policies(source: Union[str, IO[str]], registry: Registry) -> list
         if entry.get("window"):
             w = entry["window"]
             window = DailyWindow(parse_hhmm(str(w["start"])), parse_hhmm(str(w["end"])))
+        policy_id = str(entry.get("id", f"up{i + 1}"))
         context = []
         for c in entry.get("context", []):
-            op = _OP_NAMES[c["op"]]
-            value = c["value"]
-            if op in (Operator.LT, Operator.LE, Operator.GT, Operator.GE):
-                value = float(value)
-            context.append(Constraint("device", str(c["device"]), str(c["attribute"]), op, value))
+            try:
+                context.append(_context_constraint(c, registry))
+            except (ModelError, KeyError, TypeError, ValueError) as exc:
+                raise ModelError(f"user policy {policy_id!r}: bad context {c}: {exc}") from None
         action = None
         if entry.get("action"):
             name = str(entry["action"])
@@ -65,7 +81,7 @@ def parse_user_policies(source: Union[str, IO[str]], registry: Registry) -> list
             else:
                 raise ModelError(f"user policy action must be block or keep, got {name!r}")
         spec = UserPolicySpec(
-            id=str(entry.get("id", f"up{i + 1}")),
+            id=policy_id,
             style=str(entry["style"]),
             target_device=str(device),
             target_attribute=str(attribute) if attribute is not None else None,
@@ -89,7 +105,7 @@ class Scenario:
     registry: Registry
     rules: list[Rule]
     user_specs: list[UserPolicySpec]
-    trace: list[Event]
+    trace: Sequence[Event]      # a Trace when loaded from files
     mode: str = "mediated"
     seed: int = 0
     diffkeep_ms: int = 300

@@ -10,26 +10,30 @@ events go upstream:
 * pull     -- nothing is pushed; the platform only learns states it
   explicitly refreshes, so only time-triggered rules can run.
 
-The loop keeps three rules:
+The loop keeps four rules:
 
-* The trace, sorted once by timestamp, is streamed past a heap of
+* Only live keys are replayed. A key is live when a rule triggers on it,
+  reads it in a condition or a held-duration timer, or commands it, when a
+  policy reads it (mediated), when a manual command targets it, or when it
+  has no seeded state (so an unknown key still fails closed). Events on
+  any other key change nothing the replay reports; they are counted from
+  the trace, never streamed.
+* The live events, in timestamp order, are streamed past a heap of
   everything else (deadlines, daily instants, deliveries, actuations, manual
-  commands). A trace event is taken before any heap entry due at the same
-  millisecond, so a device event lands before any timer, delayed report or
-  delayed action due at that instant; same-millisecond trace events keep
-  their trace order and heap entries run in push order. The raw replay
-  defines this order, and a held-duration timer that ends exactly when its
-  condition's device changes must see the change in every pipeline alike.
+  commands). Every trace event of a millisecond is taken before any heap
+  entry due at that millisecond, so a device event lands before any timer,
+  delayed report or delayed action due at that instant; same-millisecond
+  trace events keep their trace order and heap entries run in push order.
+  Passing a device event upstream runs no due work, so a held-duration
+  timer that ends exactly when its condition's device changes sees the
+  change in every pipeline alike.
 * Each deadline is armed once. After every step the engine's and the
   platform's next deadlines are pushed at most once per (source, timestamp),
   and the engine ticks only when its own deadline pops.
 * Quiet keys skip the upstream: mediated, a key no policy indexes (it never
   has a delayed report pending); raw, a key no rule triggers on; pull, every
   key. A trace event on a seeded quiet key only updates the device state
-  and the upstream's own store, and arms nothing. The raw platform runs its
-  due work on every delivery, so while platform work is due at or before the
-  event's millisecond the event takes the full path: a timer due then still
-  fires before later events of that millisecond.
+  and the upstream's own store, and arms nothing.
 
 Fidelity is scored the way commands are verified in the field: every
 command issued under mediation must have a raw counterpart within a short
@@ -43,7 +47,8 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Optional
+from bisect import bisect_right
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .compiler import CompiledCorpus
 from .engine import Emission, PolicyEngine
@@ -54,6 +59,7 @@ from .model import (
     Event,
     Registry,
     Rule,
+    Trace,
     Value,
     format_value,
 )
@@ -116,18 +122,31 @@ _Handler = Callable[[int, Any], None]
 _timestamp = attrgetter("timestamp")
 
 
+def _rule_keys(rules: Iterable[Rule]) -> set[tuple[str, str]]:
+    """The keys rules trigger on, read in a condition or timer, or command."""
+    keys = set()
+    for rule in rules:
+        timer = rule.condition_timer
+        for c in (rule.trigger, *rule.condition, *(() if timer is None else (timer.watched,))):
+            if not c.is_time:
+                keys.add(c.key())
+        keys.update((a.device, a.attribute) for a in rule.actions)
+    return keys
+
+
 class _Replay:
     """The scheduler loop every pipeline runs; subclasses are the upstreams.
 
     A subclass decides where device events go (``upstream``), which keys
-    skip it (``quiet_keys``, ``store_quiet``) and may push entries of its own.
+    skip it (``quiet_keys``, ``store_quiet``), adds the keys it reads to
+    ``live`` and may push entries of its own.
     """
 
     command_delay_ms = 0     # platform -> device transport delay
 
     def __init__(
         self,
-        trace: list[Event],
+        trace: Sequence[Event],
         rules: list[Rule],
         registry: Registry,
         config: SimConfig,
@@ -137,8 +156,10 @@ class _Replay:
         self.farm = DeviceFarm(registry)
         self.artifacts = RunArtifacts()
         self.platform = SimulatedPlatform(rules, registry, tag_gated)
-        self._trace = sorted(trace, key=_timestamp)  # stable: ties keep trace order
-        self.horizon = (self._trace[-1].timestamp if trace else 0) + GRACE_MS
+        self._trace = Trace.of(trace)
+        # A key without seeded state stays live, so it still fails closed.
+        self.live = _rule_keys(rules) | (set(self._trace.keys) - self.farm.states.keys())
+        self.horizon = self._trace.end + GRACE_MS
         self._heap: list[tuple[int, int, _Handler, Any]] = []
         self._seq = 0
         self._armed: set[tuple[Callable[[int], None], int]] = set()
@@ -152,14 +173,14 @@ class _Replay:
     def run(self) -> RunArtifacts:
         quiet = self.quiet_keys()
         store_quiet = self.store_quiet
-        heap, platform_due = self._heap, self.platform._pending
+        heap = self._heap
         states = self.farm.states
-        for event in self._trace:
+        for event in self._trace.events(self.live):
             device, attribute, value, ts = event
             if heap and heap[0][0] < ts:
                 self._run_heap(ts)
             key = (device, attribute)
-            if key in quiet and not (platform_due and platform_due[0][0] <= ts):
+            if key in quiet:
                 states[key] = value
                 store_quiet(key, value)
             else:
@@ -225,6 +246,9 @@ class _Replay:
     def drain_platform(self, now: int) -> None:
         """Run the platform's due work and send the commands it issued."""
         self.platform.tick(now)
+        self.send_issued()
+
+    def send_issued(self) -> None:
         issued = self.platform.issued
         for cmd in issued:
             if self.lost_in_transit():
@@ -237,7 +261,7 @@ class _Replay:
 class _RawReplay(_Replay):
     def upstream(self, event: Event, now: int) -> None:
         self.platform.receive(event.device, event.attribute, event.value, now)
-        self.drain_platform(now)
+        self.send_issued()
 
     def quiet_keys(self) -> set[tuple[str, str]]:
         return self.platform.db.keys() - self.platform._by_key.keys()
@@ -247,7 +271,7 @@ class _RawReplay(_Replay):
 
 
 class _PullReplay(_Replay):
-    def __init__(self, trace: list[Event], rules: list[Rule], registry: Registry,
+    def __init__(self, trace: Sequence[Event], rules: list[Rule], registry: Registry,
                  config: SimConfig):
         super().__init__(trace, rules, registry, config)
         if config.refresh_ms:
@@ -268,10 +292,16 @@ class _PullReplay(_Replay):
 
 
 class _MediatedReplay(_Replay):
-    def __init__(self, trace: list[Event], corpus: CompiledCorpus, config: SimConfig,
+    def __init__(self, trace: Sequence[Event], corpus: CompiledCorpus, config: SimConfig,
                  manual_commands: list[Command]):
         super().__init__(trace, corpus.forwarded_rules, corpus.registry, config,
                          tag_gated=corpus.tag_gated)
+        devices = corpus.registry.devices
+        for policy in corpus.policies:
+            for device, attribute in policy.referenced_pairs():
+                attributes = devices[device].attributes if attribute == "*" else (attribute,)
+                self.live.update((device, a) for a in attributes)
+        self.live.update(cmd.key() for cmd in manual_commands)
         self.engine = PolicyEngine(corpus, config.seed)
         self.command_delay_ms = config.l2_ms
         self.latency = config.l1_ms + config.l2_ms
@@ -321,7 +351,7 @@ class _MediatedReplay(_Replay):
 
 
 def run_mediated(
-    trace: list[Event],
+    trace: Sequence[Event],
     corpus: CompiledCorpus,
     config: Optional[SimConfig] = None,
     manual_commands: Optional[list[Command]] = None,
@@ -331,7 +361,7 @@ def run_mediated(
 
 
 def run_raw(
-    trace: list[Event],
+    trace: Sequence[Event],
     rules: list[Rule],
     registry: Registry,
     config: Optional[SimConfig] = None,
@@ -341,7 +371,7 @@ def run_raw(
 
 
 def run_pull_baseline(
-    trace: list[Event],
+    trace: Sequence[Event],
     rules: list[Rule],
     registry: Registry,
     config: Optional[SimConfig] = None,
@@ -352,30 +382,34 @@ def run_pull_baseline(
 
 def remove_redundant(
     gt_commands: list[Command],
-    raw_trace: list[Event],
+    raw_trace: Sequence[Event],
     registry: Registry,
 ) -> list[Command]:
     """Drop ground-truth commands whose value equals the target's state.
 
-    Replays the raw trace and the command stream together: a command that
-    would not change its target's state is a redundant rule execution the
-    mediated pipeline is entitled to suppress.
+    A command that would not change its target's state is a redundant rule
+    execution the mediated pipeline is entitled to suppress. The state is
+    the later of the target's last trace event at or before the command
+    (events at the command's millisecond land first) and the last command
+    kept on it.
     """
-    states: dict[tuple[str, str], Value] = dict(registry.initial_states())
-    events = sorted(raw_trace, key=_timestamp)
-    i, n = 0, len(events)
+    trace = Trace.of(raw_trace)
+    initial = registry.initial_states()
+    last_kept: dict[tuple[str, str], tuple[int, Value]] = {}
     kept: list[Command] = []
     for cmd in sorted(gt_commands, key=_timestamp):
-        while i < n:
-            device, attribute, state, ts = events[i]
-            if ts > cmd.timestamp:  # events at the command's millisecond land first
-                break
-            states[device, attribute] = state
-            i += 1
+        key = cmd.key()
+        times, values = trace.column(key)
+        i = bisect_right(times, cmd.timestamp)
+        last = last_kept.get(key)
+        if last is not None and (not i or last[0] >= times[i - 1]):
+            state = last[1]
+        else:
+            state = values[i - 1] if i else initial.get(key)
         value = registry.lookup(cmd.device, cmd.attribute).validate_value(cmd.value)
-        if states.get(cmd.key()) == value:
+        if state == value:
             continue
-        states[cmd.key()] = value
+        last_kept[key] = (cmd.timestamp, value)
         kept.append(cmd)
     return kept
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +13,7 @@ from flowgate.cli import _metrics_summary, main as cli_main
 from flowgate.dsl import format_trace
 from flowgate.engine import Emission
 from flowgate.model import Event, ModelError
-from flowgate.scenario import Scenario, load_scenario
+from flowgate.scenario import Scenario, load_scenario, parse_user_policies
 from flowgate.simulator import RunArtifacts
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo"
@@ -248,3 +251,64 @@ def test_each_command_takes_the_flags_it_reads(command):
         argv += [flag, _FLAG_VALUES[flag]]
     args = cli.build_parser().parse_args(argv)
     assert args.fn is getattr(cli, f"cmd_{command}")
+
+
+BAD_CONTEXTS = {
+    "range-on-binary": {"device": "ps1", "attribute": "presence", "op": "in-range",
+                        "value": ["low", "high"]},
+    "range-of-words": {"device": "ts1", "attribute": "temperature", "op": "in-range",
+                       "value": ["low", "high"]},
+    "order-on-binary": {"device": "ps1", "attribute": "presence", "op": ">", "value": 3},
+    "foreign-value": {"device": "mode1", "attribute": "mode", "op": "==", "value": "party"},
+    "unknown-op": {"device": "ps1", "attribute": "presence", "op": "~", "value": "present"},
+}
+
+
+def _ups(context):
+    return yaml.safe_dump([{"id": "upc", "style": "conditional", "target": {"device": "am1"},
+                            "context": [context], "action": "keep"}])
+
+
+@pytest.mark.parametrize("context", BAD_CONTEXTS.values(), ids=BAD_CONTEXTS)
+def test_bad_user_policy_context_fails_at_load(mini_registry, context):
+    with pytest.raises(ModelError, match="user policy 'upc'"):
+        parse_user_policies(_ups(context), mini_registry)
+
+
+def test_numeric_user_policy_context_takes_whole_numbers(mini_registry):
+    context = {"device": "ts1", "attribute": "temperature", "op": "in-range", "value": [10, 20]}
+    (spec,) = parse_user_policies(_ups(context), mini_registry)
+    assert spec.context[0].value == (10.0, 20.0)
+    assert spec.context[0].satisfied_by(15.0)
+
+
+def _bad_trace(path: Path, record: str) -> int:
+    """Write ``record`` as line 11 of the trace; returns that line number."""
+    lines = path.read_text().splitlines(keepends=True)
+    ts = int(lines[9].split()[0])
+    lines.insert(10, record.format(ts=ts) + "\n")
+    path.write_text("".join(lines))
+    return 11
+
+
+@pytest.mark.parametrize("fault", ["value", "regression", "context"])
+def test_input_error_ends_in_one_line(demo_scenario, fault):
+    scenario = demo_scenario / ("scenario-ups.yaml" if fault == "context" else "scenario.yaml")
+    if fault == "context":
+        context = {"device": "mo1", "attribute": "motion", "op": "in-range", "value": ["a", "b"]}
+        (demo_scenario / "ups.yaml").write_text(_ups(context))
+        expected = "user policy 'upc'"
+    else:
+        record = "{ts} mo1 motion sideways" if fault == "value" else "0 mo1 motion active"
+        expected = f"at line {_bad_trace(demo_scenario / 'trace.log', record)}"
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowgate.cli", "run", "--scenario", str(scenario),
+         "--out", str(demo_scenario / "run-bad")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("flowgate: ") and proc.stderr.count("\n") == 1
+    assert expected in proc.stderr
+    assert "Traceback" not in proc.stderr

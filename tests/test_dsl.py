@@ -236,7 +236,7 @@ def trace_texts(draw):
 
 def _outcome(parse, text, registry, tolerance_ms):
     try:
-        return repr(parse(text, registry, tolerance_ms=tolerance_ms))
+        return repr(list(parse(text, registry, tolerance_ms=tolerance_ms)))
     except ParseError as exc:
         return ("ParseError", exc.line, str(exc))
 

@@ -1,14 +1,15 @@
 import heapq
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from flowgate import synth
 from flowgate.cli import _latency_csv, _metrics_summary
 from flowgate.compiler import compile_corpus
-from flowgate.dsl import parse_rules
+from flowgate.dsl import load_home, parse_rules
 from flowgate.engine import EngineError, PolicyEngine
-from flowgate.model import Command, Event
+from flowgate.model import Command, Event, Trace
 from flowgate.platform_sim import SimulatedPlatform
 from flowgate.scenario import Scenario, parse_user_policies
 from flowgate.simulator import (
@@ -218,7 +219,7 @@ class _HeapTrace:
         super().__init__(trace, *args)
         for seq, event in enumerate(trace, start=-len(trace)):
             heapq.heappush(self._heap, (event.timestamp, seq, self._device_event, event))
-        self._trace = []
+        self._trace = Trace()
 
 
 class _HeapRawReplay(_HeapTrace, _RawReplay):
@@ -299,6 +300,82 @@ def test_streamed_trace_matches_heap_replay(mini_registry):
     check()
 
 
+# The replay home plus a device that no rule or policy reads.
+DEAD_DEVICE = {"id": "lx1", "label": "hall sensor", "room": "hall", "attributes": [
+    {"name": "illuminance", "kind": "numeric", "min": 0, "max": 1000, "initial": 10},
+    {"name": "contact", "kind": "binary", "values": ["open", "closed"], "active": "open",
+     "initial": "closed"},
+]}
+DEAD_VALUES = {("lx1", "illuminance"): [5.0, 300.0], ("lx1", "contact"): ["open", "closed"]}
+# Offsets from a live event that hit its diffKeep report, its delivery, the
+# 60 s timer and delayed-action deadlines, and the 00:02 clock instant.
+DEAD_OFFSETS = [0, 0, 1, 250, 300, 550, 60_000, 60_250, 60_300, 120_000]
+
+
+@st.composite
+def _traces_with_dead_events(draw):
+    """A replay case, and its trace with events on unreferenced keys mixed in."""
+    trace, manual = draw(_replay_traces())
+    mixed = list(trace)
+    anchors = [e.timestamp for e in trace] or [0]
+    for _ in range(draw(st.integers(1, 6))):
+        ts = draw(st.sampled_from(anchors)) + draw(st.sampled_from(DEAD_OFFSETS))
+        key = draw(st.sampled_from(sorted(DEAD_VALUES)))
+        event = Event(key[0], key[1], draw(st.sampled_from(DEAD_VALUES[key])), ts)
+        # Often first, so it sorts ahead of the live events of its millisecond.
+        at = draw(st.one_of(st.just(0), st.integers(0, len(mixed))))
+        mixed.insert(at, event)
+    return trace, mixed, manual
+
+
+# At 80 000 rt's native timer falls due as ps1 leaves; an unreferenced
+# event lands first in that millisecond.
+_DEADLINE_CASE = (
+    [Event("ps1", "presence", "present", 0), Event("mo1", "motion", "active", 1000),
+     Event("mo1", "motion", "inactive", 20_000), Event("ps1", "presence", "not-present", 80_000)],
+    [Event("lx1", "contact", "open", 80_000), Event("ps1", "presence", "present", 0),
+     Event("mo1", "motion", "active", 1000), Event("mo1", "motion", "inactive", 20_000),
+     Event("ps1", "presence", "not-present", 80_000)],
+    [],
+)
+
+
+def _check_unreferenced_events(max_examples):
+    """Events on keys no rule or policy references change no command artifact."""
+    from tests.conftest import MINI_HOME
+
+    home = dict(MINI_HOME, devices=[*MINI_HOME["devices"], DEAD_DEVICE])
+    registry = load_home(yaml.safe_dump(home))
+    rules = parse_rules(REPLAY_RULES, registry)
+    corpus = compile_corpus(rules, parse_user_policies(REPLAY_UPS, registry), registry)
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(case=_traces_with_dead_events(), seed=st.integers(0, 3))
+    @example(case=_DEADLINE_CASE, seed=0)
+    def check(case, seed):
+        trace, mixed, manual = case
+        config = SimConfig(seed=seed, refresh_ms=60_000)
+        raw = run_raw(trace, rules, registry, config)
+        assert run_raw(mixed, rules, registry, config) == raw
+        assert (remove_redundant(raw.p_commands, mixed, registry)
+                == remove_redundant(raw.p_commands, trace, registry))
+        assert (run_pull_baseline(mixed, rules, registry, config)
+                == run_pull_baseline(trace, rules, registry, config))
+        assert (run_mediated(mixed, corpus, config, manual)
+                == run_mediated(trace, corpus, config, manual))
+
+    check()
+
+
+def test_unreferenced_events_change_no_command():
+    _check_unreferenced_events(60)
+
+
+@pytest.mark.slow
+def test_unreferenced_events_change_no_command_long():
+    _check_unreferenced_events(2000)
+
+
 def test_out_of_order_trace_replays_in_timestamp_order(mini_registry):
     rules = parse_rules(REPLAY_RULES, mini_registry)
     corpus = compile_corpus(rules, [], mini_registry)
@@ -312,7 +389,7 @@ def test_out_of_order_trace_replays_in_timestamp_order(mini_registry):
     ]
     config = SimConfig(seed=0)
     replay = _RawReplay(trace, rules, mini_registry, config)
-    assert replay._trace == sorted(trace, key=lambda e: e.timestamp)
+    assert list(replay._trace) == sorted(trace, key=lambda e: e.timestamp)
     assert replay.run() == _HeapRawReplay(trace, rules, mini_registry, config).run()
     assert (_MediatedReplay(trace, corpus, config, []).run()
             == _HeapMediatedReplay(trace, corpus, config, []).run())
@@ -321,8 +398,9 @@ def test_out_of_order_trace_replays_in_timestamp_order(mini_registry):
 def test_quiet_event_on_platform_deadline_takes_full_path(mini_registry):
     # rt's native timer falls due at 80 000. mode1.mode, one of its
     # conditions, is quiet in raw; it changes at that millisecond, before a
-    # non-quiet ps1 change. Delivering the quiet event runs the due timer
-    # while ps1 is still present, so rt fires before rq.
+    # non-quiet ps1 change. The due timer runs after every trace event of
+    # that millisecond, as in the mediated run: ps1 is then not-present, so
+    # only rq fires.
     rules = parse_rules(
         "rt: when mo1.motion == inactive for 60000 if ps1.presence == present and "
         "mode1.mode != away then sl1.switch := on\n"
@@ -343,9 +421,15 @@ def test_quiet_event_on_platform_deadline_takes_full_path(mini_registry):
     raw = replay.run()
     assert raw == _HeapRawReplay(trace, rules, mini_registry, config).run()
     assert [(c.timestamp, c.key(), c.value, c.origin) for c in raw.p_commands] == [
-        (80_000, ("sl1", "switch"), "on", "rt"),
         (80_000, ("f1", "switch"), "on", "rq"),
     ]
+    med = run_mediated(trace, compile_corpus(rules, [], mini_registry), config)
+    assert [(c.key(), c.value, c.origin) for c in med.p_commands] == [
+        (("f1", "switch"), "on", "rq"),
+    ]
+    pruned = remove_redundant(raw.p_commands, trace, mini_registry)
+    report = verify(med.p_commands, raw.p_commands, pruned_gt=pruned)
+    assert (report.r_s, report.r_c) == (1.0, 1.0)
 
 
 def test_quiet_lane_keeps_unknown_keys_on_full_path(mini_registry):
