@@ -224,7 +224,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     path = _out_dir(load_scenario(args.scenario), args) / "metrics.json"
     if not path.exists():
         print(f"no metrics at {path}; run `flowgate run` first", file=sys.stderr)
-        return 2
+        return 4
     metrics = json.loads(path.read_text())
     print(f"{'attribute':28} {'raw':>7} {'reported':>9} {'RR':>6} {'CTR/CATR':>9}")
     for name, entry in sorted(metrics["per_attribute"].items()):

@@ -23,7 +23,7 @@ import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .compiler import CompiledCorpus
 from .model import (
@@ -244,10 +244,15 @@ def evaluate_policy(
 
 
 class PolicyEngine:
-    """Executes a compiled corpus over an incoming event stream."""
+    """Executes a compiled corpus over an incoming event stream.
 
-    def __init__(self, corpus: CompiledCorpus, seed: int = 0):
+    ``wake(when)`` is called for every deadline the engine schedules (a
+    delayed report or a timer); ``tick(when)`` then runs the work due.
+    """
+
+    def __init__(self, corpus: CompiledCorpus, seed: int = 0, *, wake: Callable[[int], None]):
         self.corpus = corpus
+        self.wake = wake
         self.rng = random.Random(seed)
         self.store = StateStore.seeded(corpus.registry.initial_states())
         self.timers: dict[str, TimerState] = {}   # running timers by id
@@ -282,9 +287,6 @@ class PolicyEngine:
 
     # -- scheduling ----------------------------------------------------------
 
-    def next_deadline(self) -> Optional[int]:
-        return self._pending[0][0] if self._pending else None
-
     def time_trigger_minutes(self) -> list[int]:
         minutes = {int(r.trigger.value) for r in self._time_rules}  # type: ignore[arg-type]
         minutes.update(int(p.trigger_block.match.value) for p in self._clock_policies)  # type: ignore[arg-type]
@@ -293,6 +295,7 @@ class PolicyEngine:
     def _push(self, deadline: int, kind: str, payload: object) -> None:
         self._seq += 1
         heapq.heappush(self._pending, (deadline, self._seq, kind, payload))
+        self.wake(deadline)
 
     # -- event processing ------------------------------------------------------
 

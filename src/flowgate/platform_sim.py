@@ -8,13 +8,15 @@ Time triggers fire from the platform's own clock. The state database updates
 from delivered events and from explicit state refreshes; the pull replay
 never delivers an event, so its platform learns states only by refreshing.
 Issued commands collect in ``issued`` until the caller drains them.
+``wake(when)`` is called for every deadline the platform schedules (a delayed
+action or a native timer); ``tick(when)`` then runs the work due.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import (
     Command,
@@ -38,7 +40,10 @@ class SimulatedPlatform:
         rules: list[Rule],
         registry: Registry,
         tag_gated: Optional[set[str]] = None,
+        *,
+        wake: Callable[[int], None],
     ):
+        self.wake = wake
         self.tag_gated = set(tag_gated or ())
         self.db: dict[tuple[str, str], Value] = registry.initial_states()
         self.issued: list[Command] = []
@@ -54,15 +59,13 @@ class SimulatedPlatform:
 
     # -- scheduling ------------------------------------------------------------
 
-    def next_deadline(self) -> Optional[int]:
-        return self._pending[0][0] if self._pending else None
-
     def time_trigger_minutes(self) -> list[int]:
         return sorted({int(r.trigger.value) for r in self._time_rules})  # type: ignore[arg-type]
 
     def _push(self, deadline: int, kind: str, payload: object) -> None:
         self._seq += 1
         heapq.heappush(self._pending, (deadline, self._seq, kind, payload))
+        self.wake(deadline)
 
     # -- inputs ------------------------------------------------------------------
 

@@ -57,16 +57,30 @@ def parse_user_policies(source: Union[str, IO[str]], registry: Registry) -> list
         raise ModelError("user policy file must be a list of entries")
     specs = []
     for i, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise ModelError(f"user policy entry {i + 1} must be a mapping, got {entry!r}")
+        policy_id = str(entry.get("id", f"up{i + 1}"))
+        if "style" not in entry:
+            raise ModelError(f"user policy {policy_id!r}: missing style")
         target = entry.get("target") or {}
+        if not isinstance(target, dict):
+            raise ModelError(f"user policy {policy_id!r}: target must be a mapping")
         device = target.get("device", "")
         attribute = target.get("attribute")
         window = None
         if entry.get("window"):
             w = entry["window"]
-            window = DailyWindow(parse_hhmm(str(w["start"])), parse_hhmm(str(w["end"])))
-        policy_id = str(entry.get("id", f"up{i + 1}"))
+            try:
+                window = DailyWindow(parse_hhmm(str(w["start"])), parse_hhmm(str(w["end"])))
+            except (ModelError, KeyError, TypeError):
+                raise ModelError(
+                    f"user policy {policy_id!r}: window needs start and end as HH:MM, got {w!r}"
+                ) from None
+        atoms = entry.get("context") or []
+        if not isinstance(atoms, list):
+            raise ModelError(f"user policy {policy_id!r}: context must be a list, got {atoms!r}")
         context = []
-        for c in entry.get("context", []):
+        for c in atoms:
             try:
                 context.append(_context_constraint(c, registry))
             except (ModelError, KeyError, TypeError, ValueError) as exc:

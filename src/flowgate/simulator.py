@@ -10,7 +10,7 @@ events go upstream:
 * pull     -- nothing is pushed; the platform only learns states it
   explicitly refreshes, so only time-triggered rules can run.
 
-The loop keeps four rules:
+The loop keeps two rules:
 
 * Only live keys are replayed. A key is live when a rule triggers on it,
   reads it in a condition or a held-duration timer, or commands it, when a
@@ -27,13 +27,12 @@ The loop keeps four rules:
   Passing a device event upstream runs no due work, so a held-duration
   timer that ends exactly when its condition's device changes sees the
   change in every pipeline alike.
-* Each deadline is armed once. After every step the engine's and the
-  platform's next deadlines are pushed at most once per (source, timestamp),
-  and the engine ticks only when its own deadline pops.
-* Quiet keys skip the upstream: mediated, a key no policy indexes (it never
-  has a delayed report pending); raw, a key no rule triggers on; pull, every
-  key. A trace event on a seeded quiet key only updates the device state
-  and the upstream's own store, and arms nothing.
+
+Each deadline is pushed when it is scheduled: the engine and the platform
+call their ``wake`` hook for every delayed report, timer and delayed action,
+and the hook pushes a tick of that component at the deadline. A tick runs
+all the component's work due by then, so a tick whose work an earlier tick
+already ran (or whose report was flushed early) finds nothing to do.
 
 Fidelity is scored the way commands are verified in the field: every
 command issued under mediation must have a raw counterpart within a short
@@ -46,6 +45,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from bisect import bisect_right
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -122,6 +122,10 @@ _Handler = Callable[[int, Any], None]
 _timestamp = attrgetter("timestamp")
 
 
+def _unhooked(when: int) -> None:
+    """The wake hook of a finished replay: it runs no more deadlines."""
+
+
 def _rule_keys(rules: Iterable[Rule]) -> set[tuple[str, str]]:
     """The keys rules trigger on, read in a condition or timer, or command."""
     keys = set()
@@ -137,9 +141,11 @@ def _rule_keys(rules: Iterable[Rule]) -> set[tuple[str, str]]:
 class _Replay:
     """The scheduler loop every pipeline runs; subclasses are the upstreams.
 
-    A subclass decides where device events go (``upstream``), which keys
-    skip it (``quiet_keys``, ``store_quiet``), adds the keys it reads to
-    ``live`` and may push entries of its own.
+    A subclass decides where device events go (``upstream``), adds the keys
+    it reads to ``live`` and may push entries of its own. The wake hooks it
+    hands the engine and the platform point back at the replay; ``run``
+    detaches them (``unhook``), so a finished replay is freed as soon as it
+    is dropped instead of waiting for the cycle collector.
     """
 
     command_delay_ms = 0     # platform -> device transport delay
@@ -155,14 +161,16 @@ class _Replay:
         self.config = config
         self.farm = DeviceFarm(registry)
         self.artifacts = RunArtifacts()
-        self.platform = SimulatedPlatform(rules, registry, tag_gated)
+        self.platform = SimulatedPlatform(
+            rules, registry, tag_gated,
+            wake=partial(self.push, handler=self.drain_platform, payload=None),
+        )
         self._trace = Trace.of(trace)
         # A key without seeded state stays live, so it still fails closed.
         self.live = _rule_keys(rules) | (set(self._trace.keys) - self.farm.states.keys())
         self.horizon = self._trace.end + GRACE_MS
         self._heap: list[tuple[int, int, _Handler, Any]] = []
         self._seq = 0
-        self._armed: set[tuple[Callable[[int], None], int]] = set()
         for ts in _daily_instants(self.platform.time_trigger_minutes(), self.horizon):
             self.push(ts, self._platform_time, None)
 
@@ -171,22 +179,14 @@ class _Replay:
         heapq.heappush(self._heap, (when, self._seq, handler, payload))
 
     def run(self) -> RunArtifacts:
-        quiet = self.quiet_keys()
-        store_quiet = self.store_quiet
         heap = self._heap
-        states = self.farm.states
         for event in self._trace.events(self.live):
-            device, attribute, value, ts = event
+            ts = event.timestamp
             if heap and heap[0][0] < ts:
                 self._run_heap(ts)
-            key = (device, attribute)
-            if key in quiet:
-                states[key] = value
-                store_quiet(key, value)
-            else:
-                self._device_event(ts, event)
-                self.arm_deadlines()
+            self._device_event(ts, event)
         self._run_heap(None)
+        self.unhook()
         self.artifacts.p_commands.sort(key=_timestamp)
         return self.artifacts
 
@@ -196,34 +196,15 @@ class _Replay:
         while heap and (before is None or heap[0][0] < before):
             now, _, handler, payload = heapq.heappop(heap)
             handler(now, payload)
-            self.arm_deadlines()
 
-    # -- deadlines ---------------------------------------------------------------
-
-    def arm_deadlines(self) -> None:
-        self._arm(self.platform.next_deadline(), self.drain_platform)
-
-    def _arm(self, due: Optional[int], action: Callable[[int], None]) -> None:
-        if due is not None and (action, due) not in self._armed:
-            self._armed.add((action, due))
-            self.push(due, self._due, action)
-
-    def _due(self, now: int, action: Callable[[int], None]) -> None:
-        self._armed.discard((action, now))
-        action(now)
+    def unhook(self) -> None:
+        """Detach the wake hooks: nothing is scheduled after the run."""
+        self.platform.wake = _unhooked
 
     # -- devices and platform ----------------------------------------------------
 
     def upstream(self, event: Event, now: int) -> None:
         """Carry one device event (trace or actuation) towards the platform."""
-        raise NotImplementedError
-
-    def quiet_keys(self) -> set[tuple[str, str]]:
-        """Seeded keys whose events ``upstream`` would only store."""
-        raise NotImplementedError
-
-    def store_quiet(self, key: tuple[str, str], value: Value) -> None:
-        """The upstream's own state write for an event on a quiet key."""
         raise NotImplementedError
 
     def lost_in_transit(self) -> bool:
@@ -241,9 +222,9 @@ class _Replay:
 
     def _platform_time(self, now: int, _: None) -> None:
         self.platform.time_tick(now)
-        self.drain_platform(now)
+        self.drain_platform(now, None)
 
-    def drain_platform(self, now: int) -> None:
+    def drain_platform(self, now: int, _: None) -> None:
         """Run the platform's due work and send the commands it issued."""
         self.platform.tick(now)
         self.send_issued()
@@ -263,12 +244,6 @@ class _RawReplay(_Replay):
         self.platform.receive(event.device, event.attribute, event.value, now)
         self.send_issued()
 
-    def quiet_keys(self) -> set[tuple[str, str]]:
-        return self.platform.db.keys() - self.platform._by_key.keys()
-
-    def store_quiet(self, key: tuple[str, str], value: Value) -> None:
-        self.platform.db[key] = value
-
 
 class _PullReplay(_Replay):
     def __init__(self, trace: Sequence[Event], rules: list[Rule], registry: Registry,
@@ -280,12 +255,6 @@ class _PullReplay(_Replay):
 
     def upstream(self, event: Event, now: int) -> None:
         pass  # nothing is pushed
-
-    def quiet_keys(self) -> set[tuple[str, str]]:
-        return set(self.platform.db)
-
-    def store_quiet(self, key: tuple[str, str], value: Value) -> None:
-        pass
 
     def _refresh(self, now: int, _: None) -> None:
         self.platform.refresh(self.farm.states)
@@ -302,7 +271,9 @@ class _MediatedReplay(_Replay):
                 attributes = devices[device].attributes if attribute == "*" else (attribute,)
                 self.live.update((device, a) for a in attributes)
         self.live.update(cmd.key() for cmd in manual_commands)
-        self.engine = PolicyEngine(corpus, config.seed)
+        self.engine = PolicyEngine(
+            corpus, config.seed, wake=partial(self.push, handler=self._engine_tick, payload=None)
+        )
         self.command_delay_ms = config.l2_ms
         self.latency = config.l1_ms + config.l2_ms
         self._drop_rng = random.Random((config.seed << 8) ^ 0x5F)
@@ -311,9 +282,9 @@ class _MediatedReplay(_Replay):
         for cmd in manual_commands:
             self.push(cmd.timestamp, self._manual, cmd)
 
-    def arm_deadlines(self) -> None:
-        super().arm_deadlines()
-        self._arm(self.engine.next_deadline(), self._engine_tick)
+    def unhook(self) -> None:
+        super().unhook()
+        self.engine.wake = _unhooked
 
     def lost_in_transit(self) -> bool:
         # Dropped on the way back, before the mediator saw the command.
@@ -323,13 +294,7 @@ class _MediatedReplay(_Replay):
     def upstream(self, event: Event, now: int) -> None:
         self._report(self.engine.process_event(event))
 
-    def quiet_keys(self) -> set[tuple[str, str]]:
-        return self.engine.store.db.keys() - self.engine._by_key.keys()
-
-    def store_quiet(self, key: tuple[str, str], value: Value) -> None:
-        self.engine.store.db[key] = value
-
-    def _engine_tick(self, now: int) -> None:
+    def _engine_tick(self, now: int, _: None) -> None:
         self._report(self.engine.tick(now))
 
     def _engine_time(self, now: int, target: int) -> None:
@@ -343,7 +308,7 @@ class _MediatedReplay(_Replay):
     def _deliver(self, now: int, e: Emission) -> None:
         self.artifacts.reported_events.append(e)
         self.platform.receive(e.device, e.attribute, e.value, now, e.kind, e.tag)
-        self.drain_platform(now)
+        self.drain_platform(now, None)
 
     def _manual(self, now: int, cmd: Command) -> None:
         self.artifacts.p_commands.append(cmd)

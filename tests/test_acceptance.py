@@ -75,7 +75,7 @@ def test_criterion_02_case_analysis(mini_registry, r1):
     corpus = compile_corpus([r1], [], mini_registry)
 
     def emissions(db, db_star, event):
-        engine = PolicyEngine(corpus, seed=3)
+        engine = PolicyEngine(corpus, seed=3, wake=lambda _: None)
         for k, v in db.items():
             engine.store.db[k] = v
         for k, v in db_star.items():

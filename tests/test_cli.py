@@ -168,7 +168,7 @@ def test_metrics_default_directory_follows_mode(demo_scenario, monkeypatch, caps
     assert cli_main(["metrics", "--scenario", path, "--mode", "pull"]) == 0
     assert "aggregate RR" in capsys.readouterr().out
     # Without --mode the scenario's own mode (mediated) names the directory.
-    assert cli_main(["metrics", "--scenario", path]) == 2
+    assert cli_main(["metrics", "--scenario", path]) == 4
 
 
 def test_unknown_scenario_mode_is_rejected(demo_scenario):
@@ -199,7 +199,8 @@ def test_diffkeep_ms_sets_the_report_delay(tmp_path, capsys, delay):
 def test_metrics_without_run_fails(demo_scenario, capsys):
     code = cli_main(["metrics", "--scenario", str(demo_scenario / "scenario.yaml"),
                      "--out", str(demo_scenario / "nowhere")])
-    assert code == 2
+    assert code == 4
+    assert "run `flowgate run` first" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode, compiles", [("raw", 0), ("mediated", 1)])
@@ -291,16 +292,40 @@ def _bad_trace(path: Path, record: str) -> int:
     return 11
 
 
-@pytest.mark.parametrize("fault", ["value", "regression", "context"])
+# A malformed user-policy file per fault, and what its error line names.
+BAD_UPS = {
+    "context": (_ups({"device": "mo1", "attribute": "motion", "op": "in-range",
+                      "value": ["a", "b"]}), "user policy 'upc'"),
+    "no-style": (yaml.safe_dump([{"id": "upx", "target": {"device": "mo1"}}]),
+                 "user policy 'upx': missing style"),
+    "target-as-text": (yaml.safe_dump([{"id": "upt", "style": "blacklist", "target": "mo1"}]),
+                       "user policy 'upt': target must be a mapping"),
+    "window-without-end": (
+        yaml.safe_dump([{"id": "upw", "style": "blacklist", "target": {"device": "mo1"},
+                         "window": {"start": "17:00"}}]),
+        "user policy 'upw': window needs start and end"),
+    "window-as-text": (
+        yaml.safe_dump([{"id": "upw", "style": "blacklist", "target": {"device": "mo1"},
+                         "window": "17:00-08:00"}]),
+        "user policy 'upw': window needs start and end"),
+    "context-not-a-list": (
+        yaml.safe_dump([{"id": "upc", "style": "conditional", "target": {"device": "am1"},
+                         "context": 5, "action": "keep"}]),
+        "user policy 'upc': context must be a list"),
+    "entry-not-a-mapping": (yaml.safe_dump(["upx"]), "user policy entry 1 must be a mapping"),
+}
+
+
+@pytest.mark.parametrize("fault", ["value", "regression", *BAD_UPS])
 def test_input_error_ends_in_one_line(demo_scenario, fault):
-    scenario = demo_scenario / ("scenario-ups.yaml" if fault == "context" else "scenario.yaml")
-    if fault == "context":
-        context = {"device": "mo1", "attribute": "motion", "op": "in-range", "value": ["a", "b"]}
-        (demo_scenario / "ups.yaml").write_text(_ups(context))
-        expected = "user policy 'upc'"
+    if fault in BAD_UPS:
+        text, expected = BAD_UPS[fault]
+        (demo_scenario / "ups.yaml").write_text(text)
+        scenario = demo_scenario / "scenario-ups.yaml"
     else:
         record = "{ts} mo1 motion sideways" if fault == "value" else "0 mo1 motion active"
         expected = f"at line {_bad_trace(demo_scenario / 'trace.log', record)}"
+        scenario = demo_scenario / "scenario.yaml"
     src = Path(cli.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "flowgate.cli", "run", "--scenario", str(scenario),

@@ -27,7 +27,7 @@ from flowgate.scenario import parse_user_policies
 def _engine(mini_registry, rules_text, seed=0, ups=()):
     rules = parse_rules(rules_text, mini_registry)
     corpus = compile_corpus(rules, list(ups), mini_registry)
-    return PolicyEngine(corpus, seed=seed)
+    return PolicyEngine(corpus, seed=seed, wake=lambda _: None)
 
 
 def _set(engine, db=None, db_star=None):
@@ -140,7 +140,7 @@ def test_up_block_overrides_ap_emit(mini_registry):
                           target_attribute="presence")
     rules = parse_rules(R1, mini_registry)
     corpus = compile_corpus(rules, [spec], mini_registry)
-    engine = PolicyEngine(corpus, seed=0)
+    engine = PolicyEngine(corpus, seed=0, wake=lambda _: None)
     _set(engine, db={("ts1", "temperature"): 90.0})
     out = engine.process_event(Event("ps1", "presence", "present", 1000))
     assert [e for e in out if e.key() == ("ps1", "presence")] == []
@@ -431,8 +431,8 @@ def test_dispatch_index_matches_full_scan(mini_registry):
     @settings(max_examples=150, deadline=None)
     @given(steps=_event_sequences(mini_registry), seed=st.integers(0, 3))
     def check(steps, seed):
-        indexed = PolicyEngine(corpus, seed=seed)
-        reference = _ScanningEngine(corpus, seed=seed)
+        indexed = PolicyEngine(corpus, seed=seed, wake=lambda _: None)
+        reference = _ScanningEngine(corpus, seed=seed, wake=lambda _: None)
         now = 0
         for (device, attribute), value, gap in steps:
             now += gap
@@ -446,7 +446,7 @@ def test_dispatch_index_matches_full_scan(mini_registry):
 
 
 def test_device_wildcard_user_policy_reaches_every_attribute(mini_registry):
-    engine = PolicyEngine(_dispatch_corpus(mini_registry), seed=0)
+    engine = PolicyEngine(_dispatch_corpus(mini_registry), seed=0, wake=lambda _: None)
     # No automation policy reads am1.humidity; the wildcard keeps it while
     # the mode is away and leaves it blocked otherwise.
     assert engine.process_event(Event("am1", "humidity", 60.0, 1000)) == []

@@ -1,4 +1,8 @@
+import gc
 import heapq
+import re
+import weakref
+from collections import Counter
 
 import pytest
 import yaml
@@ -9,7 +13,7 @@ from flowgate.cli import _latency_csv, _metrics_summary
 from flowgate.compiler import compile_corpus
 from flowgate.dsl import load_home, parse_rules
 from flowgate.engine import EngineError, PolicyEngine
-from flowgate.model import Command, Event, Trace
+from flowgate.model import Command, Event, Trace, format_value
 from flowgate.platform_sim import SimulatedPlatform
 from flowgate.scenario import Scenario, parse_user_policies
 from flowgate.simulator import (
@@ -132,7 +136,7 @@ def test_platform_native_timer_cancel_reset_and_fire(mini_registry):
     rules = parse_rules(
         "rt: when mo1.motion == inactive for 60000 then sl1.switch := on", mini_registry
     )
-    platform = SimulatedPlatform(rules, mini_registry)
+    platform = SimulatedPlatform(rules, mini_registry, wake=lambda _: None)
     platform.receive("mo1", "motion", "active", 1000)
     platform.receive("mo1", "motion", "inactive", 2000)       # starts: due at 62 000
     assert list(platform._timers) == ["rt"]
@@ -397,10 +401,10 @@ def test_out_of_order_trace_replays_in_timestamp_order(mini_registry):
 
 def test_quiet_event_on_platform_deadline_takes_full_path(mini_registry):
     # rt's native timer falls due at 80 000. mode1.mode, one of its
-    # conditions, is quiet in raw; it changes at that millisecond, before a
-    # non-quiet ps1 change. The due timer runs after every trace event of
-    # that millisecond, as in the mediated run: ps1 is then not-present, so
-    # only rq fires.
+    # conditions, triggers no rule; it changes at that millisecond, before a
+    # ps1 change that triggers rq. The due timer runs after every trace event
+    # of that millisecond, as in the mediated run: ps1 is then not-present,
+    # so only rq fires.
     rules = parse_rules(
         "rt: when mo1.motion == inactive for 60000 if ps1.presence == present and "
         "mode1.mode != away then sl1.switch := on\n"
@@ -415,10 +419,7 @@ def test_quiet_event_on_platform_deadline_takes_full_path(mini_registry):
         Event("ps1", "presence", "not-present", 80_000),
     ]
     config = SimConfig(seed=0)
-    replay = _RawReplay(trace, rules, mini_registry, config)
-    assert ("mode1", "mode") in replay.quiet_keys()
-    assert ("ps1", "presence") not in replay.quiet_keys()
-    raw = replay.run()
+    raw = _RawReplay(trace, rules, mini_registry, config).run()
     assert raw == _HeapRawReplay(trace, rules, mini_registry, config).run()
     assert [(c.timestamp, c.key(), c.value, c.origin) for c in raw.p_commands] == [
         (80_000, ("f1", "switch"), "on", "rq"),
@@ -679,3 +680,99 @@ def test_commands_pass_through_to_devices(mini_registry):
     run = run_mediated(trace, corpus, SimConfig(seed=0))
     assert [(e.key(), e.value) for e in run.actuations] == [(("f1", "switch"), "on")]
     assert run.actuations[0].timestamp == run.p_commands[0].timestamp + 250  # one-way delay
+
+
+# ---------------------------------------------------------------------------
+# replica split and replay lifetime
+# ---------------------------------------------------------------------------
+
+def _replicate(tb, k):
+    """``k`` copies of a testbed in one home; copy ``i`` suffixes every device
+    id and rule id with ``x<i>``."""
+    ids = sorted((d["id"] for d in tb.home["devices"]), key=len, reverse=True)
+    device_ref = re.compile(r"\b(" + "|".join(map(re.escape, ids)) + r")\.")
+    devices, lines = [], []
+    for i in range(1, k + 1):
+        suffix = f"x{i}"
+        devices += [dict(d, id=d["id"] + suffix) for d in tb.home["devices"]]
+        for line in tb.rules_text.splitlines():
+            rule_id, body = line.split(":", 1)
+            lines.append(rule_id + suffix + ":" + device_ref.sub(rf"\g<1>{suffix}.", body))
+    return synth.Testbed(f"{tb.name}x{k}", dict(tb.home, devices=devices), "\n".join(lines))
+
+
+def _command_multiset(commands, suffix=""):
+    return Counter((c.timestamp, c.device + suffix, c.attribute, format_value(c.value),
+                    c.origin + suffix) for c in commands)
+
+
+def _check_replica_split(k, seed, days):
+    """A home of ``k`` t4 replicas issues exactly what plain t4 issues on each
+    replica's slice of the trace: no key of one replica reaches another."""
+    plain = synth.testbed("t4")
+    registry = plain.registry()
+    rules = plain.rules(registry)
+    corpus = compile_corpus(rules, [], registry)
+    home = _replicate(plain, k)
+    home_registry = home.registry()
+    home_rules = home.rules(home_registry)
+    home_corpus = compile_corpus(home_rules, [], home_registry)
+    trace = synth.generate_trace(home_registry, seed=seed, days=days,
+                                 events_target=1500 * k * days)
+    config = SimConfig(seed=seed)
+    whole = {"raw": run_raw(trace, home_rules, home_registry, config).p_commands,
+             "mediated": run_mediated(trace, home_corpus, config).p_commands}
+    split = {"raw": Counter(), "mediated": Counter()}
+    for i in range(1, k + 1):
+        suffix = f"x{i}"
+        part = [Event(e.device[:-len(suffix)], e.attribute, e.value, e.timestamp)
+                for e in trace if e.device.endswith(suffix)]
+        split["raw"] += _command_multiset(run_raw(part, rules, registry, config).p_commands,
+                                          suffix)
+        split["mediated"] += _command_multiset(
+            run_mediated(part, corpus, config).p_commands, suffix)
+    for mode, commands in whole.items():
+        assert commands, f"the {mode} home must actuate something"
+        assert _command_multiset(commands) == split[mode], mode
+
+
+def test_replicas_issue_what_each_replica_issues_alone():
+    _check_replica_split(2, seed=5, days=1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_replicas_issue_what_each_replica_issues_alone_long(seed):
+    _check_replica_split(3, seed=seed, days=2)
+
+
+def test_finished_replay_leaves_no_reference_cycle(mini_registry):
+    # The timer, delayed-action and diffKeep deadlines go through the wake
+    # hooks of both the engine and the platform.
+    rules = parse_rules(REPLAY_RULES, mini_registry)
+    corpus = compile_corpus(rules, [], mini_registry)
+    trace = [
+        Event("ps1", "presence", "present", 0),
+        Event("ts1", "temperature", 95.0, 1000),
+        Event("mo1", "motion", "active", 1000),
+        Event("mo1", "motion", "inactive", 20_000),
+        Event("am1", "motion", "active", 30_000),
+        Event("ps1", "presence", "not-present", 200_000),
+    ]
+    config = SimConfig(seed=0, refresh_ms=60_000)
+    builds = {
+        "raw": lambda: _RawReplay(trace, rules, mini_registry, config),
+        "pull": lambda: _PullReplay(trace, rules, mini_registry, config),
+        "mediated": lambda: _MediatedReplay(trace, corpus, config, []),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for mode, build in builds.items():
+            replay = build()
+            assert replay.run().p_commands or mode == "pull"
+            freed = weakref.ref(replay)
+            del replay
+            assert freed() is None, f"the {mode} replay outlived its last reference"
+    finally:
+        gc.enable()

@@ -59,7 +59,7 @@ def test_windowed_user_policy_blocks_only_in_window(mini_registry, r1):
     corpus = compile_corpus([r1], [spec], mini_registry)
 
     def run_at(hour):
-        engine = PolicyEngine(corpus, seed=0)
+        engine = PolicyEngine(corpus, seed=0, wake=lambda _: None)
         engine.store.db[("ts1", "temperature")] = 90.0
         ts = hour * 3_600_000
         return engine.process_event(Event("ps1", "presence", "present", ts))
