@@ -8,7 +8,7 @@ import sys
 from heapq import merge
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from .compiler import CompiledCorpus, compile_corpus
 from .conflicts import scan_on_update
@@ -108,7 +108,8 @@ def _latency_csv(events: int, config: SimConfig) -> str:
     """The modelled latency L_HA = L1 + 2*L2 of each of ``events`` device events."""
     l1, l2 = config.l1_ms, config.l2_ms
     suffix = f",{l1},{l2},{l1 + 2 * l2}\n"  # the same on every row
-    return "event,l1_ms,l2_ms,l_ha_ms\n" + "".join(f"{i}{suffix}" for i in range(events))
+    rows = suffix.join(map(str, range(events))) + suffix if events else ""
+    return "event,l1_ms,l2_ms,l_ha_ms\n" + rows
 
 
 def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
@@ -136,12 +137,12 @@ def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
         total_reported += min(reported, raw)
         if horizon[1] > 0:
             initial = registry.initial_state(*key)
-            # Same-millisecond trace events land before actuations, the order
-            # the replay applied them in; merge keeps that order on ties.
-            steps: Iterable[tuple[int, Value]] = zip(times, values)
             if key in actuations:
-                steps = merge(steps, actuations[key], key=itemgetter(0))
-            true_tl = StateTimeline.from_steps(steps, initial)
+                # Same-millisecond trace events land before actuations, the order
+                # the replay applied them in; merge keeps that order on ties.
+                steps = merge(zip(times, values), actuations[key], key=itemgetter(0))
+                times, values = map(list, zip(*steps))
+            true_tl = StateTimeline(initial, times, values)
             obs_tl = StateTimeline.from_events(observed_by_key.get(key, []), initial)
             if desc.kind is AttributeKind.NUMERIC:
                 entry["ctr"] = round(ctr(true_tl, obs_tl, horizon), 4)

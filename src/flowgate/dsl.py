@@ -450,28 +450,39 @@ def format_commands(commands: Iterable[Command]) -> str:
 # YAML configuration
 # ---------------------------------------------------------------------------
 
-class _StrictBoolLoader(yaml.SafeLoader):
-    """SafeLoader minus the YAML 1.1 on/off/yes/no booleans.
+def _strict_loader(base: type) -> type:
+    """``base`` minus the YAML 1.1 on/off/yes/no booleans.
 
     Device vocabularies use bare ``on`` / ``off``; only ``true``/``false``
     stay boolean.
     """
+    StrictBoolLoader = type("StrictBoolLoader", (base,), {})
+    StrictBoolLoader.add_implicit_resolver(
+        "tag:yaml.org,2002:bool", re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF")
+    )
+    # Drop the inherited 1.1 resolvers for the affected first characters.
+    for ch in "yYnNoO":
+        StrictBoolLoader.yaml_implicit_resolvers[ch] = [
+            (tag, regexp)
+            for tag, regexp in StrictBoolLoader.yaml_implicit_resolvers.get(ch, [])
+            if tag != "tag:yaml.org,2002:bool"
+        ]
+    return StrictBoolLoader
 
 
-_StrictBoolLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:bool", re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF")
-)
-# Drop the inherited 1.1 resolvers for the affected first characters.
-for _ch in "yYnNoO":
-    _StrictBoolLoader.yaml_implicit_resolvers[_ch] = [
-        (tag, regexp)
-        for tag, regexp in _StrictBoolLoader.yaml_implicit_resolvers.get(_ch, [])
-        if tag != "tag:yaml.org,2002:bool"
-    ]
+# libyaml parses when PyYAML was built with it; the resolver edits apply to both.
+_StrictBoolLoader = _strict_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def load_yaml(source: Union[str, IO[str]]) -> object:
-    return yaml.load(source, Loader=_StrictBoolLoader)
+    """One YAML document; malformed YAML raises :class:`ModelError` naming the file and line."""
+    try:
+        return yaml.load(source, Loader=_StrictBoolLoader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{mark.name} line {mark.line + 1}" if mark else getattr(source, "name", "<string>")
+        problem = getattr(exc, "problem", None) or getattr(exc, "reason", None) or exc
+        raise ModelError(f"malformed YAML in {where}: {problem}") from None
 
 
 def load_home(source: Union[str, IO[str]]) -> Registry:
@@ -484,7 +495,10 @@ def load_home(source: Union[str, IO[str]]) -> Registry:
         attrs: dict[str, AttributeDescriptor] = {}
         initial: dict[str, object] = {}
         for a in entry.get("attributes", []):
-            kind = AttributeKind(a["kind"])
+            try:
+                kind = AttributeKind(a.get("kind"))
+            except ValueError as exc:   # a missing kind reads as None
+                raise ModelError(f"device {entry.get('id')!r} attribute {a.get('name')!r}: {exc}") from None
             amin, amax = a.get("min"), a.get("max")
             if kind is AttributeKind.NUMERIC and amin is None and amax is None:
                 if a["name"] not in DEFAULT_NUMERIC_BOUNDS:

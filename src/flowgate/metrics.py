@@ -7,8 +7,10 @@ simple duration/sequence detectors for daily activities.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import attrgetter, eq, sub
 from typing import Iterable, Optional, Sequence
 
 from .model import Event, ModelError, Registry, Value
@@ -27,7 +29,7 @@ def reduction_rate(raw_count: int, reported_count: int) -> float:
 
 @dataclass
 class StateTimeline:
-    """Step function value(t) over one attribute, last-value-holds."""
+    """Step function value(t) over one attribute, last-value-holds; tied steps last zero time."""
 
     initial: Value
     times: list[int] = field(default_factory=list)    # change instants, ascending
@@ -35,14 +37,8 @@ class StateTimeline:
 
     @classmethod
     def from_events(cls, events: Iterable[Event], initial: Value) -> "StateTimeline":
-        ordered = sorted(events, key=lambda e: e.timestamp)
-        return cls.from_steps(((e.timestamp, e.value) for e in ordered), initial)
-
-    @classmethod
-    def from_steps(cls, steps: Iterable[tuple[int, Value]], initial: Value) -> "StateTimeline":
-        """The timeline of time-ordered ``(t, value)`` steps; a millisecond's last value holds."""
-        last = dict(steps)   # keys stay in first-seen order, values take the last write
-        return cls(initial, list(last), list(last.values()))
+        ordered = sorted(events, key=attrgetter("timestamp"))
+        return cls(initial, [e.timestamp for e in ordered], [e.value for e in ordered])
 
     def add(self, t: int, value: Value) -> None:
         if self.times and t < self.times[-1]:
@@ -54,38 +50,22 @@ class StateTimeline:
         self.values.append(value)
 
     def value_at(self, t: int) -> Value:
-        i = bisect.bisect_right(self.times, t)
+        i = bisect_right(self.times, t)
         return self.initial if i == 0 else self.values[i - 1]
 
-    def events(self) -> list[tuple[int, Value]]:
-        return list(zip(self.times, self.values))
+    def segments(self, start: int, end: int) -> tuple[list[int], list[int], list[Value]]:
+        """The starts, ends and values of the steps clipped to ``[start, end)``, ``start < end``."""
+        i, j = bisect_right(self.times, start), bisect_left(self.times, end)
+        inner = self.times[i:j]
+        first = self.values[i - 1] if i else self.initial
+        return [start, *inner], [*inner, end], [first, *self.values[i:j]]
 
-
-def _pair_durations(
-    true_tl: StateTimeline, obs_tl: StateTimeline, t0: int, t1: int
-) -> dict[tuple[Value, Value], int]:
-    """Time in [t0, t1) spent in each (true value, observed value) pair.
-
-    One merge walk over the change instants of both step functions.
-    """
-    out: dict[tuple[Value, Value], int] = {}
-    ta, va, na = true_tl.times, true_tl.values, len(true_tl.times)
-    tb, vb, nb = obs_tl.times, obs_tl.values, len(obs_tl.times)
-    i, j = bisect.bisect_right(ta, t0), bisect.bisect_right(tb, t0)
-    tv = va[i - 1] if i else true_tl.initial
-    ov = vb[j - 1] if j else obs_tl.initial
-    now = t0
-    while now < t1:
-        cut = min(ta[i] if i < na else t1, tb[j] if j < nb else t1, t1)
-        out[tv, ov] = out.get((tv, ov), 0) + cut - now
-        if i < na and ta[i] == cut:
-            tv = va[i]
-            i += 1
-        if j < nb and tb[j] == cut:
-            ov = vb[j]
-            j += 1
-        now = cut
-    return out
+    def time_in(self, value: Value, start: int, end: int) -> int:
+        """Milliseconds in ``[start, end)`` during which the timeline holds ``value``."""
+        if end <= start:
+            return 0
+        starts, ends, values = self.segments(start, end)
+        return sum(compress(map(sub, ends, starts), map(eq, values, repeat(value))))
 
 
 def ctr(true_tl: StateTimeline, observed_tl: StateTimeline, horizon: tuple[int, int]) -> float:
@@ -93,8 +73,8 @@ def ctr(true_tl: StateTimeline, observed_tl: StateTimeline, horizon: tuple[int, 
     t0, t1 = horizon
     if t1 <= t0:
         raise ModelError("empty horizon")
-    spans = _pair_durations(true_tl, observed_tl, t0, t1)
-    equal = sum(ms for (tv, ov), ms in spans.items() if tv == ov)
+    starts, ends, values = observed_tl.segments(t0, t1)
+    equal = sum(map(true_tl.time_in, values, starts, ends))
     return equal / (t1 - t0)
 
 
@@ -107,14 +87,12 @@ def catr(
     """Correct active-state tracking; None when the observer never guesses active."""
     if not active_value:
         raise ModelError("catr needs an active value")
-    believed_active = both = 0
-    for (tv, ov), ms in _pair_durations(true_tl, observed_tl, *horizon).items():
-        if ov == active_value:
-            believed_active += ms
-            if tv == active_value:
-                both += ms
+    t0, t1 = horizon
+    believed_active = observed_tl.time_in(active_value, t0, t1)
     if believed_active == 0:
         return None
+    segments = zip(*observed_tl.segments(t0, t1))
+    both = sum(true_tl.time_in(v, s, e) for s, e, v in segments if v == active_value)
     return both / believed_active
 
 
@@ -262,16 +240,12 @@ def infer_activities(
     for s, e in motion_by_room.get("kitchen", []):
         if e - s > 10 * minute:
             labels.append(ActivityLabel("cooking", s, e, source))
-    for dev in home_meta.devices_labelled("microwave"):
-        for e in events:
-            if e.device == dev and e.attribute == "power" and float(e.value) > 1000.0:
-                labels.append(ActivityLabel("cooking", e.timestamp, e.timestamp + 10 * minute, source))
-    for dev in home_meta.devices_labelled("coffee"):
-        for e in events:
-            if e.device == dev and e.attribute == "power" and float(e.value) > 1000.0:
-                labels.append(
-                    ActivityLabel("preparing-coffee", e.timestamp, e.timestamp + 5 * minute, source)
-                )
+    for token, kind, span in (("microwave", "cooking", 10 * minute),
+                              ("coffee", "preparing-coffee", 5 * minute)):
+        for dev in home_meta.devices_labelled(token):
+            for e in events:
+                if e.device == dev and e.attribute == "power" and float(e.value) > 1000.0:
+                    labels.append(ActivityLabel(kind, e.timestamp, e.timestamp + span, source))
 
     labels.sort(key=lambda a: (a.start, a.kind))
     return _dedupe_overlapping(labels)

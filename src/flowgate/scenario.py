@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Any, Optional, Sequence, Union
 
 from .dsl import check_operator_kind, load_home, load_yaml, parse_rules, parse_trace
 from .model import (
@@ -171,6 +171,8 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         raise ModelError(f"scenario mode must be one of {', '.join(MODES)}, got {mode!r}")
 
     engine = data.get("engine") or {}
+    if not isinstance(engine, dict):
+        raise ModelError(f"scenario 'engine' must be a mapping of settings, got {engine!r}")
     return Scenario(
         name=str(data.get("name", path.stem)),
         registry=registry,
@@ -178,11 +180,20 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         user_specs=user_specs,
         trace=trace,
         mode=mode,
-        seed=int(engine.get("seed", 0)),
-        diffkeep_ms=int(engine.get("diffkeep_ms", 300)),
-        l1_ms=int(engine.get("l1_ms", 0)),
-        l2_ms=int(engine.get("l2_ms", 250)),
-        drop_prob=float(engine.get("drop_prob", 0.0)),
-        refresh_ms=int(engine.get("refresh_ms", 0)),
-        fidelity_floor=float(data.get("fidelity_floor", 0.0)),
+        seed=_setting(engine, "seed", int, 0),
+        diffkeep_ms=_setting(engine, "diffkeep_ms", int, 300),
+        l1_ms=_setting(engine, "l1_ms", int, 0),
+        l2_ms=_setting(engine, "l2_ms", int, 250),
+        drop_prob=_setting(engine, "drop_prob", float, 0.0),
+        refresh_ms=_setting(engine, "refresh_ms", int, 0),
+        fidelity_floor=_setting(data, "fidelity_floor", float, 0.0),
     )
+
+
+def _setting(table: dict, name: str, convert: type, default: object) -> Any:
+    """``table[name]``, else ``default``, as ``convert``; a bad value is a :class:`ModelError`."""
+    try:
+        return convert(table.get(name, default))
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is int else "a number"
+        raise ModelError(f"scenario setting {name!r} must be {kind}, got {table[name]!r}") from None

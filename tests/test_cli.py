@@ -316,6 +316,21 @@ BAD_UPS = {
 }
 
 
+def _run_ends_in_one_line(scenario: Path, out: Path) -> str:
+    """Run ``flowgate run`` in a child process, expect a one-line input error; its text."""
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowgate.cli", "run", "--scenario", str(scenario),
+         "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("flowgate: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
 @pytest.mark.parametrize("fault", ["value", "regression", *BAD_UPS])
 def test_input_error_ends_in_one_line(demo_scenario, fault):
     if fault in BAD_UPS:
@@ -326,14 +341,41 @@ def test_input_error_ends_in_one_line(demo_scenario, fault):
         record = "{ts} mo1 motion sideways" if fault == "value" else "0 mo1 motion active"
         expected = f"at line {_bad_trace(demo_scenario / 'trace.log', record)}"
         scenario = demo_scenario / "scenario.yaml"
-    src = Path(cli.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "flowgate.cli", "run", "--scenario", str(scenario),
-         "--out", str(demo_scenario / "run-bad")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-    )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("flowgate: ") and proc.stderr.count("\n") == 1
-    assert expected in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert expected in _run_ends_in_one_line(scenario, demo_scenario / "run-bad")
+
+
+def _without_kind(home: dict) -> dict:
+    del home["devices"][1]["attributes"][0]["kind"]    # mo1.motion in the t1 home
+    return home
+
+
+# A malformed configuration file per fault: (file, its new text from the old
+# document, what the error line names). Syntax errors are checked by file name
+# and line only, since the wording is the YAML backend's.
+BAD_CONFIG = {
+    "home-syntax": ("home.yaml", lambda doc: "devices:\n  - id: [unclosed\n", "home.yaml line "),
+    "scenario-syntax": ("scenario-ups.yaml", lambda doc: "name: [demo\n", "scenario-ups.yaml line "),
+    "ups-syntax": ("ups.yaml", lambda doc: "- id: up1\n style: [\n", "ups.yaml line "),
+    "home-control-character": ("home.yaml", lambda doc: "name: \x07\n", "home.yaml: "),
+    "seed-not-a-number": (
+        "scenario-ups.yaml", lambda doc: yaml.safe_dump({**doc, "engine": {"seed": "abc"}}),
+        "setting 'seed' must be an integer, got 'abc'"),
+    "drop-prob-not-a-number": (
+        "scenario-ups.yaml", lambda doc: yaml.safe_dump({**doc, "engine": {"drop_prob": [1]}}),
+        "setting 'drop_prob' must be a number"),
+    "engine-not-a-mapping": (
+        "scenario-ups.yaml", lambda doc: yaml.safe_dump({**doc, "engine": 5}),
+        "'engine' must be a mapping"),
+    "attribute-without-kind": (
+        "home.yaml", lambda doc: yaml.safe_dump(_without_kind(doc)),
+        "device 'mo1' attribute 'motion'"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_CONFIG)
+def test_config_error_ends_in_one_line(demo_scenario, fault):
+    name, rewrite, expected = BAD_CONFIG[fault]
+    path = demo_scenario / name
+    path.write_text(rewrite(yaml.safe_load(path.read_text())))
+    stderr = _run_ends_in_one_line(demo_scenario / "scenario-ups.yaml", demo_scenario / "run-bad")
+    assert expected in stderr

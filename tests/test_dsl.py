@@ -1,12 +1,16 @@
 import io
 import random
+from pathlib import Path
 from typing import Union
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+from flowgate import synth
 from flowgate.dsl import (
     ParseError,
+    _strict_loader,
     format_trace,
     load_home,
     parse_rule,
@@ -296,3 +300,26 @@ def test_home_loader_requires_bounds_for_unknown_numeric():
     }
     with pytest.raises(Exception):
         load_home(yaml.safe_dump(home))
+
+
+DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo"
+STRICT_BOOLS = """\
+words: [on, off, yes, no, On, OFF, Yes, NO, y, n]
+bools: [true, false, True, FALSE]
+"""
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_yaml_backends_load_the_same_documents():
+    c_loader, py_loader = _strict_loader(yaml.CSafeLoader), _strict_loader(yaml.SafeLoader)
+    texts = [(DEMO / name).read_text() for name in ("scenario.yaml", "home.yaml", "ups.yaml")]
+    texts += [yaml.safe_dump(synth.testbed(name).home) for name in synth.ALL_TESTBEDS]
+    texts.append(STRICT_BOOLS)
+    for text in texts:
+        assert yaml.load(text, Loader=c_loader) == yaml.load(text, Loader=py_loader)
+    for loader in (c_loader, py_loader):
+        doc = yaml.load(STRICT_BOOLS, Loader=loader)
+        assert doc["words"] == ["on", "off", "yes", "no", "On", "OFF", "Yes", "NO", "y", "n"]
+        assert doc["bools"] == [True, False, True, False]
+        assert all(type(b) is bool for b in doc["bools"])
+

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from flowgate.metrics import (
     ActivityLabel,
-    _pair_durations,
     HomeMeta,
     StateTimeline,
     attack_report,
@@ -158,15 +157,16 @@ def timeline_pairs(draw):
 @given(timeline_pairs())
 def test_pair_durations_match_bisect_reference(case):
     true_tl, obs_tl, (t0, t1), active = case
-    spans = _pair_durations(true_tl, obs_tl, t0, t1)
-    for want in (
-        lambda tv, ov: tv == ov,
-        lambda tv, ov: ov == active,
-        lambda tv, ov: ov == active and tv == active,
-    ):
-        got = sum(ms for (tv, ov), ms in spans.items() if want(tv, ov))
-        assert got == bisect_measure(true_tl, obs_tl, t0, t1, want)
-    assert sum(spans.values()) == max(0, t1 - t0)
+    values = sorted({true_tl.initial, obs_tl.initial, *true_tl.values, *obs_tl.values}, key=str)
+    for v in values:
+        assert true_tl.time_in(v, t0, t1) == bisect_measure(
+            true_tl, obs_tl, t0, t1, lambda tv, ov: tv == v
+        )
+        assert obs_tl.time_in(v, t0, t1) == bisect_measure(
+            true_tl, obs_tl, t0, t1, lambda tv, ov: ov == v
+        )
+    for tl in (true_tl, obs_tl):
+        assert sum(tl.time_in(v, t0, t1) for v in values) == max(0, t1 - t0)
     if t1 > t0:
         equal = bisect_measure(true_tl, obs_tl, t0, t1, lambda tv, ov: tv == ov)
         assert ctr(true_tl, obs_tl, (t0, t1)) == equal / (t1 - t0)
@@ -178,12 +178,45 @@ def test_pair_durations_match_bisect_reference(case):
         assert catr(true_tl, obs_tl, active, (t0, t1)) == (both / believed if believed else None)
 
 
+@st.composite
+def tied_timeline_pairs(draw):
+    """Two timelines as raw trace columns, whose steps may share a millisecond, and a horizon.
+
+    Each comes with its twin built by ``add``, which keeps a millisecond's last value only.
+    """
+    values = draw(st.sampled_from([["active", "inactive"], [0.0, 1.0, 2.5]]))
+
+    def timeline():
+        initial = draw(st.sampled_from(values))
+        steps = sorted(draw(st.lists(
+            st.tuples(st.integers(0, 12).map(lambda t: t * 1000), st.sampled_from(values)),
+            max_size=16,
+        )), key=lambda step: step[0])
+        collapsed = StateTimeline(initial)
+        for t, v in steps:
+            collapsed.add(t, v)
+        return StateTimeline(initial, [t for t, _ in steps], [v for _, v in steps]), collapsed
+
+    t0 = draw(st.integers(-2, 14)) * 1000
+    t1 = t0 + draw(st.integers(1, 16)) * 1000
+    return timeline(), timeline(), (t0, t1), values[0]
+
+
+@given(tied_timeline_pairs())
+def test_tied_steps_score_as_their_last_value(case):
+    (true_tied, true_tl), (obs_tied, obs_tl), horizon, active = case
+    for t, o in ((true_tied, obs_tied), (true_tied, obs_tl), (true_tl, obs_tied)):
+        assert ctr(t, o, horizon) == ctr(true_tl, obs_tl, horizon)
+        if isinstance(active, str):
+            assert catr(t, o, active, horizon) == catr(true_tl, obs_tl, active, horizon)
+
+
 def test_timeline_rebuild_is_fixed_point():
     rng = random.Random(9)
     tl = random_timeline(rng, 400_000, ["a", "b", "c"])
-    events = [Event("d", "x", v, t) for t, v in tl.events()]
+    events = [Event("d", "x", v, t) for t, v in zip(tl.times, tl.values)]
     again = StateTimeline.from_events(events, tl.initial)
-    assert again.events() == tl.events()
+    assert (again.times, again.values) == (tl.times, tl.values)
 
 
 # ---------------------------------------------------------------------------
