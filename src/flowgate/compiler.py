@@ -242,7 +242,7 @@ def encode_user_policy(spec: UserPolicySpec, registry: Registry) -> Policy:
     if spec.window is not None:
         checks.append(CheckBlock(fetch=time_constraint(Operator.IN_WINDOW, spec.window)))
     for c in spec.context:
-        registry.lookup(c.subject, c.attribute)
+        registry.check(c)
         checks.append(CheckBlock(fetch=c))
     return Policy(
         id=f"up:{spec.id}",
@@ -285,7 +285,6 @@ def compile_corpus(
             corpus.forwarded_rules.append(rule)
     corpus.policies = [*corpus.user_policies, *corpus.automation_policies]
     corpus.trigger_thresholds = _collect_thresholds(corpus.forwarded_rules, registry)
-    _validate_references(corpus)
     return corpus
 
 
@@ -307,12 +306,3 @@ def _collect_thresholds(rules: list[Rule], registry: Registry) -> dict[tuple[str
             cuts.add(float(trig.value))  # type: ignore[arg-type]
     return {k: tuple(sorted(v)) for k, v in out.items()}
 
-
-def _validate_references(corpus: CompiledCorpus) -> None:
-    for policy in corpus.policies:
-        for device, attribute in policy.referenced_pairs():
-            if attribute == "*":
-                if device not in corpus.registry.devices:
-                    raise CompileError(f"policy {policy.id}: unknown device {device!r}")
-            else:
-                corpus.registry.lookup(device, attribute)

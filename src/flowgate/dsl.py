@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 import re
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Callable, Iterable, Optional, TypeVar, Union
 
 import yaml
 
@@ -43,6 +43,9 @@ from .model import (
     parse_hhmm,
     time_constraint,
 )
+
+
+T = TypeVar("T")
 
 
 class ParseError(ModelError):
@@ -136,14 +139,9 @@ def _parse_subject(tok: _Tokens) -> tuple[str, str, int]:
     return subject, attribute, col
 
 
-def _parse_constraint(tok: _Tokens, registry: Optional[Registry], line: int) -> Constraint:
+def _parse_constraint(tok: _Tokens, registry: Registry, line: int) -> Constraint:
     subject, attribute, col = _parse_subject(tok)
     is_time = subject == TIME_SUBJECT
-    if not is_time and registry is not None:
-        try:
-            registry.lookup(subject, attribute)
-        except ModelError as exc:
-            raise ParseError(str(exc), line, col) from None
 
     nxt = tok.peek()
     if nxt is None:
@@ -159,88 +157,54 @@ def _parse_constraint(tok: _Tokens, registry: Optional[Registry], line: int) -> 
         lo = float(tok.next("number")[1])
         tok.next("range")
         hi = float(tok.next("number")[1])
-        if not lo < hi:
-            raise ParseError(f"empty range {lo}..{hi}", line, col)
         c = device_constraint(subject, attribute, Operator.IN_RANGE, (lo, hi))
-        check_operator_kind(c, registry, line, col)
-        return c
+        return _checked(registry.check, c, line, col)
 
     kind, text, col = tok.next("op")
     if text == ":=":
         raise ParseError("':=' is only valid in actions", line, col)
     op = _OPS[text]
-    val_tok = tok.peek()
-    if val_tok is None:
+    if tok.peek() is None:
         raise ParseError("constraint missing value", line, col)
     if is_time:
         minute = parse_hhmm(tok.next("time")[1])
         if op is not Operator.EQ:
             raise ParseError("time-of-day triggers support '==' or 'in' only", line, col)
         return time_constraint(Operator.EQ, minute)
-    if val_tok[0] == "number":
-        value: Union[str, float] = float(tok.next("number")[1])
-    else:
-        value = tok.next("word")[1]
-    c = device_constraint(subject, attribute, op, value)
-    check_operator_kind(c, registry, line, col)
-    return c
+    c = device_constraint(subject, attribute, op, _parse_value(tok))
+    return _checked(registry.check, c, line, col)
 
 
-def check_operator_kind(
-    c: Constraint, registry: Optional[Registry], line: int = 0, col: int = 0
-) -> None:
-    """Reject an operator or value the attribute's kind cannot take."""
-    if registry is None or c.is_time:
-        return
-    desc = registry.lookup(c.subject, c.attribute)
-    if c.operator in (Operator.LT, Operator.LE, Operator.GT, Operator.GE, Operator.IN_RANGE):
-        if desc.kind is not AttributeKind.NUMERIC:
-            raise ParseError(
-                f"ordering operator on {desc.kind.value} attribute {c.subject}.{c.attribute}",
-                line,
-                col,
-            )
-    elif desc.kind is AttributeKind.NUMERIC:
-        if not isinstance(c.value, float):
-            raise ParseError(
-                f"numeric attribute {c.subject}.{c.attribute} compared to {c.value!r}", line, col
-            )
-    else:
-        if c.value not in desc.values:
-            raise ParseError(
-                f"{c.value!r} is not a value of {c.subject}.{c.attribute}", line, col
-            )
+def _parse_value(tok: _Tokens) -> Value:
+    val_tok = tok.peek()
+    if val_tok is not None and val_tok[0] == "number":
+        return float(tok.next("number")[1])
+    return tok.next("word")[1]
 
 
-def _parse_action(tok: _Tokens, registry: Optional[Registry], line: int) -> RuleAction:
+def _checked(check: Callable[[T], None], item: T, line: int, col: int) -> T:
+    """``item``, once ``check`` accepts it; its error gains the position."""
+    try:
+        check(item)
+    except ModelError as exc:
+        raise ParseError(str(exc), line, col) from None
+    return item
+
+
+def _parse_action(tok: _Tokens, registry: Registry, line: int) -> RuleAction:
     device, attribute, col = _parse_subject(tok)
     tok.next("op", ":=")
-    val_tok = tok.peek()
-    if val_tok is None:
+    if tok.peek() is None:
         raise ParseError("action missing value", line, col)
-    value: Union[str, float]
-    if val_tok[0] == "number":
-        value = float(tok.next("number")[1])
-    else:
-        value = tok.next("word")[1]
+    value = _parse_value(tok)
     delay = 0
     if tok.accept_word("after"):
         delay = int(float(tok.next("number")[1]))
-    if registry is not None:
-        try:
-            desc = registry.lookup(device, attribute)
-            if not desc.writable:
-                raise ParseError(f"{device}.{attribute} is not writable", line, col)
-            desc.validate_value(value)
-        except ParseError:
-            raise
-        except ModelError as exc:
-            raise ParseError(str(exc), line, col) from None
-    return RuleAction(device, attribute, value, delay)
+    return _checked(registry.check_action, RuleAction(device, attribute, value, delay), line, col)
 
 
-def parse_rule(text: str, registry: Optional[Registry] = None, line_no: int = 1) -> Rule:
-    """Parse one DSL line into a :class:`Rule`."""
+def parse_rule(text: str, registry: Registry, line_no: int = 1) -> Rule:
+    """Parse one DSL line into a :class:`Rule` whose every atom and action ``registry`` accepts."""
     tok = _Tokens(text, line_no)
 
     rule_id = ""
@@ -282,7 +246,7 @@ def parse_rule(text: str, registry: Optional[Registry] = None, line_no: int = 1)
 
     if not rule_id:
         rule_id = f"rule{line_no}"
-    rule = Rule(
+    return Rule(
         id=rule_id,
         trigger=trigger,
         condition=tuple(condition),
@@ -290,9 +254,6 @@ def parse_rule(text: str, registry: Optional[Registry] = None, line_no: int = 1)
         actions=tuple(actions),
         uses_history=uses_history,
     )
-    if registry is not None:
-        rule.validate(registry)
-    return rule
 
 
 def print_rule(rule: Rule) -> str:
@@ -314,7 +275,7 @@ def print_rule(rule: Rule) -> str:
     return " ".join(parts)
 
 
-def parse_rules(source: Union[str, IO[str]], registry: Optional[Registry] = None) -> list[Rule]:
+def parse_rules(source: Union[str, IO[str]], registry: Registry) -> list[Rule]:
     """Parse a rule file: one rule per line, ``#`` comments and blanks skipped."""
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -336,21 +297,16 @@ def parse_rules(source: Union[str, IO[str]], registry: Optional[Registry] = None
 # Traces
 # ---------------------------------------------------------------------------
 
-def parse_trace(
-    source: Union[str, IO[str]],
-    registry: Optional[Registry] = None,
-    tolerance_ms: int = 0,
-) -> Trace:
+def parse_trace(source: Union[str, IO[str]], registry: Registry) -> Trace:
     """Parse a trace file into a timestamp-ordered :class:`Trace`.
 
-    Exact duplicate records collapse to one event. A record whose timestamp
-    regresses more than ``tolerance_ms`` behind the running maximum is an
-    error; smaller regressions are repaired by a final stable sort.
+    A record older than the one before it is an error naming its line. An
+    exact repeat of a record at the same millisecond collapses to one event.
 
     One pass: each distinct ``device attribute value`` text is looked up and
     validated once, and each record lands in its key's columns. Only a
-    record that sets no new maximum can repeat an earlier one, so only such
-    a record is compared with its key's latest events.
+    record at the latest millisecond can repeat an earlier one, so only such
+    a record is compared with its key's events at that millisecond.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -359,8 +315,7 @@ def parse_trace(
     # Validated (key's timestamps, key's values, key id, value), keyed by the
     # record's text after its timestamp.
     validated: dict[str, tuple[list[int], list[Value], int, Value]] = {}
-    max_ts = floor = -math.inf
-    regressed = False
+    last_ts = -math.inf
     for line_no, line in enumerate(source, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -378,57 +333,34 @@ def parse_trace(
             ts = int(head[0])
         except ValueError:
             raise ParseError(f"bad timestamp {head[0]!r}", line_no) from None
-        if ts < floor:
+        if ts < last_ts:
             raise ParseError(
-                f"timestamp {ts} regresses more than {tolerance_ms}ms behind {max_ts}", line_no
+                f"timestamp {ts} is older than {last_ts} on the record before it", line_no
             )
         if record is None:
             device, attribute, value_text = fields[1:4]
-            value: Value
-            if registry is None:
-                # Unchecked and not cached, so each "nan" stays its own value.
-                try:
-                    value = float(value_text)
-                except ValueError:
-                    value = value_text
-            else:
-                try:
-                    value = registry.lookup(device, attribute).validate_value(value_text)
-                except ModelError as exc:
-                    raise ParseError(str(exc), line_no) from None
+            try:
+                value = registry.lookup(device, attribute).validate_value(value_text)
+            except ModelError as exc:
+                raise ParseError(str(exc), line_no) from None
             kid = trace.key_id((device, attribute))
-            record = (trace.times[kid], trace.values[kid], kid, value)
-            if registry is not None:
-                validated[head[1]] = record
+            record = validated[head[1]] = (trace.times[kid], trace.values[kid], kid, value)
         times, values, kid, value = record
-        if ts > max_ts:
-            max_ts, floor = ts, ts - tolerance_ms
-        else:
-            regressed = regressed or ts < max_ts
-            if _repeats(times, values, ts, value, tolerance_ms):
-                continue
+        if ts == last_ts and _repeats(times, values, ts, value):
+            continue
+        last_ts = ts
         times.append(ts)
         values.append(value)
         order.append(kid)
-    # Iterating the unsorted columns yields record order; Trace.of sorts it.
-    return Trace.of(list(trace)) if regressed else trace
+    return trace
 
 
-def _repeats(
-    times: list[int], values: list[Value], ts: int, value: Value, tolerance_ms: int
-) -> bool:
-    """Whether one key's kept events already hold ``value`` at ``ts``.
-
-    An event kept at ``t`` came within ``tolerance_ms`` of the running
-    maximum, so every event kept before it is at most ``t + tolerance_ms``:
-    the walk back stops at the first event older than ``ts - tolerance_ms``.
-    """
-    since = ts - tolerance_ms
+def _repeats(times: list[int], values: list[Value], ts: int, value: Value) -> bool:
+    """Whether one key's events at ``ts``, the last in its column, already hold ``value``."""
     for j in range(len(times) - 1, -1, -1):
-        t = times[j]
-        if t < since:
+        if times[j] != ts:
             return False
-        if t == ts and (values[j] is value or values[j] == value):
+        if values[j] is value or values[j] == value:
             return True
     return False
 
@@ -488,44 +420,72 @@ def load_yaml(source: Union[str, IO[str]]) -> object:
 def load_home(source: Union[str, IO[str]]) -> Registry:
     """Load a home configuration file into a :class:`Registry`."""
     data = load_yaml(source)
-    if not isinstance(data, dict) or "devices" not in data:
+    entries = data.get("devices") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
         raise ModelError("home configuration needs a top-level 'devices' list")
     devices = []
-    for entry in data["devices"]:
+    for n, entry in enumerate(entries, start=1):
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise ModelError(f"home device {n} must be a mapping with an 'id', got {entry!r}")
+        device = str(entry["id"])
+        attributes = entry.get("attributes", [])
+        if not isinstance(attributes, list):
+            raise ModelError(f"device {device!r}: attributes must be a list, got {attributes!r}")
         attrs: dict[str, AttributeDescriptor] = {}
-        initial: dict[str, object] = {}
-        for a in entry.get("attributes", []):
+        initial: dict[str, Value] = {}
+        for a in attributes:
+            if not isinstance(a, dict) or "name" not in a:
+                raise ModelError(
+                    f"device {device!r}: attribute {a!r} must be a mapping with a 'name'"
+                )
+            name = str(a["name"])
             try:
-                kind = AttributeKind(a.get("kind"))
-            except ValueError as exc:   # a missing kind reads as None
-                raise ModelError(f"device {entry.get('id')!r} attribute {a.get('name')!r}: {exc}") from None
-            amin, amax = a.get("min"), a.get("max")
-            if kind is AttributeKind.NUMERIC and amin is None and amax is None:
-                if a["name"] not in DEFAULT_NUMERIC_BOUNDS:
-                    raise ModelError(
-                        f"numeric attribute {a['name']!r} needs explicit min/max"
-                    )
-                amin, amax = DEFAULT_NUMERIC_BOUNDS[a["name"]]
-            desc = AttributeDescriptor(
-                name=a["name"],
-                kind=kind,
-                values=tuple(str(v) for v in a.get("values", [])),
-                active_value=a.get("active"),
-                min=float(amin) if amin is not None else None,
-                max=float(amax) if amax is not None else None,
-                unit=str(a.get("unit", "")),
-                writable=bool(a.get("writable", False)),
-            )
-            attrs[desc.name] = desc
-            if "initial" in a:
-                initial[desc.name] = desc.validate_value(a["initial"])
+                if name in attrs:
+                    raise ModelError("defined twice")
+                attrs[name] = desc = _attribute(name, a)
+                if "initial" in a:
+                    initial[name] = desc.validate_value(a["initial"])
+            except ModelError as exc:
+                raise ModelError(f"device {device!r} attribute {name!r}: {exc}") from None
         devices.append(
             DeviceDescriptor(
-                id=str(entry["id"]),
+                id=device,
                 label=str(entry.get("label", "")),
                 room=str(entry.get("room", "")),
                 attributes=attrs,
-                initial=initial,  # type: ignore[arg-type]
+                initial=initial,
             )
         )
     return Registry(devices, name=str(data.get("name", "home")))
+
+
+def _attribute(name: str, a: dict) -> AttributeDescriptor:
+    """One attribute entry of a home file as its descriptor."""
+    try:
+        kind = AttributeKind(a.get("kind"))
+    except ValueError as exc:   # a missing kind reads as None
+        raise ModelError(str(exc)) from None
+    bounds = a.get("min"), a.get("max")
+    if kind is AttributeKind.NUMERIC and bounds == (None, None):
+        if name not in DEFAULT_NUMERIC_BOUNDS:
+            raise ModelError(f"numeric attribute {name!r} needs explicit min/max")
+        bounds = DEFAULT_NUMERIC_BOUNDS[name]
+    try:
+        amin, amax = (None if b is None else float(b) for b in bounds)
+    except (TypeError, ValueError):
+        raise ModelError(
+            f"min and max must be numbers, got {bounds[0]!r} and {bounds[1]!r}"
+        ) from None
+    values = a.get("values", [])
+    if not isinstance(values, list):
+        raise ModelError(f"values must be a list, got {values!r}")
+    return AttributeDescriptor(
+        name=name,
+        kind=kind,
+        values=tuple(str(v) for v in values),
+        active_value=a.get("active"),
+        min=amin,
+        max=amax,
+        unit=str(a.get("unit", "")),
+        writable=bool(a.get("writable", False)),
+    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from array import array
-from collections.abc import Container, Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, repeat
@@ -125,6 +125,40 @@ class Registry:
             raise ModelError(f"device {device!r} has no attribute {attribute!r}")
         return desc
 
+    def check(self, c: Constraint) -> None:
+        """Reject an operator or ref ``c``'s attribute cannot take; time atoms pass.
+
+        An ordering operator needs a numeric attribute; a numeric attribute
+        is compared only to numbers (both ends of an ``in-range`` pair, the
+        first below the second); a binary or enumerated one only to its own
+        values.
+        """
+        if c.is_time:
+            return
+        desc = self.lookup(c.subject, c.attribute)
+        name = f"{c.subject}.{c.attribute}"
+        if desc.kind is AttributeKind.NUMERIC:
+            refs = (c.value,)
+            if c.operator is Operator.IN_RANGE and isinstance(c.value, tuple) and len(c.value) == 2:
+                refs = c.value
+            for ref in refs:
+                if isinstance(ref, bool) or not isinstance(ref, (int, float)):
+                    raise ModelError(f"numeric attribute {name} compared to {ref!r}")
+            if len(refs) == 2 and not refs[0] < refs[1]:
+                lo, hi = map(format_value, refs)
+                raise ModelError(f"empty range {lo}..{hi} of {name}")
+        elif c.operator in ORDERING_OPS:
+            raise ModelError(f"ordering operator on {desc.kind.value} attribute {name}")
+        elif c.value not in desc.values:
+            raise ModelError(f"{c.value!r} is not a value of {name}")
+
+    def check_action(self, act: RuleAction) -> None:
+        """Reject an action whose target is read-only or cannot take its value."""
+        desc = self.lookup(act.device, act.attribute)
+        if not desc.writable:
+            raise ModelError(f"{act.device}.{act.attribute} is not writable")
+        desc.validate_value(act.value)
+
     def initial_state(self, device: str, attribute: str) -> Value:
         desc = self.lookup(device, attribute)
         dev = self.devices[device]
@@ -171,8 +205,8 @@ class Command(NamedTuple):
 _timestamp = operator.attrgetter("timestamp")
 
 
-class Trace(Sequence[Event]):
-    """A trace stored by key; read as a sequence of events in timestamp order.
+class Trace:
+    """A trace stored by key; iterated as events in timestamp order.
 
     Each key has a column of ascending timestamps and one of the values
     read at them; ``order`` holds the key id of every event in trace order
@@ -181,7 +215,6 @@ class Trace(Sequence[Event]):
     """
 
     __slots__ = ("keys", "times", "values", "order", "_ids")
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self) -> None:
         self.keys: list[tuple[str, str]] = []    # key id -> (device, attribute)
@@ -240,14 +273,6 @@ class Trace(Sequence[Event]):
 
     def __len__(self) -> int:
         return len(self.order)
-
-    def __getitem__(self, i):  # type: ignore[override]
-        if isinstance(i, slice):
-            return list(self)[i]
-        kid = self.order[i]
-        nth = self.order[: i % len(self.order)].count(kid)
-        device, attribute = self.keys[kid]
-        return Event(device, attribute, self.values[kid][nth], self.times[kid][nth])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
@@ -472,20 +497,13 @@ class Rule:
     uses_history: bool = False
 
     def validate(self, registry: Registry) -> None:
-        for c in (self.trigger, *self.condition):
-            if c.is_time:
-                continue
-            desc = registry.lookup(c.subject, c.attribute)
-            if c.operator in ORDERING_OPS and desc.kind is not AttributeKind.NUMERIC:
-                raise ModelError(
-                    f"rule {self.id}: ordering operator on non-numeric {c.subject}.{c.attribute}"
-                )
-            if c.operator in (Operator.EQ, Operator.NE) and desc.kind is not AttributeKind.NUMERIC:
-                desc.validate_value(c.value)  # type: ignore[arg-type]
-        if not self.actions:
-            raise ModelError(f"rule {self.id}: no actions")
-        for act in self.actions:
-            desc = registry.lookup(act.device, act.attribute)
-            if not desc.writable:
-                raise ModelError(f"rule {self.id}: {act.device}.{act.attribute} is not writable")
-            desc.validate_value(act.value)
+        """Check every atom and action against ``registry``; errors name the rule."""
+        try:
+            if not self.actions:
+                raise ModelError("no actions")
+            for c in (self.trigger, *self.condition):
+                registry.check(c)
+            for act in self.actions:
+                registry.check_action(act)
+        except ModelError as exc:
+            raise ModelError(f"rule {self.id}: {exc}") from None

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Optional, Sequence, Union
+from typing import IO, Any, Callable, TypeVar, Union
 
-from .dsl import check_operator_kind, load_home, load_yaml, parse_rules, parse_trace
+from .dsl import load_home, load_yaml, parse_rules, parse_trace
 from .model import (
-    AttributeKind,
     Constraint,
     DailyWindow,
     Event,
@@ -16,6 +15,7 @@ from .model import (
     Operator,
     Registry,
     Rule,
+    Trace,
     parse_hhmm,
 )
 from .policy import Method, MethodCall, UserPolicySpec
@@ -32,20 +32,25 @@ _OP_NAMES = {
 
 MODES = ("mediated", "raw", "pull")
 
+T = TypeVar("T")
+
 
 def _context_constraint(c: dict, registry: Registry) -> Constraint:
     """One user-policy context atom, checked as the rule DSL checks its atoms."""
     device, attribute, op = str(c["device"]), str(c["attribute"]), _OP_NAMES[c["op"]]
     value = c["value"]
-    if registry.lookup(device, attribute).kind is AttributeKind.NUMERIC:
-        if op is Operator.IN_RANGE:
-            lo, hi = value
-            value = (float(lo), float(hi))
-        else:
-            value = float(value)
-    constraint = Constraint("device", device, attribute, op, value)
-    check_operator_kind(constraint, registry)
+    if op is Operator.IN_RANGE and isinstance(value, list):
+        value = tuple(map(_number, value))
+    constraint = Constraint("device", device, attribute, op, _number(value))
+    registry.check(constraint)
     return constraint
+
+
+def _number(value: object) -> object:
+    """A YAML number as the float the DSL reads; any other value as it is."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    return value
 
 
 def parse_user_policies(source: Union[str, IO[str]], registry: Registry) -> list[UserPolicySpec]:
@@ -119,7 +124,7 @@ class Scenario:
     registry: Registry
     rules: list[Rule]
     user_specs: list[UserPolicySpec]
-    trace: Sequence[Event]      # a Trace when loaded from files
+    trace: Union[Trace, list[Event]]      # a Trace when loaded from files
     mode: str = "mediated"
     seed: int = 0
     diffkeep_ms: int = 300
@@ -132,40 +137,24 @@ class Scenario:
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
     path = Path(path)
-    with path.open() as fh:
-        data = load_yaml(fh)
+    data = _read("scenario", path, load_yaml)
     if not isinstance(data, dict):
         raise ModelError(f"scenario file {path} must be a mapping")
-    base = path.parent
 
-    def _read(key: str) -> Optional[Path]:
+    def _load(key: str, parse: Callable[[IO[str]], T]) -> T:
         value = data.get(key)
         if value is None:
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else base / p
+            raise ModelError(f"scenario is missing the {key!r} path")
+        if not isinstance(value, str):
+            raise ModelError(f"scenario {key!r} must be a file path, got {value!r}")
+        return _read(key, path.parent / value, parse)   # an absolute value replaces the parent
 
-    home_path = _read("home")
-    rules_path = _read("rules")
-    trace_path = _read("trace")
-    for name, p in (("home", home_path), ("rules", rules_path), ("trace", trace_path)):
-        if p is None:
-            raise ModelError(f"scenario is missing the {name!r} path")
-        if not p.exists():
-            raise ModelError(f"scenario {name} file not found: {p}")
-    with home_path.open() as fh:
-        registry = load_home(fh)
-    with rules_path.open() as fh:
-        rules = parse_rules(fh, registry)
-    ups_path = _read("user_policies")
+    registry = _load("home", load_home)
+    rules = _load("rules", lambda fh: parse_rules(fh, registry))
     user_specs = []
-    if ups_path is not None:
-        if not ups_path.exists():
-            raise ModelError(f"user policy file not found: {ups_path}")
-        with ups_path.open() as fh:
-            user_specs = parse_user_policies(fh, registry)
-    with trace_path.open() as fh:
-        trace = parse_trace(fh, registry)
+    if data.get("user_policies") is not None:
+        user_specs = _load("user_policies", lambda fh: parse_user_policies(fh, registry))
+    trace = _load("trace", lambda fh: parse_trace(fh, registry))
     mode = str(data.get("mode", "mediated"))
     if mode not in MODES:
         raise ModelError(f"scenario mode must be one of {', '.join(MODES)}, got {mode!r}")
@@ -188,6 +177,17 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         refresh_ms=_setting(engine, "refresh_ms", int, 0),
         fidelity_floor=_setting(data, "fidelity_floor", float, 0.0),
     )
+
+
+def _read(what: str, path: Path, parse: Callable[[IO[str]], T]) -> T:
+    """``parse`` over the UTF-8 text of ``path``; an unreadable file is a :class:`ModelError`."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            return parse(fh)
+    except UnicodeDecodeError:
+        raise ModelError(f"{what} file {path} is not UTF-8 text") from None
+    except OSError as exc:
+        raise ModelError(f"cannot read {what} file {path}: {exc.strerror or exc}") from None
 
 
 def _setting(table: dict, name: str, convert: type, default: object) -> Any:

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from bisect import bisect_right
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 from .compiler import CompiledCorpus
 from .engine import Emission, PolicyEngine
@@ -152,7 +152,7 @@ class _Replay:
 
     def __init__(
         self,
-        trace: Sequence[Event],
+        trace: Iterable[Event],
         rules: list[Rule],
         registry: Registry,
         config: SimConfig,
@@ -246,7 +246,7 @@ class _RawReplay(_Replay):
 
 
 class _PullReplay(_Replay):
-    def __init__(self, trace: Sequence[Event], rules: list[Rule], registry: Registry,
+    def __init__(self, trace: Iterable[Event], rules: list[Rule], registry: Registry,
                  config: SimConfig):
         super().__init__(trace, rules, registry, config)
         if config.refresh_ms:
@@ -261,7 +261,7 @@ class _PullReplay(_Replay):
 
 
 class _MediatedReplay(_Replay):
-    def __init__(self, trace: Sequence[Event], corpus: CompiledCorpus, config: SimConfig,
+    def __init__(self, trace: Iterable[Event], corpus: CompiledCorpus, config: SimConfig,
                  manual_commands: list[Command]):
         super().__init__(trace, corpus.forwarded_rules, corpus.registry, config,
                          tag_gated=corpus.tag_gated)
@@ -316,7 +316,7 @@ class _MediatedReplay(_Replay):
 
 
 def run_mediated(
-    trace: Sequence[Event],
+    trace: Iterable[Event],
     corpus: CompiledCorpus,
     config: Optional[SimConfig] = None,
     manual_commands: Optional[list[Command]] = None,
@@ -326,7 +326,7 @@ def run_mediated(
 
 
 def run_raw(
-    trace: Sequence[Event],
+    trace: Iterable[Event],
     rules: list[Rule],
     registry: Registry,
     config: Optional[SimConfig] = None,
@@ -336,7 +336,7 @@ def run_raw(
 
 
 def run_pull_baseline(
-    trace: Sequence[Event],
+    trace: Iterable[Event],
     rules: list[Rule],
     registry: Registry,
     config: Optional[SimConfig] = None,
@@ -347,7 +347,7 @@ def run_pull_baseline(
 
 def remove_redundant(
     gt_commands: list[Command],
-    raw_trace: Sequence[Event],
+    raw_trace: Iterable[Event],
     registry: Registry,
 ) -> list[Command]:
     """Drop ground-truth commands whose value equals the target's state.

@@ -331,12 +331,21 @@ def _run_ends_in_one_line(scenario: Path, out: Path) -> str:
     return proc.stderr
 
 
-@pytest.mark.parametrize("fault", ["value", "regression", *BAD_UPS])
+# Line 7 of the t1 rules file: an ordering test of a numeric attribute against a word.
+COLD_RULE = "rz: when mo1.motion == active if mu1.temperature < cold then sl1.switch := on"
+
+
+@pytest.mark.parametrize("fault", ["value", "regression", "rule-word", *BAD_UPS])
 def test_input_error_ends_in_one_line(demo_scenario, fault):
     if fault in BAD_UPS:
         text, expected = BAD_UPS[fault]
         (demo_scenario / "ups.yaml").write_text(text)
         scenario = demo_scenario / "scenario-ups.yaml"
+    elif fault == "rule-word":
+        with (demo_scenario / "rules.dsl").open("a") as fh:
+            fh.write(COLD_RULE + "\n")
+        expected = "numeric attribute mu1.temperature compared to 'cold' at line 7, column 50"
+        scenario = demo_scenario / "scenario.yaml"
     else:
         record = "{ts} mo1 motion sideways" if fault == "value" else "0 mo1 motion active"
         expected = f"at line {_bad_trace(demo_scenario / 'trace.log', record)}"
@@ -344,14 +353,22 @@ def test_input_error_ends_in_one_line(demo_scenario, fault):
     assert expected in _run_ends_in_one_line(scenario, demo_scenario / "run-bad")
 
 
-def _without_kind(home: dict) -> dict:
-    del home["devices"][1]["attributes"][0]["kind"]    # mo1.motion in the t1 home
-    return home
+def _home_edit(edit):
+    """A rewrite of the t1 home that applies ``edit`` to its device list, ``[mu1, mo1, ...]``."""
+    def rewrite(home: dict) -> str:
+        edit(home["devices"])
+        return yaml.safe_dump(home)
+    return rewrite
 
 
-# A malformed configuration file per fault: (file, its new text from the old
-# document, what the error line names). Syntax errors are checked by file name
-# and line only, since the wording is the YAML backend's.
+def _scenario_edit(**changes):
+    return lambda doc: yaml.safe_dump({**doc, **changes})
+
+
+# A malformed input file per fault: (file, its new text or bytes from the old
+# document, what the error line names). YAML files are passed in parsed, others
+# as text. Syntax errors are checked by file name and line only, since the
+# wording is the YAML backend's.
 BAD_CONFIG = {
     "home-syntax": ("home.yaml", lambda doc: "devices:\n  - id: [unclosed\n", "home.yaml line "),
     "scenario-syntax": ("scenario-ups.yaml", lambda doc: "name: [demo\n", "scenario-ups.yaml line "),
@@ -367,8 +384,47 @@ BAD_CONFIG = {
         "scenario-ups.yaml", lambda doc: yaml.safe_dump({**doc, "engine": 5}),
         "'engine' must be a mapping"),
     "attribute-without-kind": (
-        "home.yaml", lambda doc: yaml.safe_dump(_without_kind(doc)),
+        "home.yaml", _home_edit(lambda devices: devices[1]["attributes"][0].pop("kind")),
         "device 'mo1' attribute 'motion'"),
+    "attribute-not-a-mapping": (
+        "home.yaml", _home_edit(lambda devices: devices[1].update(attributes=["motion"])),
+        "device 'mo1': attribute 'motion' must be a mapping with a 'name'"),
+    "attribute-without-name": (
+        "home.yaml", _home_edit(lambda devices: devices[1]["attributes"][0].pop("name")),
+        "device 'mo1': attribute {"),
+    "devices-not-a-list": (
+        "home.yaml", lambda doc: yaml.safe_dump({**doc, "devices": 5}),
+        "home configuration needs a top-level 'devices' list"),
+    "device-without-id": (
+        "home.yaml", _home_edit(lambda devices: devices[1].pop("id")),
+        "home device 2 must be a mapping with an 'id'"),
+    "device-not-a-mapping": (
+        "home.yaml", _home_edit(lambda devices: devices.append("mo9")),
+        "must be a mapping with an 'id', got 'mo9'"),
+    "attributes-not-a-list": (
+        "home.yaml", _home_edit(lambda devices: devices[1].update(attributes=5)),
+        "device 'mo1': attributes must be a list, got 5"),
+    "values-not-a-list": (
+        "home.yaml", _home_edit(lambda devices: devices[1]["attributes"][0].update(values=5)),
+        "device 'mo1' attribute 'motion': values must be a list, got 5"),
+    "min-not-a-number": (
+        "home.yaml", _home_edit(lambda devices: devices[0]["attributes"][1].update(min="abc")),
+        "device 'mu1' attribute 'temperature': min and max must be numbers"),
+    "repeated-attribute": (
+        "home.yaml",
+        _home_edit(lambda devices: devices[1]["attributes"].append(
+            dict(devices[1]["attributes"][0]))),
+        "device 'mo1' attribute 'motion': defined twice"),
+    "home-not-a-path": ("scenario-ups.yaml", _scenario_edit(home=5),
+                        "scenario 'home' must be a file path, got 5"),
+    "home-a-list": ("scenario-ups.yaml", _scenario_edit(home=["a", "b"]),
+                    "scenario 'home' must be a file path, got ['a', 'b']"),
+    "trace-a-directory": ("scenario-ups.yaml", _scenario_edit(trace="."),
+                          "cannot read trace file "),
+    "ups-a-directory": ("scenario-ups.yaml", _scenario_edit(user_policies="."),
+                        "cannot read user_policies file "),
+    "trace-not-utf-8": ("trace.log", lambda text: b"\xff" + text.encode(),
+                        "is not UTF-8 text"),
 }
 
 
@@ -376,6 +432,8 @@ BAD_CONFIG = {
 def test_config_error_ends_in_one_line(demo_scenario, fault):
     name, rewrite, expected = BAD_CONFIG[fault]
     path = demo_scenario / name
-    path.write_text(rewrite(yaml.safe_load(path.read_text())))
+    text = path.read_text()
+    new = rewrite(yaml.safe_load(text) if name.endswith(".yaml") else text)
+    path.write_bytes(new if isinstance(new, bytes) else new.encode())
     stderr = _run_ends_in_one_line(demo_scenario / "scenario-ups.yaml", demo_scenario / "run-bad")
     assert expected in stderr

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import yaml
 
 from flowgate.compiler import (
     CompileError,
@@ -11,8 +12,17 @@ from flowgate.compiler import (
     satisfying_interval,
 )
 from flowgate.dsl import parse_rule, parse_rules
-from flowgate.model import DailyWindow, Operator, device_constraint, parse_hhmm
-from flowgate.policy import Method, MethodCall, PolicyOrigin, UserPolicySpec
+from flowgate.model import (
+    DailyWindow,
+    ModelError,
+    Operator,
+    Rule,
+    RuleAction,
+    device_constraint,
+    parse_hhmm,
+)
+from flowgate.policy import Method, MethodCall, PolicyOrigin, UserPolicySpec, keep
+from flowgate.scenario import parse_user_policies
 
 
 def test_derive_r1_matches_known_shape(mini_registry, r1):
@@ -192,3 +202,46 @@ def test_trigger_thresholds_collected(mini_registry):
     )
     corpus = compile_corpus(rules, [], mini_registry)
     assert corpus.trigger_thresholds[("ts1", "temperature")] == (86.0, 90.0)
+
+
+# Atoms no attribute can take: (device, attribute, operator, ref).
+BAD_ATOMS = {
+    "order-on-binary": ("ps1", "presence", ">", "present"),
+    "word-below": ("ts1", "temperature", "<", "cold"),
+    "word-equal": ("ts1", "temperature", "==", "cold"),
+    "word-range": ("ts1", "temperature", "in-range", ("cold", "hot")),
+    "empty-range": ("ts1", "temperature", "in-range", (90, 10)),
+    "foreign-value": ("mode1", "mode", "==", "party"),
+}
+_OPERATORS = {"<": Operator.LT, ">": Operator.GT, "==": Operator.EQ, "in-range": Operator.IN_RANGE}
+
+
+def _atom_text(device, attribute, op, ref):
+    if op == "in-range":
+        return f"{device}.{attribute} in {ref[0]}..{ref[1]}"
+    return f"{device}.{attribute} {op} {ref}"
+
+
+@pytest.mark.parametrize("entry", ["parse_rule", "parse_user_policies", "encode_user_policy",
+                                   "compile_corpus"])
+@pytest.mark.parametrize("atom", BAD_ATOMS.values(), ids=BAD_ATOMS)
+def test_every_entry_point_rejects_a_bad_atom(mini_registry, atom, entry):
+    device, attribute, op, ref = atom
+    c = device_constraint(device, attribute, _OPERATORS[op], ref)
+    with pytest.raises(ModelError):
+        if entry == "parse_rule":
+            parse_rule(f"rb: when mo1.motion == active if {_atom_text(*atom)}"
+                       " then f1.switch := on", mini_registry)
+        elif entry == "parse_user_policies":
+            context = {"device": device, "attribute": attribute, "op": op,
+                       "value": list(ref) if isinstance(ref, tuple) else ref}
+            parse_user_policies(yaml.safe_dump([{
+                "id": "upc", "style": "conditional", "target": {"device": "am1"},
+                "context": [context], "action": "keep"}]), mini_registry)
+        elif entry == "encode_user_policy":
+            encode_user_policy(UserPolicySpec("upc", "conditional", "am1", None, context=(c,),
+                                              action=keep()), mini_registry)
+        else:
+            trigger = device_constraint("mo1", "motion", Operator.EQ, "active")
+            rule = Rule("rb", trigger, condition=(c,), actions=(RuleAction("f1", "switch", "on"),))
+            compile_corpus([rule], [], mini_registry)

@@ -118,14 +118,16 @@ def test_parse_rules_rejects_duplicate_ids(mini_registry):
 
 def test_parse_trace_orders_and_dedupes(mini_registry):
     text = (
-        "3000 ts1 temperature 90\n"
         "1000 ps1 presence present\n"
-        "3000 ts1 temperature 90\n"   # exact duplicate
-        "2000 mo1 motion active\n"
+        "3000 ts1 temperature 90\n"
+        "3000 mo1 motion active\n"
+        "3000 ts1 temperature 90.0\n"   # the same record, spelled another way
+        "3000 ts1 temperature 91\n"
+        "4000 ts1 temperature 91\n"     # the same value, a millisecond later
     )
-    events = parse_trace(text, mini_registry, tolerance_ms=5000)
-    assert [e.timestamp for e in events] == [1000, 2000, 3000]
-    assert events[2].value == 90.0
+    events = list(parse_trace(text, mini_registry))
+    assert [(e.timestamp, e.value) for e in events] == [
+        (1000, "present"), (3000, 90.0), (3000, "active"), (3000, 91.0), (4000, 91.0)]
 
 
 @pytest.mark.parametrize("record", [
@@ -141,8 +143,9 @@ def test_parse_trace_bounds_error(mini_registry, record):
 
 def test_parse_trace_regression_error(mini_registry):
     text = "5000 ts1 temperature 90\n1000 ts1 temperature 80\n"
-    with pytest.raises(ParseError):
-        parse_trace(text, mini_registry, tolerance_ms=0)
+    with pytest.raises(ParseError) as err:
+        parse_trace(text, mini_registry)
+    assert err.value.line == 2
 
 
 def reference_parse_trace(source, registry=None, tolerance_ms=0):
@@ -165,9 +168,8 @@ def reference_parse_trace(source, registry=None, tolerance_ms=0):
         except ValueError:
             raise ParseError(f"bad timestamp {ts_text!r}", line_no) from None
         if max_ts is not None and ts < max_ts - tolerance_ms:
-            raise ParseError(
-                f"timestamp {ts} regresses more than {tolerance_ms}ms behind {max_ts}", line_no
-            )
+            raise ParseError(f"timestamp {ts} is older than {max_ts} on the record before it",
+                             line_no)
         max_ts = max(ts, max_ts) if max_ts is not None else ts
         value: Union[str, float]
         if registry is not None:
@@ -219,12 +221,16 @@ def trace_texts(draw):
             lines.append(draw(st.sampled_from(NOISE)))
             continue
         if kind == "repeat" and records:
-            old_ts, device, attribute, text = draw(st.sampled_from(records[-6:]))
+            # Mostly a record of the latest millisecond, which collapses;
+            # now and then an older one, which goes back in time.
+            older = draw(st.integers(0, 9)) == 0
+            pool = records[-6:] if older else [r for r in records if r[0] == ts]
+            old_ts, device, attribute, text = draw(st.sampled_from(pool))
             if draw(st.booleans()):   # the same value, spelled another way
                 text = RESPELL.get(text, text)
             record = (old_ts, device, attribute, text)
         else:
-            ts = max(0, ts + draw(st.sampled_from([0, 0, 500, 1000, 1000, 2500, -500, -1500])))
+            ts += draw(st.sampled_from([0, 0, 500, 1000, 1000, 2500]))
             device, attribute = draw(st.sampled_from(sorted(TRACE_VALUES)))
             record = (ts, device, attribute, draw(st.sampled_from(TRACE_VALUES[device, attribute])))
         records.append(record)
@@ -238,26 +244,31 @@ def trace_texts(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
-def _outcome(parse, text, registry, tolerance_ms):
+def _outcome(parse, *args):
     try:
-        return repr(list(parse(text, registry, tolerance_ms=tolerance_ms)))
+        return repr(list(parse(*args)))
     except ParseError as exc:
         return ("ParseError", exc.line, str(exc))
 
 
-@settings(max_examples=200, deadline=None)
-@given(trace_texts(), st.sampled_from([0, 1000, 2000, 5000]), st.booleans())
-def test_parse_trace_matches_reference(mini_registry, text, tolerance_ms, checked):
-    registry = mini_registry if checked else None
-    expected = _outcome(reference_parse_trace, text, registry, tolerance_ms)
-    assert _outcome(parse_trace, text, registry, tolerance_ms) == expected
-    assert _outcome(parse_trace, io.StringIO(text), registry, tolerance_ms) == expected
+def _check_parse_trace_matches_reference(registry, max_examples):
+    @settings(max_examples=max_examples, deadline=None)
+    @given(trace_texts())
+    def check(text):
+        expected = _outcome(reference_parse_trace, text, registry, 0)
+        assert _outcome(parse_trace, text, registry) == expected
+        assert _outcome(parse_trace, io.StringIO(text), registry) == expected
+
+    check()
 
 
-def test_parse_trace_unchecked_nan_records_stay_distinct():
-    # NaN never equals itself, so without a registry equal "nan" records do not collapse.
-    text = "1000 ts1 temperature nan\n1000 ts1 temperature nan\n"
-    assert len(parse_trace(text)) == len(reference_parse_trace(text)) == 2
+def test_parse_trace_matches_reference(mini_registry):
+    _check_parse_trace_matches_reference(mini_registry, 200)
+
+
+@pytest.mark.slow
+def test_parse_trace_matches_reference_long(mini_registry):
+    _check_parse_trace_matches_reference(mini_registry, 2000)
 
 
 def test_trace_round_trip_idempotent(mini_registry):

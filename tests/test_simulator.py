@@ -3,6 +3,7 @@ import heapq
 import re
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -744,6 +745,56 @@ def test_replicas_issue_what_each_replica_issues_alone():
 @pytest.mark.parametrize("seed", [7, 8, 9])
 def test_replicas_issue_what_each_replica_issues_alone_long(seed):
     _check_replica_split(3, seed=seed, days=2)
+
+
+# ---------------------------------------------------------------------------
+# renaming
+# ---------------------------------------------------------------------------
+
+def _reverse_renamed(tb):
+    """A testbed whose device ids sort in the reverse order of ``tb``'s; and the renaming."""
+    ids = sorted(d["id"] for d in tb.home["devices"])
+    new = {old: f"d{len(ids) - i:03d}" for i, old in enumerate(ids)}
+    device_ref = re.compile(r"\b(" + "|".join(map(re.escape, ids)) + r")\.")
+    devices = [dict(d, id=new[d["id"]]) for d in tb.home["devices"]]
+    rules_text = device_ref.sub(lambda m: new[m.group(1)] + ".", tb.rules_text)
+    return synth.Testbed(f"{tb.name}-renamed", dict(tb.home, devices=devices), rules_text), new
+
+
+def _check_renaming(name, seed, days):
+    """Renaming every device leaves the commands as they were, up to the renaming, and
+    the reported stream too, up to the order of one millisecond's reports."""
+    plain = synth.testbed(name)
+    renamed, new = _reverse_renamed(plain)
+    back = {v: k for k, v in new.items()}
+    registry = plain.registry()
+    trace = synth.generate_trace(registry, seed=seed, days=days, events_target=1500 * days)
+    config = SimConfig(seed=seed)
+    runs = []
+    renamed_trace = [e._replace(device=new[e.device]) for e in trace]
+    for tb, events in ((plain, trace), (renamed, renamed_trace)):
+        home = tb.registry()
+        rules = tb.rules(home)
+        runs.append((run_raw(events, rules, home, config),
+                     run_mediated(events, compile_corpus(rules, [], home), config)))
+    (raw, mediated), (renamed_raw, renamed_mediated) = runs
+    for run, renamed_run in ((raw, renamed_raw), (mediated, renamed_mediated)):
+        assert run.p_commands
+        assert [c._replace(device=back[c.device]) for c in renamed_run.p_commands] == run.p_commands
+    assert Counter(replace(e, device=back[e.device]) for e in renamed_mediated.reported_events) \
+        == Counter(mediated.reported_events)
+
+
+@pytest.mark.parametrize("name", ["t1", "t3"])
+def test_renamed_devices_issue_the_same_commands(name):
+    _check_renaming(name, seed=1, days=1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", synth.ALL_TESTBEDS)
+def test_renamed_devices_issue_the_same_commands_long(name, seed):
+    _check_renaming(name, seed=seed, days=2)
 
 
 def test_finished_replay_leaves_no_reference_cycle(mini_registry):
