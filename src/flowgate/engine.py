@@ -45,19 +45,25 @@ class EngineError(ModelError):
 
 @dataclass
 class StateStore:
-    """DB (true current states) and DB* (last values reported upstream)."""
+    """DB (true current states) and DB* (last values reported upstream).
+
+    ``read`` gives the current state of a key kept out of DB, or None; a
+    replay reads such keys off its trace. By default nothing is read.
+    """
 
     db: dict[tuple[str, str], Value] = field(default_factory=dict)
     db_star: dict[tuple[str, str], Value] = field(default_factory=dict)
+    read: Callable[[tuple[str, str]], Optional[Value]] = {}.get
 
     @classmethod
     def seeded(cls, initial: dict[tuple[str, str], Value]) -> "StateStore":
         return cls(dict(initial), dict(initial))
 
     def current(self, key: tuple[str, str]) -> Value:
-        if key not in self.db:
+        value = self.db[key] if key in self.db else self.read(key)
+        if value is None:
             raise EngineError(f"no state seeded for {key[0]}.{key[1]}")
-        return self.db[key]
+        return value
 
     def last_reported(self, key: tuple[str, str]) -> Value:
         if key not in self.db_star:
@@ -278,6 +284,7 @@ class PolicyEngine:
                 self._by_key.setdefault((m.subject, attr), []).append(policy)
                 if policy.origin is PolicyOrigin.USER:
                     self._user_by_key.setdefault((m.subject, attr), []).append(policy)
+        self.trigger_keys = self._by_key.keys()   # the keys some policy triggers on
         self._forwarded_by_key: dict[tuple[str, str], list[Rule]] = {}
         for rule in corpus.forwarded_rules:
             if rule.trigger.is_time or rule.id in corpus.tag_gated:

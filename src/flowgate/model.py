@@ -19,7 +19,7 @@ from array import array
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from typing import Callable, NamedTuple, Optional, Union
 
 MS_PER_MINUTE = 60_000
@@ -210,8 +210,9 @@ class Trace:
 
     Each key has a column of ascending timestamps and one of the values
     read at them; ``order`` holds the key id of every event in trace order
-    (ties in record order). Events are built only when read, and
-    ``events(keys)`` builds only those on ``keys``.
+    (ties in record order), and an event's place is its index there. Events
+    are built only when read, and ``placed(keys)`` builds only those on
+    ``keys``.
     """
 
     __slots__ = ("keys", "times", "values", "order", "_ids")
@@ -256,20 +257,22 @@ class Trace:
         """The last event's timestamp; 0 for an empty trace."""
         return max((times[-1] for times in self.times if times), default=0)
 
-    def events(self, keys: Optional[Container[tuple[str, str]]] = None) -> Iterator[Event]:
-        """The events in trace order, only those on ``keys`` if given."""
-        order: Iterable[int] = self.order
-        if keys is not None:
-            wanted = [key in keys for key in self.keys]
-            order = compress(order, map(wanted.__getitem__, order))
+    def _events(self, order: Iterable[int]) -> Iterator[Event]:
+        """The events of ``order``, an ordered selection of ``self.order``."""
         streams = [
             map(Event, repeat(device), repeat(attribute), values, times)
             for (device, attribute), times, values in zip(self.keys, self.times, self.values)
         ]
         return map(next, map(streams.__getitem__, order))
 
+    def placed(self, keys: Container[tuple[str, str]]) -> Iterator[tuple[int, Event]]:
+        """The events on ``keys`` in trace order, each with its place in the trace."""
+        wanted = [key in keys for key in self.keys]
+        mask = list(map(wanted.__getitem__, self.order))
+        return zip(compress(count(), mask), self._events(compress(self.order, mask)))
+
     def __iter__(self) -> Iterator[Event]:
-        return self.events()
+        return self._events(self.order)
 
     def __len__(self) -> int:
         return len(self.order)

@@ -46,6 +46,9 @@ class SimulatedPlatform:
         self.wake = wake
         self.tag_gated = set(tag_gated or ())
         self.db: dict[tuple[str, str], Value] = registry.initial_states()
+        # The state of a condition key kept out of ``db``, or None; the raw
+        # replay reads such keys off its trace. By default nothing is read.
+        self.read: Callable[[tuple[str, str]], Optional[Value]] = {}.get
         self.issued: list[Command] = []
         self._seq = 0
         # Delayed actions and native rule timers share one deadline heap.
@@ -137,6 +140,8 @@ class SimulatedPlatform:
     def _conditions_pass(self, rule: Rule, ts: int) -> bool:
         for c in rule.condition:
             value = minute_of_day(ts) if c.is_time else self.db.get(c.key())
+            if value is None:
+                value = self.read(c.key())
             if value is None or not c.satisfied_by(value):
                 return False
         return True

@@ -32,6 +32,15 @@ _OP_NAMES = {
 
 MODES = ("mediated", "raw", "pull")
 
+# The keys each configuration table may hold; a misspelt key is an error, not
+# a setting silently left at its default.
+_SCENARIO_KEYS = ("name", "home", "rules", "user_policies", "trace", "mode", "engine",
+                  "fidelity_floor")
+_ENGINE_KEYS = ("seed", "diffkeep_ms", "l1_ms", "l2_ms", "drop_prob", "refresh_ms")
+_POLICY_KEYS = ("id", "style", "target", "window", "context", "action")
+_TARGET_KEYS = ("device", "attribute")
+_WINDOW_KEYS = ("start", "end")
+
 T = TypeVar("T")
 
 
@@ -44,6 +53,13 @@ def _context_constraint(c: dict, registry: Registry) -> Constraint:
     constraint = Constraint("device", device, attribute, op, _number(value))
     registry.check(constraint)
     return constraint
+
+
+def _check_keys(table: dict, known: tuple[str, ...], where: str) -> None:
+    """Reject the first key of ``table`` that is not ``known``, naming ``where`` it is."""
+    for key in table:
+        if key not in known:
+            raise ModelError(f"unknown key {key!r} in {where}; expected one of {', '.join(known)}")
 
 
 def _number(value: object) -> object:
@@ -65,16 +81,20 @@ def parse_user_policies(source: Union[str, IO[str]], registry: Registry) -> list
         if not isinstance(entry, dict):
             raise ModelError(f"user policy entry {i + 1} must be a mapping, got {entry!r}")
         policy_id = str(entry.get("id", f"up{i + 1}"))
+        _check_keys(entry, _POLICY_KEYS, f"user policy {policy_id!r}")
         if "style" not in entry:
             raise ModelError(f"user policy {policy_id!r}: missing style")
         target = entry.get("target") or {}
         if not isinstance(target, dict):
             raise ModelError(f"user policy {policy_id!r}: target must be a mapping")
+        _check_keys(target, _TARGET_KEYS, f"the target of user policy {policy_id!r}")
         device = target.get("device", "")
         attribute = target.get("attribute")
         window = None
         if entry.get("window"):
             w = entry["window"]
+            if isinstance(w, dict):
+                _check_keys(w, _WINDOW_KEYS, f"the window of user policy {policy_id!r}")
             try:
                 window = DailyWindow(parse_hhmm(str(w["start"])), parse_hhmm(str(w["end"])))
             except (ModelError, KeyError, TypeError):
@@ -140,6 +160,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     data = _read("scenario", path, load_yaml)
     if not isinstance(data, dict):
         raise ModelError(f"scenario file {path} must be a mapping")
+    _check_keys(data, _SCENARIO_KEYS, f"scenario file {path}")
 
     def _load(key: str, parse: Callable[[IO[str]], T]) -> T:
         value = data.get(key)
@@ -162,6 +183,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     engine = data.get("engine") or {}
     if not isinstance(engine, dict):
         raise ModelError(f"scenario 'engine' must be a mapping of settings, got {engine!r}")
+    _check_keys(engine, _ENGINE_KEYS, f"the 'engine' settings of scenario file {path}")
     return Scenario(
         name=str(data.get("name", path.stem)),
         registry=registry,

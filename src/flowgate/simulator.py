@@ -12,13 +12,13 @@ events go upstream:
 
 The loop keeps two rules:
 
-* Only live keys are replayed. A key is live when a rule triggers on it,
-  reads it in a condition or a held-duration timer, or commands it, when a
-  policy reads it (mediated), when a manual command targets it, or when it
-  has no seeded state (so an unknown key still fails closed). Events on
-  any other key change nothing the replay reports; they are counted from
-  the trace, never streamed.
-* The live events, in timestamp order, are streamed past a heap of
+* Only keys that a rule (raw, pull) or an indexed policy (mediated)
+  triggers on, that rules or manual commands command, or that have no
+  seeded state (so an unknown key still fails closed) are streamed. Any
+  other key is read off the trace when asked: at a streamed event, as of
+  the events before it in trace order; in heap work, as of every event at
+  or before its time. A read key's events are never streamed.
+* The streamed events, in timestamp order, run past a heap of
   everything else (deadlines, daily instants, deliveries, actuations, manual
   commands). Every trace event of a millisecond is taken before any heap
   entry due at that millisecond, so a device event lands before any timer,
@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Optional
 
 from .compiler import CompiledCorpus
@@ -127,25 +127,63 @@ def _unhooked(when: int) -> None:
 
 
 def _rule_keys(rules: Iterable[Rule]) -> set[tuple[str, str]]:
-    """The keys rules trigger on, read in a condition or timer, or command."""
-    keys = set()
-    for rule in rules:
-        timer = rule.condition_timer
-        for c in (rule.trigger, *rule.condition, *(() if timer is None else (timer.watched,))):
-            if not c.is_time:
-                keys.add(c.key())
-        keys.update((a.device, a.attribute) for a in rule.actions)
+    """The keys rules trigger on or command."""
+    keys = {rule.trigger.key() for rule in rules if not rule.trigger.is_time}
+    keys.update((a.device, a.attribute) for rule in rules for a in rule.actions)
     return keys
+
+
+class _TraceReads:
+    """The states of keys read off the trace instead of streamed, at the
+    replay's moment: a streamed event at ``time`` and ``place`` sees the
+    events before it in trace order, heap work at ``time`` (``place`` None)
+    every event at or before it. Takes the keys' seeded states out of
+    ``states``."""
+
+    def __init__(self, trace: Trace, keys: set[tuple[str, str]],
+                 states: dict[tuple[str, str], Value]):
+        self.trace = trace
+        self.time = 0
+        self.place: Optional[int] = None
+        self.columns = {key: (trace.key_id(key), *trace.column(key), states.pop(key))
+                        for key in keys}
+
+    def serve(self, store: Any) -> None:
+        """Keep the read keys out of ``store.db`` and answer ``store.read`` for them."""
+        for key in self.columns:
+            del store.db[key]
+        store.read = self.get
+
+    def get(self, key: tuple[str, str]) -> Optional[Value]:
+        """``key``'s state at the moment; None for a key not read off the trace."""
+        column = self.columns.get(key)
+        if column is None:
+            return None
+        kid, times, values, initial = column
+        time, place = self.time, self.place
+        if place is None:
+            i = bisect_right(times, time)
+        else:
+            i = bisect_left(times, time)
+            if i < len(times) and times[i] == time:
+                # The key has events at this millisecond: count those before the place.
+                start = sum(bisect_left(other, time) for other in self.trace.times)
+                i += self.trace.order[start:place].count(kid)
+        return values[i - 1] if i else initial
+
+    def snapshot(self) -> dict[tuple[str, str], Value]:
+        return {key: self.get(key) for key in self.columns}  # type: ignore[misc]
 
 
 class _Replay:
     """The scheduler loop every pipeline runs; subclasses are the upstreams.
 
     A subclass decides where device events go (``upstream``), adds the keys
-    it reads to ``live`` and may push entries of its own. The wake hooks it
-    hands the engine and the platform point back at the replay; ``run``
-    detaches them (``unhook``), so a finished replay is freed as soon as it
-    is dropped instead of waiting for the cycle collector.
+    it streams to ``streamed``, points its state reads at the trace
+    (``read_from``) and may push entries of its own. The wake hooks it hands
+    the engine and the platform point back at the replay; ``run`` detaches
+    them (``unhook``), so a finished replay is freed as soon as it is
+    dropped instead of waiting for the cycle collector.
     """
 
     command_delay_ms = 0     # platform -> device transport delay
@@ -166,8 +204,8 @@ class _Replay:
             wake=partial(self.push, handler=self.drain_platform, payload=None),
         )
         self._trace = Trace.of(trace)
-        # A key without seeded state stays live, so it still fails closed.
-        self.live = _rule_keys(rules) | (set(self._trace.keys) - self.farm.states.keys())
+        # A key without seeded state is streamed, so it still fails closed.
+        self.streamed = _rule_keys(rules) | (set(self._trace.keys) - self.farm.states.keys())
         self.horizon = self._trace.end + GRACE_MS
         self._heap: list[tuple[int, int, _Handler, Any]] = []
         self._seq = 0
@@ -178,12 +216,19 @@ class _Replay:
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, handler, payload))
 
+    def trace_read_keys(self) -> set[tuple[str, str]]:
+        """The keys whose states are read off the trace: every key not streamed."""
+        return set(self._trace.keys) - self.streamed
+
     def run(self) -> RunArtifacts:
         heap = self._heap
-        for event in self._trace.events(self.live):
+        reads = self.reads = _TraceReads(self._trace, self.trace_read_keys(), self.farm.states)
+        self.read_from(reads)
+        for place, event in self._trace.placed(self.streamed):
             ts = event.timestamp
             if heap and heap[0][0] < ts:
                 self._run_heap(ts)
+            reads.time, reads.place = ts, place
             self._device_event(ts, event)
         self._run_heap(None)
         self.unhook()
@@ -192,10 +237,15 @@ class _Replay:
 
     def _run_heap(self, before: Optional[int]) -> None:
         """Run the heap entries due before ``before`` (all of them if ``None``)."""
-        heap = self._heap
+        heap, reads = self._heap, self.reads
+        reads.place = None
         while heap and (before is None or heap[0][0] < before):
             now, _, handler, payload = heapq.heappop(heap)
+            reads.time = now
             handler(now, payload)
+
+    def read_from(self, reads: _TraceReads) -> None:
+        """Point the upstream's state reads at ``reads`` for its keys."""
 
     def unhook(self) -> None:
         """Detach the wake hooks: nothing is scheduled after the run."""
@@ -240,6 +290,9 @@ class _Replay:
 
 
 class _RawReplay(_Replay):
+    def read_from(self, reads: _TraceReads) -> None:
+        reads.serve(self.platform)
+
     def upstream(self, event: Event, now: int) -> None:
         self.platform.receive(event.device, event.attribute, event.value, now)
         self.send_issued()
@@ -257,7 +310,7 @@ class _PullReplay(_Replay):
         pass  # nothing is pushed
 
     def _refresh(self, now: int, _: None) -> None:
-        self.platform.refresh(self.farm.states)
+        self.platform.refresh({**self.farm.states, **self.reads.snapshot()})
 
 
 class _MediatedReplay(_Replay):
@@ -265,15 +318,11 @@ class _MediatedReplay(_Replay):
                  manual_commands: list[Command]):
         super().__init__(trace, corpus.forwarded_rules, corpus.registry, config,
                          tag_gated=corpus.tag_gated)
-        devices = corpus.registry.devices
-        for policy in corpus.policies:
-            for device, attribute in policy.referenced_pairs():
-                attributes = devices[device].attributes if attribute == "*" else (attribute,)
-                self.live.update((device, a) for a in attributes)
-        self.live.update(cmd.key() for cmd in manual_commands)
         self.engine = PolicyEngine(
             corpus, config.seed, wake=partial(self.push, handler=self._engine_tick, payload=None)
         )
+        self.streamed.update(self.engine.trigger_keys)
+        self.streamed.update(cmd.key() for cmd in manual_commands)
         self.command_delay_ms = config.l2_ms
         self.latency = config.l1_ms + config.l2_ms
         self._drop_rng = random.Random((config.seed << 8) ^ 0x5F)
@@ -285,6 +334,9 @@ class _MediatedReplay(_Replay):
     def unhook(self) -> None:
         super().unhook()
         self.engine.wake = _unhooked
+
+    def read_from(self, reads: _TraceReads) -> None:
+        reads.serve(self.engine.store)
 
     def lost_in_transit(self) -> bool:
         # Dropped on the way back, before the mediator saw the command.

@@ -313,6 +313,14 @@ BAD_UPS = {
                          "context": 5, "action": "keep"}]),
         "user policy 'upc': context must be a list"),
     "entry-not-a-mapping": (yaml.safe_dump(["upx"]), "user policy entry 1 must be a mapping"),
+    "target-unknown-key": (
+        yaml.safe_dump([{"id": "upt", "style": "blacklist",
+                         "target": {"device": "mo1", "atribute": "motion"}}]),
+        "unknown key 'atribute' in the target of user policy 'upt'"),
+    "window-unknown-key": (
+        yaml.safe_dump([{"id": "upw", "style": "blacklist", "target": {"device": "mo1"},
+                         "window": {"start": "17:00", "end": "08:00", "zone": "utc"}}]),
+        "unknown key 'zone' in the window of user policy 'upw'"),
 }
 
 
@@ -425,6 +433,19 @@ BAD_CONFIG = {
                         "cannot read user_policies file "),
     "trace-not-utf-8": ("trace.log", lambda text: b"\xff" + text.encode(),
                         "is not UTF-8 text"),
+    # A misspelt key would otherwise drop what it holds: every user policy,
+    # a blacklist's window, an engine setting.
+    "scenario-unknown-key": (
+        "scenario-ups.yaml",
+        lambda doc: yaml.safe_dump({**doc, "user_policy": doc.pop("user_policies")}),
+        "unknown key 'user_policy' in scenario file "),
+    "policy-unknown-key": (
+        "ups.yaml",
+        lambda doc: yaml.safe_dump([{**e, "windw": e.pop("window")} for e in doc]),
+        "unknown key 'windw' in user policy 'up1'"),
+    "engine-unknown-key": (
+        "scenario-ups.yaml", lambda doc: yaml.safe_dump({**doc, "engine": {"sed": 1}}),
+        "unknown key 'sed' in the 'engine' settings of scenario file "),
 }
 
 

@@ -14,7 +14,7 @@ from flowgate.cli import _latency_csv, _metrics_summary
 from flowgate.compiler import compile_corpus
 from flowgate.dsl import load_home, parse_rules
 from flowgate.engine import EngineError, PolicyEngine
-from flowgate.model import Command, Event, Trace, format_value
+from flowgate.model import Command, Event, format_value
 from flowgate.platform_sim import SimulatedPlatform
 from flowgate.scenario import Scenario, parse_user_policies
 from flowgate.simulator import (
@@ -218,13 +218,18 @@ def test_each_deadline_ticks_once(monkeypatch):
 
 class _HeapTrace:
     """Reference loop: every trace event goes onto the heap, pushed before
-    any other entry, and the heap alone orders the run."""
+    any other entry, and the heap alone orders the run. No event is streamed
+    past the heap and no key is read off the trace: every component reads
+    the states that the events it was handed left."""
 
     def __init__(self, trace, *args):
         super().__init__(trace, *args)
         for seq, event in enumerate(trace, start=-len(trace)):
             heapq.heappush(self._heap, (event.timestamp, seq, self._device_event, event))
-        self._trace = Trace()
+        self.streamed = set()
+
+    def trace_read_keys(self):
+        return set()
 
 
 class _HeapRawReplay(_HeapTrace, _RawReplay):
@@ -237,6 +242,76 @@ class _HeapPullReplay(_HeapTrace, _PullReplay):
 
 class _HeapMediatedReplay(_HeapTrace, _MediatedReplay):
     pass
+
+
+# rs reads ps1.presence in a condition (a CHECK fetch when mediated) when
+# mo1.motion triggers it; rc reads it at 00:02, through the pull replay's
+# refreshes too.
+SAME_MS_RULES = (
+    "rs: when mo1.motion == active if ps1.presence == present then sl1.switch := on\n"
+    "rc: when time.clock == 00:02 if ps1.presence == present then f1.switch := on"
+)
+
+
+@pytest.mark.parametrize("condition_first", [True, False])
+def test_condition_event_at_trigger_millisecond(mini_registry, condition_first):
+    # ps1 turns present at the millisecond mo1 triggers rs, before or after
+    # it in record order; a pull refresh falls due at that millisecond too.
+    # The trigger sees the condition event only if it came first; heap work
+    # at that millisecond sees it either way.
+    rules = parse_rules(SAME_MS_RULES, mini_registry)
+    corpus = compile_corpus(rules, [], mini_registry)
+    at = 60_000
+    condition, trigger = Event("ps1", "presence", "present", at), Event("mo1", "motion", "active", at)
+    trace = [condition, trigger] if condition_first else [trigger, condition]
+    config = SimConfig(seed=0, refresh_ms=at)
+    raw = _RawReplay(trace, rules, mini_registry, config).run()
+    assert raw == _HeapRawReplay(trace, rules, mini_registry, config).run()
+    med = _MediatedReplay(trace, corpus, config, []).run()
+    assert med == _HeapMediatedReplay(trace, corpus, config, []).run()
+    pull = _PullReplay(trace, rules, mini_registry, config).run()
+    assert pull == _HeapPullReplay(trace, rules, mini_registry, config).run()
+
+    clock = [(120_000, ("f1", "switch"), "on", "rc")]
+    expected = [(at, ("sl1", "switch"), "on", "rs")] * condition_first + clock
+    assert [(c.timestamp, c.key(), c.value, c.origin) for c in raw.p_commands] == expected
+    assert [(c.key(), c.value, c.origin) for c in med.p_commands] == [e[1:] for e in expected]
+    assert [(c.timestamp, c.key(), c.value, c.origin) for c in pull.p_commands] == clock
+
+
+def test_events_nothing_triggers_on_or_commands_reach_no_upstream(monkeypatch):
+    # t1's condition sensors are read off the trace when a rule or policy
+    # asks; their events are never replayed through the engine or platform.
+    seen = {"engine": set(), "platform": set()}
+    process_event, receive = PolicyEngine.process_event, SimulatedPlatform.receive
+
+    def spy_process_event(self, event):
+        seen["engine"].add(event.key())
+        return process_event(self, event)
+
+    def spy_receive(self, device, attribute, value, ts, kind="report", tag=""):
+        if kind != "sync":   # mediated check reports and repairs are not trace events
+            seen["platform"].add((device, attribute))
+        return receive(self, device, attribute, value, ts, kind, tag)
+
+    monkeypatch.setattr(PolicyEngine, "process_event", spy_process_event)
+    monkeypatch.setattr(SimulatedPlatform, "receive", spy_receive)
+    tb = synth.testbed("t1")
+    registry = tb.registry()
+    rules = tb.rules(registry)
+    trace = synth.generate_trace(registry, seed=11, days=1, events_target=2000)
+    corpus = compile_corpus(rules, [], registry)
+    run_mediated(trace, corpus, SimConfig(seed=11))
+    run_raw(trace, rules, registry, SimConfig(seed=11))
+
+    active = {r.trigger.key() for r in rules if not r.trigger.is_time}
+    active.update((a.device, a.attribute) for r in rules for a in r.actions)
+    active.update(p.trigger_block.match.key() for p in corpus.policies
+                  if not p.trigger_block.match.is_time)
+    quiet = {e.key() for e in trace} - active
+    assert quiet and seen["engine"] and seen["platform"]
+    assert not seen["engine"] & quiet
+    assert not seen["platform"] & quiet
 
 
 # A held-duration timer (engine and platform deadlines), diffKeep-delayed
