@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from heapq import merge
 from operator import itemgetter
 from pathlib import Path
@@ -28,31 +29,30 @@ from .simulator import (
 )
 
 
-def _sim_config(scenario: Scenario, args: argparse.Namespace) -> SimConfig:
-    return SimConfig(
-        seed=args.seed if args.seed is not None else scenario.seed,
-        l1_ms=scenario.l1_ms,
-        l2_ms=args.l2_ms if args.l2_ms is not None else scenario.l2_ms,
-        drop_prob=args.drop_prob if args.drop_prob is not None else scenario.drop_prob,
-        refresh_ms=scenario.refresh_ms,
-    )
+def _load(args: argparse.Namespace) -> Scenario:
+    """The ``--scenario`` file, with each flag given set over the setting of its name."""
+    scenario = load_scenario(args.scenario)
+    for settings in (scenario, scenario.config):
+        for f in fields(settings):
+            if getattr(args, f.name, None) is not None:
+                setattr(settings, f.name, getattr(args, f.name))
+    return scenario
 
 
-def _compile(scenario: Scenario, args: argparse.Namespace) -> CompiledCorpus:
-    diffkeep_ms = args.diffkeep_ms if args.diffkeep_ms is not None else scenario.diffkeep_ms
+def _compile(scenario: Scenario) -> CompiledCorpus:
     return compile_corpus(
-        scenario.rules, scenario.user_specs, scenario.registry, diffkeep_ms=diffkeep_ms
+        scenario.rules, scenario.user_specs, scenario.registry, diffkeep_ms=scenario.diffkeep_ms
     )
 
 
 def _out_dir(scenario: Scenario, args: argparse.Namespace) -> Path:
-    """``--out``, else ``runs/<scenario name>-<mode>`` with ``--mode`` over the scenario's."""
-    return Path(args.out or f"runs/{scenario.name}-{args.mode or scenario.mode}")
+    """``--out``, else ``runs/<scenario name>-<mode>``."""
+    return Path(args.out or f"runs/{scenario.name}-{scenario.mode}")
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    corpus = _compile(scenario, args)
+    scenario = _load(args)
+    corpus = _compile(scenario)
     dump = "\n\n".join(dump_policy(p) for p in corpus.policies)
     if args.out:
         out = Path(args.out)
@@ -69,8 +69,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_conflicts(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    corpus = _compile(scenario, args)
+    scenario = _load(args)
+    corpus = _compile(scenario)
     rows = []
     for up in corpus.user_policies:
         for report in scan_on_update(up, corpus.policies, scenario.registry):
@@ -105,11 +105,9 @@ def _emission_log(artifacts: RunArtifacts) -> str:
 
 
 def _latency_csv(events: int, config: SimConfig) -> str:
-    """The modelled latency L_HA = L1 + 2*L2 of each of ``events`` device events."""
+    """The latency model, L_HA = L1 + 2*L2, that each of ``events`` device events follows."""
     l1, l2 = config.l1_ms, config.l2_ms
-    suffix = f",{l1},{l2},{l1 + 2 * l2}\n"  # the same on every row
-    rows = suffix.join(map(str, range(events))) + suffix if events else ""
-    return "event,l1_ms,l2_ms,l_ha_ms\n" + rows
+    return f"events,l1_ms,l2_ms,l_ha_ms\n{events},{l1},{l2},{l1 + 2 * l2}\n"
 
 
 def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
@@ -158,10 +156,8 @@ def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.mode:
-        scenario.mode = args.mode
-    config = _sim_config(scenario, args)
+    scenario = _load(args)
+    config = scenario.config
     out = _out_dir(scenario, args)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -175,7 +171,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"({len(gt_pruned)} after redundancy pruning)")
         return 0
 
-    corpus = _compile(scenario, args)
+    corpus = _compile(scenario)
     if scenario.mode == "pull":
         run = run_pull_baseline(scenario.trace, scenario.rules, scenario.registry, config)
     else:
@@ -214,7 +210,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     print(f"{scenario.mode} run: R_S={report.r_s:.4f} R_C={report.r_c:.4f} "
           f"({len(run.p_commands)} commands, {len(run.reported_events)} reports)")
-    floor = args.floor if args.floor is not None else scenario.fidelity_floor
+    floor = scenario.fidelity_floor
     if report.r_s < floor or report.r_c < floor:
         print(f"fidelity below floor {floor}", file=sys.stderr)
         return 1
@@ -222,7 +218,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    path = _out_dir(load_scenario(args.scenario), args) / "metrics.json"
+    path = _out_dir(_load(args), args) / "metrics.json"
     if not path.exists():
         print(f"no metrics at {path}; run `flowgate run` first", file=sys.stderr)
         return 4
@@ -247,7 +243,8 @@ _FLAGS: dict[str, dict] = {
     "--mode": {"choices": MODES},
     "--drop-prob": {"type": float},
     "--out": {"help": "artifact directory"},
-    "--floor": {"type": float, "help": "exit nonzero when R_S or R_C falls below this"},
+    "--floor": {"type": float, "dest": "fidelity_floor",
+                "help": "exit nonzero when R_S or R_C falls below this"},
 }
 
 

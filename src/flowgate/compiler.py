@@ -225,10 +225,7 @@ def strip_timer(rule: Rule) -> Rule:
 
 def encode_user_policy(spec: UserPolicySpec, registry: Registry) -> Policy:
     """Encode a whitelist/blacklist/conditional user policy."""
-    if spec.target_attribute is not None:
-        registry.lookup(spec.target_device, spec.target_attribute)
-    elif spec.target_device not in registry.devices:
-        raise CompileError(f"unknown device {spec.target_device!r}")
+    spec.check_target(registry)
     attr = spec.target_attribute if spec.target_attribute is not None else "*"
     match = Constraint("device", spec.target_device, attr, Operator.ANY, None)
     if spec.style == "whitelist":
@@ -298,11 +295,6 @@ def _collect_thresholds(rules: list[Rule], registry: Registry) -> dict[tuple[str
         desc = registry.lookup(trig.subject, trig.attribute)
         if desc.kind is not AttributeKind.NUMERIC:
             continue
-        cuts = out.setdefault(trig.key(), set())
-        if trig.operator is Operator.IN_RANGE:
-            lo, hi = trig.value  # type: ignore[misc]
-            cuts.update((float(lo), float(hi)))
-        elif trig.operator is not Operator.ANY:
-            cuts.add(float(trig.value))  # type: ignore[arg-type]
+        out.setdefault(trig.key(), set()).update(trig.cut_points())
     return {k: tuple(sorted(v)) for k, v in out.items()}
 

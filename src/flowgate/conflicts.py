@@ -185,13 +185,8 @@ def _star_candidates(blocks1: _Blocks, blocks2: _Blocks, obj: tuple[str, str],
         return list(desc.values)
     cuts = {float(desc.min), float(desc.max)}  # type: ignore[arg-type]
     for branch, _, _ in (*blocks1, *blocks2):
-        if branch is None:
-            continue
-        if branch.operator is Operator.IN_RANGE:
-            lo, hi = branch.value  # type: ignore[misc]
-            cuts.update((float(lo), float(hi)))
-        elif branch.operator is not Operator.ANY:
-            cuts.add(float(branch.value))  # type: ignore[arg-type]
+        if branch is not None:
+            cuts.update(branch.cut_points())
     ordered = sorted(cuts)
     candidates = list(ordered)
     candidates.extend((a + b) / 2 for a, b in zip(ordered, ordered[1:]))

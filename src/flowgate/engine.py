@@ -23,7 +23,7 @@ import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .compiler import CompiledCorpus
 from .model import (
@@ -362,7 +362,12 @@ class PolicyEngine:
             if policy.origin is PolicyOrigin.AUTOMATION:
                 sanctioned.add(policy.source_id)
         out = self._emit_sync_decisions(decisions, target_ts)
-        out.extend(self._time_rule_repairs(target_ts, minute, sanctioned))
+        out.extend(self._repairs(
+            (rule for rule in self._time_rules
+             if int(rule.trigger.value) == minute  # type: ignore[arg-type]
+             and rule.id not in sanctioned),
+            target_ts,
+        ))
         return out
 
     # -- timers -----------------------------------------------------------------
@@ -614,19 +619,21 @@ class PolicyEngine:
             if kind == KIND_SYNC:
                 platform_prev = value
                 continue
-            for rule in self._forwarded_by_key.get(key, ()):
-                if rule.id in sanctioned or rule.uses_history:
-                    continue
-                if not rule.trigger.fires(value, platform_prev):
-                    continue
-                failing = self._first_repairable_condition(rule)
-                if failing is None:
-                    continue
-                if not self._platform_conditions_pass(rule, now):
-                    continue
-                repairs.append(self._repair_emission(failing, now))
+            repairs.extend(self._repairs(
+                (rule for rule in self._forwarded_by_key.get(key, ())
+                 if rule.id not in sanctioned and not rule.uses_history
+                 and rule.trigger.fires(value, platform_prev)),
+                now,
+            ))
             platform_prev = value
         return repairs
+
+    def _repairs(self, rules: Iterable[Rule], now: int) -> Iterator[Emission]:
+        """One repair per rule of ``rules`` that true state stops but the platform's copy would fire."""
+        for rule in rules:
+            failing = self._first_repairable_condition(rule)
+            if failing is not None and self._platform_conditions_pass(rule, now):
+                yield self._repair_emission(failing, now)
 
     def _first_repairable_condition(self, rule: Rule) -> Optional[Constraint]:
         for c in rule.condition:
@@ -668,21 +675,6 @@ class PolicyEngine:
             if not c.satisfied_by(v) and self._same_cell(c.key(), v, current):
                 return v
         return current
-
-    def _time_rule_repairs(self, target_ts: int, minute: int, sanctioned: set[str]) -> list[Emission]:
-        out: list[Emission] = []
-        for rule in self._time_rules:
-            if int(rule.trigger.value) != minute:  # type: ignore[arg-type]
-                continue
-            if rule.id in sanctioned:
-                continue
-            failing = self._first_repairable_condition(rule)
-            if failing is None:
-                continue
-            if not self._platform_conditions_pass(rule, target_ts):
-                continue
-            out.append(self._repair_emission(failing, target_ts))
-        return out
 
     # -- low level ------------------------------------------------------------------------
 

@@ -438,6 +438,13 @@ class Constraint:
     def is_time(self) -> bool:
         return self.type == "time"
 
+    def cut_points(self) -> tuple[float, ...]:
+        """Numbers where a numeric atom's truth can flip: both ends of a range, none for ``any``."""
+        if self.operator is Operator.IN_RANGE:
+            lo, hi = self.value  # type: ignore[misc]
+            return (float(lo), float(hi))
+        return () if self.operator is Operator.ANY else (float(self.value),)  # type: ignore[arg-type]
+
     def __str__(self) -> str:
         if self.operator is Operator.ANY:
             return f"{self.subject}.{self.attribute} any"

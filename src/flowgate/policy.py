@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .model import Constraint, DailyWindow, ModelError, Operator, format_value
+from .model import Constraint, DailyWindow, ModelError, Operator, Registry, format_value
 
 
 class Method(Enum):
@@ -113,13 +113,6 @@ class Policy:
     def priority(self) -> str:
         return "user" if self.origin is PolicyOrigin.USER else "automation"
 
-    def referenced_pairs(self) -> set[tuple[str, str]]:
-        pairs = set()
-        for c in (self.trigger_block.match, *(cb.fetch for cb in self.check_blocks)):
-            if not c.is_time:
-                pairs.add(c.key())
-        return pairs
-
 
 @dataclass(frozen=True)
 class UserPolicySpec:
@@ -132,6 +125,13 @@ class UserPolicySpec:
     window: Optional[DailyWindow] = None
     context: tuple[Constraint, ...] = ()
     action: Optional[MethodCall] = None     # conditional style only
+
+    def check_target(self, registry: Registry) -> None:
+        """Raise a :class:`ModelError` unless ``registry`` has the target device and attribute."""
+        if self.target_attribute is not None:
+            registry.lookup(self.target_device, self.target_attribute)
+        elif self.target_device not in registry.devices:
+            raise ModelError(f"unknown device {self.target_device!r}")
 
     def __post_init__(self) -> None:
         if self.style not in ("whitelist", "blacklist", "conditional"):

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import IO, Any, Callable, TypeVar, Union
+from typing import IO, Callable, TypeVar, Union
 
+from .compiler import DIFFKEEP_DELAY_DEFAULT_MS
 from .dsl import load_home, load_yaml, parse_rules, parse_trace
 from .model import (
     Constraint,
@@ -19,6 +20,7 @@ from .model import (
     parse_hhmm,
 )
 from .policy import Method, MethodCall, UserPolicySpec
+from .simulator import SimConfig
 
 _OP_NAMES = {
     "==": Operator.EQ,
@@ -36,7 +38,7 @@ MODES = ("mediated", "raw", "pull")
 # a setting silently left at its default.
 _SCENARIO_KEYS = ("name", "home", "rules", "user_policies", "trace", "mode", "engine",
                   "fidelity_floor")
-_ENGINE_KEYS = ("seed", "diffkeep_ms", "l1_ms", "l2_ms", "drop_prob", "refresh_ms")
+_ENGINE_KEYS = (*(f.name for f in fields(SimConfig)), "diffkeep_ms")
 _POLICY_KEYS = ("id", "style", "target", "window", "context", "action")
 _TARGET_KEYS = ("device", "attribute")
 _WINDOW_KEYS = ("start", "end")
@@ -128,10 +130,7 @@ def parse_user_policies(source: Union[str, IO[str]], registry: Registry) -> list
             context=tuple(context),
             action=action,
         )
-        if spec.target_attribute is not None:
-            registry.lookup(spec.target_device, spec.target_attribute)
-        elif spec.target_device not in registry.devices:
-            raise ModelError(f"unknown device {spec.target_device!r}")
+        spec.check_target(registry)
         specs.append(spec)
     return specs
 
@@ -146,12 +145,8 @@ class Scenario:
     user_specs: list[UserPolicySpec]
     trace: Union[Trace, list[Event]]      # a Trace when loaded from files
     mode: str = "mediated"
-    seed: int = 0
-    diffkeep_ms: int = 300
-    l1_ms: int = 0
-    l2_ms: int = 250
-    drop_prob: float = 0.0
-    refresh_ms: int = 0
+    config: SimConfig = field(default_factory=SimConfig)
+    diffkeep_ms: int = DIFFKEEP_DELAY_DEFAULT_MS
     fidelity_floor: float = 0.0
 
 
@@ -176,7 +171,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     if data.get("user_policies") is not None:
         user_specs = _load("user_policies", lambda fh: parse_user_policies(fh, registry))
     trace = _load("trace", lambda fh: parse_trace(fh, registry))
-    mode = str(data.get("mode", "mediated"))
+    mode = _setting(data, "mode", Scenario.mode)
     if mode not in MODES:
         raise ModelError(f"scenario mode must be one of {', '.join(MODES)}, got {mode!r}")
 
@@ -191,13 +186,9 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         user_specs=user_specs,
         trace=trace,
         mode=mode,
-        seed=_setting(engine, "seed", int, 0),
-        diffkeep_ms=_setting(engine, "diffkeep_ms", int, 300),
-        l1_ms=_setting(engine, "l1_ms", int, 0),
-        l2_ms=_setting(engine, "l2_ms", int, 250),
-        drop_prob=_setting(engine, "drop_prob", float, 0.0),
-        refresh_ms=_setting(engine, "refresh_ms", int, 0),
-        fidelity_floor=_setting(data, "fidelity_floor", float, 0.0),
+        config=SimConfig(**{f.name: _setting(engine, f.name, f.default) for f in fields(SimConfig)}),
+        diffkeep_ms=_setting(engine, "diffkeep_ms", DIFFKEEP_DELAY_DEFAULT_MS),
+        fidelity_floor=_setting(data, "fidelity_floor", Scenario.fidelity_floor),
     )
 
 
@@ -212,8 +203,9 @@ def _read(what: str, path: Path, parse: Callable[[IO[str]], T]) -> T:
         raise ModelError(f"cannot read {what} file {path}: {exc.strerror or exc}") from None
 
 
-def _setting(table: dict, name: str, convert: type, default: object) -> Any:
-    """``table[name]``, else ``default``, as ``convert``; a bad value is a :class:`ModelError`."""
+def _setting(table: dict, name: str, default: T) -> T:
+    """``table[name]`` as the type of ``default``, else ``default``; a bad value is a :class:`ModelError`."""
+    convert = type(default)
     try:
         return convert(table.get(name, default))
     except (TypeError, ValueError):

@@ -73,6 +73,9 @@ GRACE_MS = 2 * 3600 * 1000
 
 @dataclass
 class SimConfig:
+    """The replay settings, declared once: a scenario's ``engine:`` table and
+    the ``flowgate run`` flags set them by these names."""
+
     seed: int = 0
     l1_ms: int = 0                  # fixed virtual computation latency
     l2_ms: int = 250                # one-way transmission latency to the platform

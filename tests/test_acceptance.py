@@ -280,10 +280,11 @@ def test_criterion_08_latency_accounting():
     registry = synth.testbed("t1").registry()
     trace = synth.generate_trace(registry, seed=8, days=1, events_target=1500)
     csv = _latency_csv(len(trace), SimConfig(seed=8, l1_ms=12, l2_ms=250))
-    rows = [tuple(map(int, row.split(","))) for row in csv.splitlines()[1:]]
-    exact = all(l_ha == l1 + 2 * l2 == 512 for _, l1, l2, l_ha in rows)
-    ok = exact and [row[0] for row in rows] == list(range(len(trace)))
-    _verdict(8, ok, f"{len(rows)} events, L_HA = L1 + 2*L2 exactly: {exact}")
+    header, row = csv.splitlines()
+    events, l1, l2, l_ha = map(int, row.split(","))
+    exact = l_ha == l1 + 2 * l2 == 512
+    ok = header == "events,l1_ms,l2_ms,l_ha_ms" and exact and events == len(trace)
+    _verdict(8, ok, f"{events} events, L_HA = L1 + 2*L2 exactly: {exact}")
 
 
 def test_criterion_09_activity_inference_degradation():

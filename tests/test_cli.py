@@ -13,8 +13,8 @@ from flowgate.cli import _metrics_summary, main as cli_main
 from flowgate.dsl import format_trace
 from flowgate.engine import Emission
 from flowgate.model import Event, ModelError
-from flowgate.scenario import Scenario, load_scenario, parse_user_policies
-from flowgate.simulator import RunArtifacts
+from flowgate.scenario import _ENGINE_KEYS, Scenario, load_scenario, parse_user_policies
+from flowgate.simulator import RunArtifacts, VerifyReport
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo"
 
@@ -119,10 +119,10 @@ def test_run_counts_every_trace_event(demo_scenario, capsys, mode):
     metrics = json.loads((out / "metrics.json").read_text())
     raw_counts = {k: v["raw"] for k, v in metrics["per_attribute"].items() if v["raw"]}
     assert raw_counts == trace_counts
-    # One modelled latency row per pushed event; pull pushes none.
-    rows = (out / "latency.csv").read_text().splitlines()
-    assert rows[0] == "event,l1_ms,l2_ms,l_ha_ms"
-    assert len(rows) - 1 == (len(trace) if mode == "mediated" else 0)
+    # One latency-model row that counts the pushed events; pull pushes none.
+    header, row = (out / "latency.csv").read_text().splitlines()
+    assert header == "events,l1_ms,l2_ms,l_ha_ms"
+    assert int(row.split(",")[0]) == (len(trace) if mode == "mediated" else 0)
 
 
 def test_truth_applies_actuation_after_same_millisecond_trace_event(mini_registry):
@@ -217,6 +217,85 @@ def test_run_compiles_only_when_policies_are_used(demo_scenario, monkeypatch, mo
                      "--out", str(demo_scenario / mode)])
     assert code == 0
     assert len(calls) == compiles
+
+
+# Each setting a run takes: (its flag, where the scenario sets it, its default,
+# a scenario value, a flag value). ``out`` has no scenario key.
+_SETTINGS = {
+    "seed": ("--seed", "engine", 0, 5, 9),
+    "diffkeep_ms": ("--diffkeep-ms", "engine", 300, 100, 700),
+    "l1_ms": (None, "engine", 0, 7, None),
+    "l2_ms": ("--l2-ms", "engine", 250, 100, 400),
+    "drop_prob": ("--drop-prob", "engine", 0.0, 0.25, 0.5),
+    "refresh_ms": (None, "engine", 0, 60_000, None),
+    "fidelity_floor": ("--floor", "top", 0.0, 1.5, 1.25),
+    "mode": ("--mode", "top", "mediated", "pull", "raw"),
+    "out": ("--out", None, "runs/demo-mediated", None, "elsewhere"),
+}
+
+
+def _received(name, seen, err):
+    """The value of setting ``name`` that the run acted on."""
+    if name == "diffkeep_ms":
+        return seen["diffkeep_ms"]
+    if name == "mode":
+        return seen["replays"][-1]
+    if name == "fidelity_floor":
+        return float(err.rsplit("below floor ", 1)[1])
+    if name == "out":
+        return next(str(p.parent) for p in Path().glob("**/gt_commands.log"))
+    values = {getattr(config, name) for config in seen["configs"]}
+    assert len(values) == 1  # every replay of a run gets the same settings
+    return values.pop()
+
+
+@pytest.mark.parametrize("name, given", [
+    (name, given)
+    for name, (flag, where, *_) in _SETTINGS.items()
+    for given in ("neither", "scenario", "flag", "both")
+    if (where or given in ("neither", "flag")) and (flag or given in ("neither", "scenario"))
+])
+def test_settings_reach_the_run(demo_scenario, monkeypatch, capsys, name, given):
+    assert {key for key, setting in _SETTINGS.items() if setting[1] == "engine"} == set(_ENGINE_KEYS)
+    flag, where, default, in_scenario, on_flag = _SETTINGS[name]
+    data = yaml.safe_load((demo_scenario / "scenario.yaml").read_text())
+    del data["mode"], data["engine"]
+    expected = default
+    if given in ("scenario", "both"):
+        (data.setdefault("engine", {}) if where == "engine" else data)[name] = in_scenario
+        expected = in_scenario
+    argv = ["run", "--scenario", str(demo_scenario / "settings.yaml")]
+    if given in ("flag", "both"):
+        argv += [flag, str(on_flag)]
+        expected = on_flag
+    (demo_scenario / "settings.yaml").write_text(yaml.safe_dump(data))
+
+    seen: dict = {"configs": [], "replays": []}
+
+    def replay(mode):
+        def record(trace, *args):
+            seen["configs"].append(args[-1])
+            seen["replays"].append(mode)
+            return RunArtifacts()
+        return record
+
+    compile_corpus = cli.compile_corpus
+
+    def compiling(*args, diffkeep_ms):
+        seen["diffkeep_ms"] = diffkeep_ms
+        return compile_corpus(*args, diffkeep_ms=diffkeep_ms)
+
+    monkeypatch.setattr(cli, "run_raw", replay("raw"))
+    monkeypatch.setattr(cli, "run_mediated", replay("mediated"))
+    monkeypatch.setattr(cli, "run_pull_baseline", replay("pull"))
+    monkeypatch.setattr(cli, "compile_corpus", compiling)
+    # Every run then falls below any floor, so each names the floor it applied.
+    monkeypatch.setattr(cli, "verify", lambda *a, **k: VerifyReport(-1.0, -1.0))
+    monkeypatch.chdir(demo_scenario)
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == (0 if name == "mode" and expected == "raw" else 1)
+    assert _received(name, seen, err) == expected
 
 
 # Every flag but --scenario, with a value argparse accepts.

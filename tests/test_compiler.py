@@ -188,8 +188,9 @@ def test_compiled_policies_reference_registry_pairs(mini_registry):
     )
     corpus = compile_corpus(rules, [], mini_registry)
     for policy in corpus.policies:
-        for device, attribute in policy.referenced_pairs():
-            assert mini_registry.lookup(device, attribute) is not None
+        for c in (policy.trigger_block.match, *(cb.fetch for cb in policy.check_blocks)):
+            if not c.is_time:
+                assert mini_registry.lookup(*c.key()) is not None
 
 
 def test_trigger_thresholds_collected(mini_registry):

@@ -704,13 +704,8 @@ def test_pull_refresh_sees_states_not_events(mini_registry):
 # ---------------------------------------------------------------------------
 
 def test_latency_accounting_exact():
-    rows = _latency_csv(3, SimConfig(seed=0, l1_ms=7, l2_ms=250)).splitlines()
-    assert rows[0] == "event,l1_ms,l2_ms,l_ha_ms"
-    assert len(rows) == 3 + 1
-    for i, row in enumerate(rows[1:]):
-        event, l1, l2, l_ha = map(int, row.split(","))
-        assert (event, l1, l2) == (i, 7, 250)
-        assert l_ha == l1 + 2 * l2
+    csv = _latency_csv(3, SimConfig(seed=0, l1_ms=7, l2_ms=250))
+    assert csv == "events,l1_ms,l2_ms,l_ha_ms\n3,7,250,507\n"
 
 
 def test_command_drop_probability_breaks_completeness(mini_registry):

@@ -77,7 +77,8 @@ def test_emissions_only_touch_policy_referenced_attributes():
     corpus = compile_corpus(rules, [], registry)
     referenced = set()
     for p in corpus.policies:
-        referenced |= p.referenced_pairs()
+        atoms = (p.trigger_block.match, *(cb.fetch for cb in p.check_blocks))
+        referenced |= {c.key() for c in atoms if not c.is_time}
     trace = synth.generate_trace(registry, seed=21, days=2, events_target=3000)
     run = run_mediated(trace, corpus, SimConfig(seed=21))
     for e in run.reported_events:
