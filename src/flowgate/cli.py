@@ -17,7 +17,7 @@ from .dsl import format_commands
 from .metrics import StateTimeline, catr, ctr, reduction_rate
 from .model import AttributeKind, Event, ModelError, Trace, Value, format_value
 from .policy import dump_policy
-from .scenario import MODES, Scenario, load_scenario
+from .scenario import MODES, Scenario, load_scenario, scenario_table
 from .simulator import (
     RunArtifacts,
     SimConfig,
@@ -45,9 +45,9 @@ def _compile(scenario: Scenario) -> CompiledCorpus:
     )
 
 
-def _out_dir(scenario: Scenario, args: argparse.Namespace) -> Path:
+def _out_dir(name: str, mode: str, args: argparse.Namespace) -> Path:
     """``--out``, else ``runs/<scenario name>-<mode>``."""
-    return Path(args.out or f"runs/{scenario.name}-{scenario.mode}")
+    return Path(args.out or f"runs/{name}-{mode}")
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -158,7 +158,7 @@ def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args)
     config = scenario.config
-    out = _out_dir(scenario, args)
+    out = _out_dir(scenario.name, scenario.mode, args)
     out.mkdir(parents=True, exist_ok=True)
 
     raw = run_raw(scenario.trace, scenario.rules, scenario.registry, config)
@@ -218,7 +218,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    path = _out_dir(_load(args), args) / "metrics.json"
+    # The table names the run directory; the home, rules and trace stay unread.
+    _, name, mode = scenario_table(Path(args.scenario))
+    path = _out_dir(name, args.mode or mode, args) / "metrics.json"
     if not path.exists():
         print(f"no metrics at {path}; run `flowgate run` first", file=sys.stderr)
         return 4

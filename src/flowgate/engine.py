@@ -22,8 +22,8 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .compiler import CompiledCorpus
 from .model import (
@@ -84,9 +84,8 @@ KIND_SYNC = "sync"
 KIND_EXPIRY = "expiry"
 
 
-@dataclass(frozen=True)
-class Emission:
-    """One message sent upstream to the platform."""
+class Emission(NamedTuple):
+    """One message sent upstream to the platform; equal to the plain tuple of its fields."""
 
     device: str
     attribute: str
@@ -103,8 +102,7 @@ class Emission:
         return Event(self.device, self.attribute, self.value, self.timestamp)
 
 
-@dataclass(frozen=True)
-class ReportDecision:
+class ReportDecision(NamedTuple):
     """Disposition for one attribute produced by one policy evaluation."""
 
     device: str
@@ -249,6 +247,10 @@ def evaluate_policy(
     return decisions
 
 
+# A dispatch-table entry: (policy, trigger test or None, is a timer policy).
+_Entry = tuple[Policy, Optional[Callable[[Value], bool]], bool]
+
+
 class PolicyEngine:
     """Executes a compiled corpus over an incoming event stream.
 
@@ -266,11 +268,15 @@ class PolicyEngine:
         # Pending delayed emissions and timer deadlines share one heap.
         self._pending: list[tuple[int, int, str, object]] = []
         self._pending_reports: Counter[tuple[str, str]] = Counter()  # delayed emissions per key
-        # Dispatch index: each (device, attribute) key -> the policies whose
-        # trigger can match an event on it, in corpus order (timer pushes and
-        # decision order follow it). A device wildcard covers every attribute
-        # of the device; time triggers match clock instants, not events.
-        self._by_key: dict[tuple[str, str], list[Policy]] = {}
+        # Dispatch table: each (device, attribute) key -> one entry per policy
+        # whose trigger can match an event on it, in corpus order (timer pushes
+        # and decision order follow it). An entry holds the policy, its
+        # trigger test and whether it is a timer policy; the test is None for
+        # an ``any`` trigger, which every event on the key fires (a timer
+        # policy starts or stops on an edge only, so it keeps its test). A
+        # device wildcard covers every attribute of the device; time triggers
+        # match clock instants, not events.
+        self._dispatch: dict[tuple[str, str], list[_Entry]] = {}
         self._user_by_key: dict[tuple[str, str], list[Policy]] = {}
         self._clock_policies: list[Policy] = []
         for policy in corpus.policies:
@@ -279,12 +285,14 @@ class PolicyEngine:
                 if m.operator is Operator.EQ:
                     self._clock_policies.append(policy)
                 continue
+            is_timer = bool(policy.timer_start or policy.timer_stop)
+            test = None if m.operator is Operator.ANY and not is_timer else m.satisfied_by
             wildcard = m.attribute == "*"
             for attr in corpus.registry.devices[m.subject].attributes if wildcard else (m.attribute,):
-                self._by_key.setdefault((m.subject, attr), []).append(policy)
+                self._dispatch.setdefault((m.subject, attr), []).append((policy, test, is_timer))
                 if policy.origin is PolicyOrigin.USER:
                     self._user_by_key.setdefault((m.subject, attr), []).append(policy)
-        self.trigger_keys = self._by_key.keys()   # the keys some policy triggers on
+        self.trigger_keys = self._dispatch.keys()   # the keys some policy triggers on
         self._forwarded_by_key: dict[tuple[str, str], list[Rule]] = {}
         for rule in corpus.forwarded_rules:
             if rule.trigger.is_time or rule.id in corpus.tag_gated:
@@ -307,19 +315,22 @@ class PolicyEngine:
     # -- event processing ------------------------------------------------------
 
     def process_event(self, event: Event) -> list[Emission]:
-        """Update DB, evaluate the policies indexed on the key, merge, emit."""
+        """Update DB, run the policies on the key whose trigger fired, merge, emit."""
         key = event.key()
-        if key not in self.store.db:
+        db = self.store.db
+        if key not in db:
             raise EngineError(f"no state seeded for {key[0]}.{key[1]}")
-        out = self._flush_key_pendings(key, event.timestamp)
-        prev = self.store.db[key]
-        self.store.db[key] = event.value
+        out = self._flush_key_pendings(key, event.timestamp) if self._pending_reports.get(key) else []
+        prev = db[key]
+        value = db[key] = event.value
 
         decisions: list[ReportDecision] = []
         sanctioned: set[str] = set()
-        for policy in self._by_key.get(key, ()):
-            if policy.timer_start or policy.timer_stop:
-                self._apply_timer_policy(policy, event, prev)
+        for policy, test, is_timer in self._dispatch.get(key, ()):
+            if test is not None and (not test(value) or test(prev)):
+                continue  # not an edge: the raw stream would not have fired either
+            if is_timer:
+                self._apply_timer_policy(policy, event)
                 continue
             ds = evaluate_policy(event, policy, self.store, event.timestamp, prev)
             if ds:
@@ -327,7 +338,11 @@ class PolicyEngine:
                 if policy.origin is PolicyOrigin.AUTOMATION:
                     sanctioned.add(policy.source_id)
 
-        out.extend(self._merge_and_emit(event, prev, decisions, sanctioned))
+        # Each user policy on the key ran the checks _up_suppresses runs and
+        # decides whenever they pass: nothing decided means no user
+        # disposition either, so the event stays blocked.
+        if decisions:
+            out.extend(self._merge_and_emit(event, prev, decisions, sanctioned))
         return out
 
     def tick(self, now: int) -> list[Emission]:
@@ -372,17 +387,13 @@ class PolicyEngine:
 
     # -- timers -----------------------------------------------------------------
 
-    def _apply_timer_policy(self, policy: Policy, event: Event, prev: Value) -> None:
-        tb = policy.trigger_block
-        if not _matches(tb.match, event):
-            return
-        if not (tb.match.satisfied_by(event.value) and not tb.match.satisfied_by(prev)):
-            return
+    def _apply_timer_policy(self, policy: Policy, event: Event) -> None:
+        """Start (or reset) or stop the timer of a policy whose trigger ``event`` fired."""
         if policy.timer_start:
             timer = TimerState(policy, event.value)
             self.timers[policy.timer_start] = timer  # create or reset
             self._push(event.timestamp + policy.timer_duration_ms, "timer", timer)
-        elif policy.timer_stop:
+        else:
             self.timers.pop(policy.timer_stop, None)
 
     def _run_timer_callback(self, timer: TimerState, now: int) -> list[Emission]:
@@ -392,7 +403,7 @@ class PolicyEngine:
         if decisions is None:
             return []
         key = policy.trigger_block.match.key()
-        out = self._flush_key_pendings(key, now)
+        out = self._flush_key_pendings(key, now) if self._pending_reports.get(key) else []
         out.extend(self._emit_sync_decisions(decisions, now))
         if not self._up_suppresses(key, now):
             out.append(
@@ -431,11 +442,6 @@ class PolicyEngine:
         decisions: list[ReportDecision],
         sanctioned: set[str],
     ) -> list[Emission]:
-        if not decisions:
-            # Each user policy on the key ran the checks _up_suppresses runs
-            # and decides whenever they pass: nothing decided means no user
-            # disposition either, so the event stays blocked.
-            return []
         now = event.timestamp
         ekey = event.key()
 
@@ -697,9 +703,10 @@ class PolicyEngine:
         return out
 
     def _flush_key_pendings(self, key: tuple[str, str], now: int) -> list[Emission]:
-        """Emit not-yet-due delayed reports on ``key`` before a newer value lands."""
-        if not self._pending_reports.get(key):
-            return []
+        """Emit the not-yet-due delayed reports on ``key`` before a newer value lands.
+
+        Callers flush only a key that ``_pending_reports`` counts.
+        """
         del self._pending_reports[key]
         due: list[tuple[int, int, str, object]] = []
         kept: list[tuple[int, int, str, object]] = []
@@ -711,7 +718,7 @@ class PolicyEngine:
                 kept.append(entry)
         heapq.heapify(kept)
         self._pending = kept
-        return [self._emit(replace(p, timestamp=now)) for _, _, _, p in sorted(due)]  # type: ignore[type-var]
+        return [self._emit(p._replace(timestamp=now)) for _, _, _, p in sorted(due)]  # type: ignore[attr-defined]
 
     def _emit(self, emission: Emission) -> Emission:
         self.store.db_star[emission.key()] = emission.value

@@ -414,8 +414,8 @@ class Constraint:
     the atom becomes true on this event. That covers both the platform's
     binary de-duplication (an equal value fires no event) and
     threshold-crossing for numeric triggers. Both are built once, at
-    construction, by ``_constraint_test``; equality, hash and repr still use
-    only the five fields below.
+    construction, by ``_constraint_test``, and ``is_time`` is set then too;
+    equality, hash and repr still use only the five fields below.
     """
 
     type: str                      # "device" | "time"
@@ -425,18 +425,16 @@ class Constraint:
     value: object                  # Value | tuple[float, float] | DailyWindow | int
     satisfied_by: Callable[[Value], bool] = field(init=False, repr=False, compare=False)
     fires: Callable[[Value, Value], bool] = field(init=False, repr=False, compare=False)
+    is_time: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         test = _constraint_test(self.operator, self.value)
         object.__setattr__(self, "satisfied_by", test)
         object.__setattr__(self, "fires", lambda new, prev: test(new) and not test(prev))
+        object.__setattr__(self, "is_time", self.type == "time")
 
     def key(self) -> tuple[str, str]:
         return (self.subject, self.attribute)
-
-    @property
-    def is_time(self) -> bool:
-        return self.type == "time"
 
     def cut_points(self) -> tuple[float, ...]:
         """Numbers where a numeric atom's truth can flip: both ends of a range, none for ``any``."""

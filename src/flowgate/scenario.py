@@ -150,12 +150,29 @@ class Scenario:
     fidelity_floor: float = 0.0
 
 
-def load_scenario(path: Union[str, Path]) -> Scenario:
-    path = Path(path)
+def scenario_table(path: Path) -> tuple[dict, str, str]:
+    """The checked top-level table of the scenario file ``path``, its name and its mode.
+
+    Checks the table's keys, its mode and the keys of its ``engine:`` table;
+    reads none of the files the table names.
+    """
     data = _read("scenario", path, load_yaml)
     if not isinstance(data, dict):
         raise ModelError(f"scenario file {path} must be a mapping")
     _check_keys(data, _SCENARIO_KEYS, f"scenario file {path}")
+    mode = _setting(data, "mode", Scenario.mode)
+    if mode not in MODES:
+        raise ModelError(f"scenario mode must be one of {', '.join(MODES)}, got {mode!r}")
+    engine = data.get("engine") or {}
+    if not isinstance(engine, dict):
+        raise ModelError(f"scenario 'engine' must be a mapping of settings, got {engine!r}")
+    _check_keys(engine, _ENGINE_KEYS, f"the 'engine' settings of scenario file {path}")
+    return data, str(data.get("name", path.stem)), mode
+
+
+def load_scenario(path: Union[str, Path]) -> Scenario:
+    path = Path(path)
+    data, name, mode = scenario_table(path)
 
     def _load(key: str, parse: Callable[[IO[str]], T]) -> T:
         value = data.get(key)
@@ -171,16 +188,9 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     if data.get("user_policies") is not None:
         user_specs = _load("user_policies", lambda fh: parse_user_policies(fh, registry))
     trace = _load("trace", lambda fh: parse_trace(fh, registry))
-    mode = _setting(data, "mode", Scenario.mode)
-    if mode not in MODES:
-        raise ModelError(f"scenario mode must be one of {', '.join(MODES)}, got {mode!r}")
-
     engine = data.get("engine") or {}
-    if not isinstance(engine, dict):
-        raise ModelError(f"scenario 'engine' must be a mapping of settings, got {engine!r}")
-    _check_keys(engine, _ENGINE_KEYS, f"the 'engine' settings of scenario file {path}")
     return Scenario(
-        name=str(data.get("name", path.stem)),
+        name=name,
         registry=registry,
         rules=rules,
         user_specs=user_specs,

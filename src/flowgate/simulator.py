@@ -24,9 +24,9 @@ The loop keeps two rules:
   entry due at that millisecond, so a device event lands before any timer,
   delayed report or delayed action due at that instant; same-millisecond
   trace events keep their trace order and heap entries run in push order.
-  Passing a device event upstream runs no due work, so a held-duration
-  timer that ends exactly when its condition's device changes sees the
-  change in every pipeline alike.
+  A streamed event sets its device's state and goes straight upstream;
+  that runs no due work, so a held-duration timer that ends exactly when
+  its condition's device changes sees the change in every pipeline alike.
 
 Each deadline is pushed when it is scheduled: the engine and the platform
 call their ``wake`` hook for every delayed report, timer and delayed action,
@@ -45,7 +45,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter
 from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Optional
@@ -204,7 +203,7 @@ class _Replay:
         self.artifacts = RunArtifacts()
         self.platform = SimulatedPlatform(
             rules, registry, tag_gated,
-            wake=partial(self.push, handler=self.drain_platform, payload=None),
+            wake=self._wake_platform,
         )
         self._trace = Trace.of(trace)
         # A key without seeded state is streamed, so it still fails closed.
@@ -224,15 +223,16 @@ class _Replay:
         return set(self._trace.keys) - self.streamed
 
     def run(self) -> RunArtifacts:
-        heap = self._heap
-        reads = self.reads = _TraceReads(self._trace, self.trace_read_keys(), self.farm.states)
+        heap, states, upstream = self._heap, self.farm.states, self.upstream
+        reads = self.reads = _TraceReads(self._trace, self.trace_read_keys(), states)
         self.read_from(reads)
         for place, event in self._trace.placed(self.streamed):
             ts = event.timestamp
             if heap and heap[0][0] < ts:
                 self._run_heap(ts)
             reads.time, reads.place = ts, place
-            self._device_event(ts, event)
+            states[event.key()] = event.value
+            upstream(event, ts)
         self._run_heap(None)
         self.unhook()
         self.artifacts.p_commands.sort(key=_timestamp)
@@ -264,6 +264,7 @@ class _Replay:
         return False
 
     def _device_event(self, now: int, event: Event) -> None:
+        """Handle a device event pushed as a heap entry; ``run`` does the same for streamed events."""
         self.farm.observe(event)
         self.upstream(event, now)
 
@@ -272,6 +273,9 @@ class _Replay:
         if change is not None:
             self.artifacts.actuations.append(change)
             self.upstream(change, now)
+
+    def _wake_platform(self, when: int) -> None:
+        self.push(when, self.drain_platform, None)
 
     def _platform_time(self, now: int, _: None) -> None:
         self.platform.time_tick(now)
@@ -321,9 +325,7 @@ class _MediatedReplay(_Replay):
                  manual_commands: list[Command]):
         super().__init__(trace, corpus.forwarded_rules, corpus.registry, config,
                          tag_gated=corpus.tag_gated)
-        self.engine = PolicyEngine(
-            corpus, config.seed, wake=partial(self.push, handler=self._engine_tick, payload=None)
-        )
+        self.engine = PolicyEngine(corpus, config.seed, wake=self._wake_engine)
         self.streamed.update(self.engine.trigger_keys)
         self.streamed.update(cmd.key() for cmd in manual_commands)
         self.command_delay_ms = config.l2_ms
@@ -347,7 +349,12 @@ class _MediatedReplay(_Replay):
         return bool(drop) and self._drop_rng.random() < drop
 
     def upstream(self, event: Event, now: int) -> None:
-        self._report(self.engine.process_event(event))
+        emissions = self.engine.process_event(event)
+        if emissions:
+            self._report(emissions)
+
+    def _wake_engine(self, when: int) -> None:
+        self.push(when, self._engine_tick, None)
 
     def _engine_tick(self, now: int, _: None) -> None:
         self._report(self.engine.tick(now))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import flowgate.scenario as scenario_module
 from flowgate import cli, synth
 from flowgate.cli import _metrics_summary, main as cli_main
 from flowgate.dsl import format_trace
@@ -147,7 +148,7 @@ def test_run_raw_mode(demo_scenario, capsys):
     assert (out / "gt_pruned.log").exists()
 
 
-def test_metrics_recomputes_table(demo_scenario, capsys):
+def test_metrics_recomputes_table(demo_scenario, monkeypatch, capsys):
     out = demo_scenario / "run-metrics"
     cli_main(["run", "--scenario", str(demo_scenario / "scenario.yaml"), "--out", str(out)])
     capsys.readouterr()
@@ -157,6 +158,22 @@ def test_metrics_recomputes_table(demo_scenario, capsys):
     table = capsys.readouterr().out
     assert "aggregate RR" in table
     assert "mo1.motion" in table
+
+    # The table comes from metrics.json alone: the trace is never parsed.
+    def unparsed(*args):
+        raise AssertionError("flowgate metrics parsed the trace")
+
+    monkeypatch.setattr(scenario_module, "parse_trace", unparsed)
+    assert cli_main(["metrics", "--scenario", str(demo_scenario / "scenario.yaml"),
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == table
+    # The scenario table is still checked.
+    data = yaml.safe_load((demo_scenario / "scenario.yaml").read_text())
+    bad = demo_scenario / "scenario-bad.yaml"
+    bad.write_text(yaml.safe_dump(dict(data, colour="red")))
+    assert cli_main(["metrics", "--scenario", str(bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("flowgate: unknown key 'colour'") and err.count("\n") == 1
 
 
 def test_metrics_default_directory_follows_mode(demo_scenario, monkeypatch, capsys):

@@ -1,12 +1,12 @@
 import heapq
 import random
-from dataclasses import replace
 
+import hypothesis
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowgate.engine as engine_module
-from flowgate.compiler import compile_corpus, derive_policy
+from flowgate.compiler import DIFFKEEP_DELAY_DEFAULT_MS, compile_corpus, derive_policy
 from flowgate.dsl import parse_rule, parse_rules
 from flowgate.engine import (
     KIND_EXPIRY,
@@ -16,6 +16,7 @@ from flowgate.engine import (
     EngineError,
     PolicyEngine,
     _fetch_state,
+    _matches,
     apply_method,
     evaluate_policy,
 )
@@ -314,7 +315,9 @@ class _ScanningEngine(PolicyEngine):
         decisions, sanctioned = [], set()
         for policy in self.corpus.policies:
             if policy.timer_start or policy.timer_stop:
-                self._apply_timer_policy(policy, event, prev)
+                m = policy.trigger_block.match
+                if _matches(m, event) and m.fires(event.value, prev):
+                    self._apply_timer_policy(policy, event)
                 continue
             ds = evaluate_policy(event, policy, self.store, event.timestamp, prev)
             if ds:
@@ -367,7 +370,7 @@ class _ScanningEngine(PolicyEngine):
         kept, flushed = [], []
         for deadline, seq, kind, payload in sorted(self._pending):
             if kind == "emission" and payload.key() == key:
-                flushed.append(self._emit(replace(payload, timestamp=now)))
+                flushed.append(self._emit(payload._replace(timestamp=now)))
             else:
                 kept.append((deadline, seq, kind, payload))
         if flushed:
@@ -413,36 +416,75 @@ def _value_strategy(desc):
 
 
 def _event_sequences(registry):
-    # R1's trigger and condition keys are drawn more often, so diffKeep
-    # reports (delayed) and their flush by a newer event on the key occur.
-    keys = registry.all_pairs() + [("ps1", "presence"), ("ts1", "temperature")] * 3
-    step = st.sampled_from(keys).flatmap(
-        lambda key: st.tuples(
-            st.just(key), _value_strategy(registry.lookup(*key)),
-            st.sampled_from([0, 1, 299, 300, 60_000, 300_000, 400_000]),
-        )
+    # Any key at any gap, plus bursts that make R1 report with diffKeep and
+    # flush that delayed report through a newer event on the key: the burst
+    # warms ts1.temperature above 86, then flips ps1.presence at gaps below
+    # the diffKeep delay.
+    gaps = st.sampled_from([0, 1, 299, 300, 60_000, 300_000, 400_000])
+    any_step = st.sampled_from(registry.all_pairs()).flatmap(
+        lambda key: st.tuples(st.just(key), _value_strategy(registry.lookup(*key)), gaps)
     )
-    return st.lists(step, max_size=60)
+    warm = st.tuples(st.just(("ts1", "temperature")), st.sampled_from([88.0, 90.0, 95.0]), gaps)
+    flip = st.tuples(
+        st.just(("ps1", "presence")), st.sampled_from(["present", "not-present"]),
+        st.integers(0, DIFFKEEP_DELAY_DEFAULT_MS - 1),
+    )
+    burst = st.tuples(warm, st.lists(flip, min_size=2, max_size=6)).map(lambda b: [b[0], *b[1]])
+    chunks = st.lists(st.one_of(any_step.map(lambda s: [s]), burst), max_size=20)
+    return chunks.map(lambda cs: [step for c in cs for step in c][:60])
+
+
+def _dispatch_steps(corpus, steps, seed):
+    """Feed ``steps`` to the indexed engine and to the full scan, asserting
+    equal emissions and timers; returns how many events flushed a delayed report."""
+    indexed = PolicyEngine(corpus, seed=seed, wake=lambda _: None)
+    reference = _ScanningEngine(corpus, seed=seed, wake=lambda _: None)
+    now = flushes = 0
+    for (device, attribute), value, gap in steps:
+        now += gap
+        event = Event(device, attribute, value, now)
+        assert indexed.tick(now) == reference.tick(now)
+        flushes += bool(indexed._pending_reports.get(event.key()))
+        assert indexed.process_event(event) == reference.process_event(event)
+    assert indexed.tick(now + 10**7) == reference.tick(now + 10**7)
+    assert indexed.timers == reference.timers
+    return flushes
+
+
+def _check_dispatch(registry, max_examples):
+    corpus = _dispatch_corpus(registry)
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(steps=_event_sequences(registry), seed=st.integers(0, 3))
+    def check(steps, seed):
+        if _dispatch_steps(corpus, steps, seed):
+            hypothesis.event("a newer event flushed a delayed diffKeep report")
+
+    check()
 
 
 def test_dispatch_index_matches_full_scan(mini_registry):
-    corpus = _dispatch_corpus(mini_registry)
+    _check_dispatch(mini_registry, 150)
 
-    @settings(max_examples=150, deadline=None)
-    @given(steps=_event_sequences(mini_registry), seed=st.integers(0, 3))
-    def check(steps, seed):
-        indexed = PolicyEngine(corpus, seed=seed, wake=lambda _: None)
-        reference = _ScanningEngine(corpus, seed=seed, wake=lambda _: None)
-        now = 0
-        for (device, attribute), value, gap in steps:
-            now += gap
-            event = Event(device, attribute, value, now)
-            assert indexed.tick(now) == reference.tick(now)
-            assert indexed.process_event(event) == reference.process_event(event)
-        assert indexed.tick(now + 10**7) == reference.tick(now + 10**7)
-        assert indexed.timers == reference.timers
 
-    check()
+@pytest.mark.slow
+def test_dispatch_index_matches_full_scan_long(mini_registry):
+    _check_dispatch(mini_registry, 2000)
+
+
+def test_dispatch_index_matches_full_scan_through_a_flush(mini_registry):
+    # R1 keeps the first presence report, so the platform still holds
+    # "present" after the unreported "not-present"; the next "present" is
+    # diffKept (a prefix sync now, the report after the delay) and the
+    # "not-present" 100 ms later flushes that report.
+    steps = [
+        (("ts1", "temperature"), 95.0, 0),
+        (("ps1", "presence"), "present", 1000),
+        (("ps1", "presence"), "not-present", 1000),
+        (("ps1", "presence"), "present", 1000),
+        (("ps1", "presence"), "not-present", 100),
+    ]
+    assert _dispatch_steps(_dispatch_corpus(mini_registry), steps, seed=0) == 1
 
 
 def test_device_wildcard_user_policy_reaches_every_attribute(mini_registry):
@@ -457,7 +499,8 @@ def test_device_wildcard_user_policy_reaches_every_attribute(mini_registry):
     ]
 
 
-def test_unreferenced_key_evaluates_no_policy(mini_registry, monkeypatch):
+def _counted_evaluations(monkeypatch):
+    """The ids of the policies the engine evaluates from now on, in order."""
     calls = []
     real = engine_module.evaluate_policy
 
@@ -466,9 +509,25 @@ def test_unreferenced_key_evaluates_no_policy(mini_registry, monkeypatch):
         return real(event, policy, *args)
 
     monkeypatch.setattr(engine_module, "evaluate_policy", counting)
+    return calls
+
+
+def test_unreferenced_key_evaluates_no_policy(mini_registry, monkeypatch):
+    calls = _counted_evaluations(monkeypatch)
     engine = _engine(mini_registry, R1)
     assert engine.process_event(Event("am1", "humidity", 60.0, 1000)) == []
     assert calls == []
     assert engine.store.current(("am1", "humidity")) == 60.0
     engine.process_event(Event("ps1", "presence", "present", 2000))
     assert calls == ["ap:r1"]
+
+
+def test_only_a_trigger_that_became_true_evaluates_its_policy(mini_registry, monkeypatch):
+    calls = _counted_evaluations(monkeypatch)
+    engine = _engine(mini_registry, "rn: when ts1.temperature > 90 then sl1.switch := on")
+    _set(engine, db={("ts1", "temperature"): 95.0})
+    engine.process_event(Event("ts1", "temperature", 96.0, 1000))
+    assert calls == []
+    _set(engine, db={("ts1", "temperature"): 80.0})
+    engine.process_event(Event("ts1", "temperature", 95.0, 2000))
+    assert calls == ["ap:rn"]

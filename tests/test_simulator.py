@@ -3,7 +3,6 @@ import heapq
 import re
 import weakref
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 import yaml
@@ -851,7 +850,7 @@ def _check_renaming(name, seed, days):
     for run, renamed_run in ((raw, renamed_raw), (mediated, renamed_mediated)):
         assert run.p_commands
         assert [c._replace(device=back[c.device]) for c in renamed_run.p_commands] == run.p_commands
-    assert Counter(replace(e, device=back[e.device]) for e in renamed_mediated.reported_events) \
+    assert Counter(e._replace(device=back[e.device]) for e in renamed_mediated.reported_events) \
         == Counter(mediated.reported_events)
 
 
