@@ -19,9 +19,7 @@ Emissions come in three kinds:
 
 from __future__ import annotations
 
-import heapq
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -114,12 +112,6 @@ class ReportDecision(NamedTuple):
 
     def key(self) -> tuple[str, str]:
         return (self.device, self.attribute)
-
-
-def _matches(match: Constraint, event: Event) -> bool:
-    if match.is_time:
-        return False
-    return match.subject == event.device and match.attribute in ("*", event.attribute)
 
 
 def sample_interval(
@@ -217,30 +209,18 @@ def _run_checks(policy: Policy, store: StateStore, clock: int) -> Optional[list[
 
 
 def evaluate_policy(
-    event: Event,
-    policy: Policy,
-    store: StateStore,
-    clock: int,
-    prev_value: Optional[Value] = None,
+    event: Event, policy: Policy, store: StateStore, clock: int
 ) -> list[ReportDecision]:
-    """Run one policy against one event; empty when it does not apply.
+    """Run one policy on the event that fired its trigger; empty when a check aborts it.
 
-    ``prev_value`` is the state the event replaced; trigger constraints use
-    edge semantics (the predicate becomes true) so the engine reacts exactly
-    when the platform would have fired on the raw stream. The caller must
-    already have stored the event's value in ``store.db``.
+    The caller has decided that ``event`` fired the trigger (on an edge, as
+    the platform would have fired on the raw stream) and has already stored
+    the event's value in ``store.db``.
     """
-    tb = policy.trigger_block
-    if not _matches(tb.match, event):
-        return []
-    if tb.match.operator is not Operator.ANY:
-        if not tb.match.satisfied_by(event.value):
-            return []
-        if prev_value is not None and tb.match.satisfied_by(prev_value):
-            return []  # not an edge: the raw stream would not have fired either
     decisions = _run_checks(policy, store, clock)
     if decisions is None:
         return []
+    tb = policy.trigger_block
     d = _block_decision(policy, tb, event.device, event.attribute, store, clock, True)
     if d is not None:
         decisions.append(d)
@@ -254,20 +234,23 @@ _Entry = tuple[Policy, Optional[Callable[[Value], bool]], bool]
 class PolicyEngine:
     """Executes a compiled corpus over an incoming event stream.
 
-    ``wake(when)`` is called for every deadline the engine schedules (a
-    delayed report or a timer); ``tick(when)`` then runs the work due.
+    The engine keeps no deadlines of its own: ``schedule(when, work)`` is
+    called for every delayed report (an ``Emission``) and every timer (a
+    ``TimerState``) it schedules, and ``tick(when, work)`` runs that work
+    when it falls due. A flushed report or a reset or stopped timer stays
+    scheduled; its tick finds it no longer pending and does nothing.
     """
 
-    def __init__(self, corpus: CompiledCorpus, seed: int = 0, *, wake: Callable[[int], None]):
+    def __init__(self, corpus: CompiledCorpus, seed: int = 0, *,
+                 schedule: Callable[[int, Emission | TimerState], None]):
         self.corpus = corpus
-        self.wake = wake
+        self.schedule = schedule
         self.rng = random.Random(seed)
         self.store = StateStore.seeded(corpus.registry.initial_states())
         self.timers: dict[str, TimerState] = {}   # running timers by id
-        self._seq = 0
-        # Pending delayed emissions and timer deadlines share one heap.
-        self._pending: list[tuple[int, int, str, object]] = []
-        self._pending_reports: Counter[tuple[str, str]] = Counter()  # delayed emissions per key
+        # Delayed reports not yet sent, per key by id in scheduling order.
+        # Each is still held by its scheduled tick, so no id is reused.
+        self._pending_reports: dict[tuple[str, str], dict[int, Emission]] = {}
         # Dispatch table: each (device, attribute) key -> one entry per policy
         # whose trigger can match an event on it, in corpus order (timer pushes
         # and decision order follow it). An entry holds the policy, its
@@ -307,11 +290,6 @@ class PolicyEngine:
         minutes.update(int(p.trigger_block.match.value) for p in self._clock_policies)  # type: ignore[arg-type]
         return sorted(minutes)
 
-    def _push(self, deadline: int, kind: str, payload: object) -> None:
-        self._seq += 1
-        heapq.heappush(self._pending, (deadline, self._seq, kind, payload))
-        self.wake(deadline)
-
     # -- event processing ------------------------------------------------------
 
     def process_event(self, event: Event) -> list[Emission]:
@@ -332,7 +310,7 @@ class PolicyEngine:
             if is_timer:
                 self._apply_timer_policy(policy, event)
                 continue
-            ds = evaluate_policy(event, policy, self.store, event.timestamp, prev)
+            ds = evaluate_policy(event, policy, self.store, event.timestamp)
             if ds:
                 decisions.extend(ds)
                 if policy.origin is PolicyOrigin.AUTOMATION:
@@ -345,22 +323,18 @@ class PolicyEngine:
             out.extend(self._merge_and_emit(event, prev, decisions, sanctioned))
         return out
 
-    def tick(self, now: int) -> list[Emission]:
-        """Flush due delayed reports and fire due timers, in deadline order."""
-        out: list[Emission] = []
-        while self._pending and self._pending[0][0] <= now:
-            deadline, _, kind, payload = heapq.heappop(self._pending)
-            if kind == "emission":
-                assert isinstance(payload, Emission)
-                self._pending_reports[payload.key()] -= 1
-                out.append(self._emit(payload))
-            else:
-                assert isinstance(payload, TimerState)
-                timer_id = payload.policy.timer_start
-                if self.timers.get(timer_id) is payload:
-                    del self.timers[timer_id]
-                    out.extend(self._run_timer_callback(payload, deadline))
-        return out
+    def tick(self, now: int, work: Emission | TimerState) -> list[Emission]:
+        """Run one piece of scheduled work due at ``now``: send a delayed
+        report its key still holds as pending, or fire a timer still running."""
+        if isinstance(work, TimerState):
+            timer_id = work.policy.timer_start
+            if self.timers.get(timer_id) is not work:
+                return []
+            del self.timers[timer_id]
+            return self._run_timer_callback(work, now)
+        if self._pending_reports.get(work.key(), {}).pop(id(work), None) is None:
+            return []
+        return [self._emit(work)]
 
     def time_tick(self, target_ts: int) -> list[Emission]:
         """Evaluate time-triggered policies for the clock instant ``target_ts``."""
@@ -392,7 +366,7 @@ class PolicyEngine:
         if policy.timer_start:
             timer = TimerState(policy, event.value)
             self.timers[policy.timer_start] = timer  # create or reset
-            self._push(event.timestamp + policy.timer_duration_ms, "timer", timer)
+            self.schedule(event.timestamp + policy.timer_duration_ms, timer)
         else:
             self.timers.pop(policy.timer_stop, None)
 
@@ -459,12 +433,12 @@ class PolicyEngine:
         # 3. Consistency repairs computed against the planned platform view.
         out.extend(self._consistency_repairs(event, trigger_plan, sanctioned, now))
 
-        # 4. Emit the trigger plan; delayed parts go to the pending heap.
+        # 4. Emit the trigger plan; delayed parts are scheduled and pending.
         for value, delay, kind in trigger_plan:
             emission = Emission(ekey[0], ekey[1], value, now + delay, kind, provenance=trig_prov)
             if delay > 0:
-                self._push(now + delay, "emission", emission)
-                self._pending_reports[ekey] += 1
+                self._pending_reports.setdefault(ekey, {})[id(emission)] = emission
+                self.schedule(now + delay, emission)
             else:
                 out.append(self._emit(emission))
         return out
@@ -705,20 +679,11 @@ class PolicyEngine:
     def _flush_key_pendings(self, key: tuple[str, str], now: int) -> list[Emission]:
         """Emit the not-yet-due delayed reports on ``key`` before a newer value lands.
 
-        Callers flush only a key that ``_pending_reports`` counts.
+        Callers flush only a key that holds pending reports. The sort is
+        stable, so reports due at one deadline keep their scheduling order.
         """
-        del self._pending_reports[key]
-        due: list[tuple[int, int, str, object]] = []
-        kept: list[tuple[int, int, str, object]] = []
-        for entry in self._pending:
-            _, _, kind, payload = entry
-            if kind == "emission" and payload.key() == key:  # type: ignore[attr-defined]
-                due.append(entry)
-            else:
-                kept.append(entry)
-        heapq.heapify(kept)
-        self._pending = kept
-        return [self._emit(p._replace(timestamp=now)) for _, _, _, p in sorted(due)]  # type: ignore[attr-defined]
+        pending = sorted(self._pending_reports.pop(key).values(), key=lambda p: p.timestamp)
+        return [self._emit(p._replace(timestamp=now)) for p in pending]
 
     def _emit(self, emission: Emission) -> Emission:
         self.store.db_star[emission.key()] = emission.value

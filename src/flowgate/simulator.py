@@ -28,11 +28,13 @@ The loop keeps two rules:
   that runs no due work, so a held-duration timer that ends exactly when
   its condition's device changes sees the change in every pipeline alike.
 
-Each deadline is pushed when it is scheduled: the engine and the platform
-call their ``wake`` hook for every delayed report, timer and delayed action,
-and the hook pushes a tick of that component at the deadline. A tick runs
-all the component's work due by then, so a tick whose work an earlier tick
-already ran (or whose report was flushed early) finds nothing to do.
+Each deadline is pushed when it is scheduled. The engine hands every
+delayed report and timer to its ``schedule`` hook, which pushes a tick of
+that one piece of work at the deadline; a tick whose report was flushed
+early, or whose timer was reset or stopped, does nothing. Only the platform
+still keeps deadlines of its own: its ``wake`` hook pushes a tick at each
+delayed action or native timer, and a tick runs all the platform's work due
+by then, so a tick whose work an earlier tick already ran finds nothing to do.
 
 Fidelity is scored the way commands are verified in the field: every
 command issued under mediation must have a raw counterpart within a short
@@ -50,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Optional
 
 from .compiler import CompiledCorpus
-from .engine import Emission, PolicyEngine
+from .engine import Emission, PolicyEngine, TimerState
 from .model import (
     MS_PER_DAY,
     MS_PER_MINUTE,
@@ -89,9 +91,6 @@ class DeviceFarm:
         self.registry = registry
         self.states: dict[tuple[str, str], Value] = dict(registry.initial_states())
 
-    def observe(self, event: Event) -> None:
-        self.states[event.key()] = event.value
-
     def actuate(self, command: Command) -> Optional[Event]:
         desc = self.registry.lookup(command.device, command.attribute)
         value = desc.validate_value(command.value)
@@ -124,8 +123,8 @@ _Handler = Callable[[int, Any], None]
 _timestamp = attrgetter("timestamp")
 
 
-def _unhooked(when: int) -> None:
-    """The wake hook of a finished replay: it runs no more deadlines."""
+def _unhooked(when: int, work: Any = None) -> None:
+    """The deadline hook of a finished replay: it runs no more deadlines."""
 
 
 def _rule_keys(rules: Iterable[Rule]) -> set[tuple[str, str]]:
@@ -182,10 +181,10 @@ class _Replay:
 
     A subclass decides where device events go (``upstream``), adds the keys
     it streams to ``streamed``, points its state reads at the trace
-    (``read_from``) and may push entries of its own. The wake hooks it hands
-    the engine and the platform point back at the replay; ``run`` detaches
-    them (``unhook``), so a finished replay is freed as soon as it is
-    dropped instead of waiting for the cycle collector.
+    (``read_from``) and may push entries of its own. The deadline hooks it
+    hands the engine and the platform point back at the replay; ``run``
+    detaches them (``unhook``), so a finished replay is freed as soon as it
+    is dropped instead of waiting for the cycle collector.
     """
 
     command_delay_ms = 0     # platform -> device transport delay
@@ -251,7 +250,7 @@ class _Replay:
         """Point the upstream's state reads at ``reads`` for its keys."""
 
     def unhook(self) -> None:
-        """Detach the wake hooks: nothing is scheduled after the run."""
+        """Detach the deadline hooks: nothing is scheduled after the run."""
         self.platform.wake = _unhooked
 
     # -- devices and platform ----------------------------------------------------
@@ -262,11 +261,6 @@ class _Replay:
 
     def lost_in_transit(self) -> bool:
         return False
-
-    def _device_event(self, now: int, event: Event) -> None:
-        """Handle a device event pushed as a heap entry; ``run`` does the same for streamed events."""
-        self.farm.observe(event)
-        self.upstream(event, now)
 
     def _actuate(self, now: int, cmd: Command) -> None:
         change = self.farm.actuate(Command(cmd.device, cmd.attribute, cmd.value, now, cmd.origin))
@@ -325,7 +319,7 @@ class _MediatedReplay(_Replay):
                  manual_commands: list[Command]):
         super().__init__(trace, corpus.forwarded_rules, corpus.registry, config,
                          tag_gated=corpus.tag_gated)
-        self.engine = PolicyEngine(corpus, config.seed, wake=self._wake_engine)
+        self.engine = PolicyEngine(corpus, config.seed, schedule=self._schedule_engine)
         self.streamed.update(self.engine.trigger_keys)
         self.streamed.update(cmd.key() for cmd in manual_commands)
         self.command_delay_ms = config.l2_ms
@@ -338,7 +332,7 @@ class _MediatedReplay(_Replay):
 
     def unhook(self) -> None:
         super().unhook()
-        self.engine.wake = _unhooked
+        self.engine.schedule = _unhooked
 
     def read_from(self, reads: _TraceReads) -> None:
         reads.serve(self.engine.store)
@@ -353,11 +347,11 @@ class _MediatedReplay(_Replay):
         if emissions:
             self._report(emissions)
 
-    def _wake_engine(self, when: int) -> None:
-        self.push(when, self._engine_tick, None)
+    def _schedule_engine(self, when: int, work: Emission | TimerState) -> None:
+        self.push(when, self._engine_tick, work)
 
-    def _engine_tick(self, now: int, _: None) -> None:
-        self._report(self.engine.tick(now))
+    def _engine_tick(self, now: int, work: Emission | TimerState) -> None:
+        self._report(self.engine.tick(now, work))
 
     def _engine_time(self, now: int, target: int) -> None:
         for e in self.engine.time_tick(target):

@@ -1,3 +1,6 @@
+import heapq
+from itertools import count
+
 import yaml
 import pytest
 
@@ -49,3 +52,26 @@ def mini_registry():
 @pytest.fixture(scope="session")
 def r1(mini_registry):
     return parse_rules(R1_TEXT, mini_registry)[0]
+
+
+class Deadlines:
+    """The deadline hook of an engine or a platform run alone: a heap of
+    the hook's calls, by deadline and then in call order."""
+
+    def __init__(self):
+        self.heap = []
+        self._seq = count()
+
+    def __call__(self, when, *work):
+        heapq.heappush(self.heap, (when, next(self._seq), (when, *work)))
+
+
+def run_due(component, until):
+    """Tick ``component`` for every deadline its ``Deadlines`` hook holds up
+    to ``until``, in order (an engine's ``schedule``, else a platform's
+    ``wake``); returns what the ticks emitted."""
+    heap = (component.schedule if hasattr(component, "schedule") else component.wake).heap
+    out = []
+    while heap and heap[0][0] <= until:
+        out.extend(component.tick(*heapq.heappop(heap)[2]) or ())
+    return out

@@ -34,6 +34,7 @@ from flowgate.simulator import (
     run_raw,
     verify,
 )
+from tests.conftest import Deadlines, run_due
 from tests.oracle_conflicts import oracle_conflict
 from tests.test_conflicts import _random_policy, lab_registry
 from tests.test_metrics import grid_measure, random_timeline
@@ -75,13 +76,13 @@ def test_criterion_02_case_analysis(mini_registry, r1):
     corpus = compile_corpus([r1], [], mini_registry)
 
     def emissions(db, db_star, event):
-        engine = PolicyEngine(corpus, seed=3, wake=lambda _: None)
+        engine = PolicyEngine(corpus, seed=3, schedule=Deadlines())
         for k, v in db.items():
             engine.store.db[k] = v
         for k, v in db_star.items():
             engine.store.db_star[k] = v
         out = engine.process_event(event)
-        out.extend(engine.tick(10**9))
+        out.extend(run_due(engine, 10**9))
         return out
 
     counts = []

@@ -16,6 +16,7 @@ from flowgate.model import (
     time_constraint,
 )
 from flowgate.policy import Method, MethodCall, UserPolicySpec
+from tests.conftest import Deadlines
 from tests.oracle_conflicts import oracle_conflict
 
 
@@ -125,7 +126,7 @@ def test_conditional_up_blocks_only_in_context(mini_registry):
         action=MethodCall(Method.BLOCK),
     )
     corpus = compile_corpus([rule], [spec], mini_registry)
-    engine = PolicyEngine(corpus, seed=0, wake=lambda _: None)
+    engine = PolicyEngine(corpus, seed=0, schedule=Deadlines())
     engine.store.db[("mode1", "mode")] = "home"
     out = engine.process_event(Event("ps1", "presence", "present", 1000))
     assert [e.value for e in out] == ["present"]
@@ -249,7 +250,7 @@ def test_conflict_witness_replays_to_differing_decisions(mini_registry, r1):
     report = detect_conflict(ap, up, mini_registry)
     assert report.is_conflict
     corpus = compile_corpus([r1], [], mini_registry)
-    engine = PolicyEngine(corpus, seed=0, wake=lambda _: None)
+    engine = PolicyEngine(corpus, seed=0, schedule=Deadlines())
     for key, value in report.witness.items():
         if key != ("time", "clock"):
             engine.store.db[key] = value

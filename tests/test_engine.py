@@ -1,4 +1,3 @@
-import heapq
 import random
 
 import hypothesis
@@ -16,19 +15,19 @@ from flowgate.engine import (
     EngineError,
     PolicyEngine,
     _fetch_state,
-    _matches,
     apply_method,
     evaluate_policy,
 )
-from flowgate.model import AttributeKind, Event
+from flowgate.model import AttributeKind, Event, Operator
 from flowgate.policy import Method, MethodCall, PolicyOrigin
 from flowgate.scenario import parse_user_policies
+from tests.conftest import Deadlines, run_due
 
 
 def _engine(mini_registry, rules_text, seed=0, ups=()):
     rules = parse_rules(rules_text, mini_registry)
     corpus = compile_corpus(rules, list(ups), mini_registry)
-    return PolicyEngine(corpus, seed=seed, wake=lambda _: None)
+    return PolicyEngine(corpus, seed=seed, schedule=Deadlines())
 
 
 def _set(engine, db=None, db_star=None):
@@ -53,7 +52,7 @@ def test_evaluate_r1_reports_obfuscated_check_then_trigger(mini_registry, r1):
              ("ps1", "presence"): "present"},
          db_star={("ts1", "temperature"): 70.0, ("ps1", "presence"): "not-present"})
     event = Event("ps1", "presence", "present", 1000)
-    decisions = evaluate_policy(event, policy, engine.store, 1000, "not-present")
+    decisions = evaluate_policy(event, policy, engine.store, 1000)
     assert [d.key() for d in decisions] == [("ts1", "temperature"), ("ps1", "presence")]
     assert decisions[0].method.method is Method.RANDOMIZE
     assert decisions[1].method.method is Method.KEEP
@@ -66,7 +65,7 @@ def test_evaluate_r1_aborts_when_fan_already_on(mini_registry, r1):
     _set(engine, db={("ts1", "temperature"): 90.0, ("f1", "switch"): "on",
                      ("ps1", "presence"): "present"})
     event = Event("ps1", "presence", "present", 1000)
-    assert evaluate_policy(event, policy, engine.store, 1000, "not-present") == []
+    assert evaluate_policy(event, policy, engine.store, 1000) == []
 
 
 def test_evaluate_r1_blocks_temp_when_platform_already_satisfied(mini_registry, r1):
@@ -77,7 +76,7 @@ def test_evaluate_r1_blocks_temp_when_platform_already_satisfied(mini_registry, 
              ("ps1", "presence"): "present"},
          db_star={("ts1", "temperature"): 90.0, ("ps1", "presence"): "present"})
     event = Event("ps1", "presence", "present", 1000)
-    decisions = evaluate_policy(event, policy, engine.store, 1000, "not-present")
+    decisions = evaluate_policy(event, policy, engine.store, 1000)
     assert decisions[0].method.method is Method.BLOCK       # platform already > 86
     assert decisions[1].method.method is Method.DIFF_KEEP   # alternation must be restored
 
@@ -87,8 +86,7 @@ def test_evaluate_unseeded_state_is_configuration_error(mini_registry, r1):
     engine = _engine(mini_registry, R1)
     del engine.store.db[("ts1", "temperature")]
     with pytest.raises(EngineError):
-        evaluate_policy(Event("ps1", "presence", "present", 0), policy, engine.store, 0,
-                        "not-present")
+        evaluate_policy(Event("ps1", "presence", "present", 0), policy, engine.store, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +139,7 @@ def test_up_block_overrides_ap_emit(mini_registry):
                           target_attribute="presence")
     rules = parse_rules(R1, mini_registry)
     corpus = compile_corpus(rules, [spec], mini_registry)
-    engine = PolicyEngine(corpus, seed=0, wake=lambda _: None)
+    engine = PolicyEngine(corpus, seed=0, schedule=Deadlines())
     _set(engine, db={("ts1", "temperature"): 90.0})
     out = engine.process_event(Event("ps1", "presence", "present", 1000))
     assert [e for e in out if e.key() == ("ps1", "presence")] == []
@@ -185,8 +183,8 @@ def test_timer_fires_after_uninterrupted_duration(mini_registry):
     _set(engine, db={("sl1", "switch"): "on"})
     engine.process_event(Event("mo1", "motion", "active", 1000))
     assert engine.process_event(Event("mo1", "motion", "inactive", 10_000)) == []
-    assert engine.tick(10_000 + 299_999) == []
-    out = engine.tick(10_000 + 300_000)
+    assert run_due(engine, 10_000 + 299_999) == []
+    out = run_due(engine, 10_000 + 300_000)
     assert len(out) == 1
     assert out[0].kind == KIND_EXPIRY and out[0].tag == "rt"
     assert out[0].value == "inactive"
@@ -197,7 +195,7 @@ def test_timer_cancelled_by_counter_edge(mini_registry):
     engine.process_event(Event("mo1", "motion", "active", 1000))
     engine.process_event(Event("mo1", "motion", "inactive", 10_000))
     engine.process_event(Event("mo1", "motion", "active", 70_000))  # within 5 minutes
-    assert engine.tick(10_000 + 300_000) == []
+    assert run_due(engine, 10_000 + 300_000) == []
 
 
 def test_zero_duration_timer_fires_immediately(mini_registry):
@@ -206,7 +204,7 @@ def test_zero_duration_timer_fires_immediately(mini_registry):
     _set(engine, db={("sl1", "switch"): "on"})
     engine.process_event(Event("mo1", "motion", "active", 1000))
     engine.process_event(Event("mo1", "motion", "inactive", 2000))
-    out = engine.tick(2000)
+    out = run_due(engine, 2000)
     assert [e.kind for e in out] == [KIND_EXPIRY]
 
 
@@ -217,8 +215,8 @@ def test_diffkeep_pending_flushed_at_deadline(mini_registry):
          db_star={("ts1", "temperature"): 90.0, ("ps1", "presence"): "present"})
     out = engine.process_event(Event("ps1", "presence", "present", 1000))
     assert [e.kind for e in out] == [KIND_SYNC]       # the complement, immediately
-    assert engine.tick(1299) == []
-    flushed = engine.tick(1300)
+    assert run_due(engine, 1299) == []
+    flushed = run_due(engine, 1300)
     assert [(e.value, e.kind) for e in flushed] == [("present", KIND_REPORT)]
 
 
@@ -231,7 +229,7 @@ def test_diffkeep_pending_flushed_by_newer_event_on_key(mini_registry):
     assert engine.process_event(Event("am1", "humidity", 60.0, 1100)) == []
     out = engine.process_event(Event("ps1", "presence", "not-present", 1200))
     assert [(e.value, e.kind, e.timestamp) for e in out] == [("present", KIND_REPORT, 1200)]
-    assert engine.tick(1300) == []
+    assert run_due(engine, 1300) == []
 
 
 def test_two_timers_same_deadline_fire_in_creation_order(mini_registry):
@@ -244,7 +242,7 @@ def test_two_timers_same_deadline_fire_in_creation_order(mini_registry):
                      ("sl1", "switch"): "on", ("f1", "switch"): "on"})
     engine.process_event(Event("mo1", "motion", "inactive", 1000))
     engine.process_event(Event("am1", "motion", "inactive", 1000))
-    out = engine.tick(61_000)
+    out = run_due(engine, 61_000)
     assert [e.tag for e in out] == ["ra", "rb"]
 
 
@@ -258,13 +256,13 @@ def test_timers_hold_only_running_timers(mini_registry):
     assert (timer.policy.id, timer.start_value) == ("ap:rt:start", "inactive")
     engine.process_event(Event("mo1", "motion", "active", 20_000))   # the counter edge
     assert engine.timers == {}
-    assert engine.tick(400_000) == []
+    assert run_due(engine, 400_000) == []
     engine.process_event(Event("mo1", "motion", "inactive", 500_000))   # restart
     assert list(engine.timers) == ["rt"]
-    out = engine.tick(10**7)
+    out = run_due(engine, 10**7)
     assert [(e.timestamp, e.kind, e.tag) for e in out] == [(800_000, KIND_EXPIRY, "rt")]
     assert engine.timers == {}
-    assert engine.tick(10**8) == []
+    assert run_due(engine, 10**8) == []
 
 
 def test_deterministic_replay(mini_registry):
@@ -280,9 +278,9 @@ def test_deterministic_replay(mini_registry):
         _set(engine, db={("ts1", "temperature"): 90.0})
         out = []
         for e in trace:
-            out.extend(engine.tick(e.timestamp))
+            out.extend(run_due(engine, e.timestamp))
             out.extend(engine.process_event(e))
-        out.extend(engine.tick(10**9))
+        out.extend(run_due(engine, 10**9))
         return out
 
     assert run() == run()
@@ -292,7 +290,7 @@ def test_db_star_tracks_last_emission(mini_registry):
     engine = _engine(mini_registry, R1, seed=3)
     _set(engine, db={("ts1", "temperature"): 90.0})
     emitted = engine.process_event(Event("ps1", "presence", "present", 1000))
-    emitted += engine.tick(10_000)
+    emitted += run_due(engine, 10_000)
     for key, value in engine.store.db_star.items():
         matching = [e for e in emitted if e.key() == key]
         if matching:
@@ -303,9 +301,16 @@ def test_db_star_tracks_last_emission(mini_registry):
 # dispatch index
 # ---------------------------------------------------------------------------
 
+def _matches(match, event):
+    """Whether ``match`` names the event's device and attribute (or every attribute)."""
+    return (not match.is_time and match.subject == event.device
+            and match.attribute in ("*", event.attribute))
+
+
 class _ScanningEngine(PolicyEngine):
-    """Reference dispatch: every policy is tested against every event and the
-    merge runs in full even when nothing was decided."""
+    """Reference dispatch: every policy is tested against every event, the
+    merge runs in full even when nothing was decided, and a flush scans
+    every scheduled deadline."""
 
     def process_event(self, event):
         key = event.key()
@@ -314,12 +319,16 @@ class _ScanningEngine(PolicyEngine):
         self.store.db[key] = event.value
         decisions, sanctioned = [], set()
         for policy in self.corpus.policies:
+            m = policy.trigger_block.match
             if policy.timer_start or policy.timer_stop:
-                m = policy.trigger_block.match
                 if _matches(m, event) and m.fires(event.value, prev):
                     self._apply_timer_policy(policy, event)
                 continue
-            ds = evaluate_policy(event, policy, self.store, event.timestamp, prev)
+            if not _matches(m, event):
+                continue
+            if m.operator is not Operator.ANY and not m.fires(event.value, prev):
+                continue
+            ds = evaluate_policy(event, policy, self.store, event.timestamp)
             if ds:
                 decisions.extend(ds)
                 if policy.origin is PolicyOrigin.AUTOMATION:
@@ -360,22 +369,20 @@ class _ScanningEngine(PolicyEngine):
         for value, delay, kind in trigger_plan:
             emission = Emission(ekey[0], ekey[1], value, now + delay, kind, provenance=trig_prov)
             if delay > 0:
-                self._push(now + delay, "emission", emission)
-                self._pending_reports[ekey] += 1
+                self._pending_reports.setdefault(ekey, {})[id(emission)] = emission
+                self.schedule(now + delay, emission)
             else:
                 out.append(self._emit(emission))
         return out
 
     def _flush_key_pendings(self, key, now):
-        kept, flushed = [], []
-        for deadline, seq, kind, payload in sorted(self._pending):
-            if kind == "emission" and payload.key() == key:
-                flushed.append(self._emit(payload._replace(timestamp=now)))
-            else:
-                kept.append((deadline, seq, kind, payload))
-        if flushed:
-            self._pending = kept
-            heapq.heapify(self._pending)
+        # Every scheduled deadline in (deadline, seq) order; the key's
+        # emissions still pending are sent now, and their ticks do nothing.
+        pending = self._pending_reports.get(key, {})
+        flushed = []
+        for _, _, (_, work) in sorted(self.schedule.heap):
+            if isinstance(work, Emission) and pending.pop(id(work), None) is work:
+                flushed.append(self._emit(work._replace(timestamp=now)))
         return flushed
 
 
@@ -437,16 +444,16 @@ def _event_sequences(registry):
 def _dispatch_steps(corpus, steps, seed):
     """Feed ``steps`` to the indexed engine and to the full scan, asserting
     equal emissions and timers; returns how many events flushed a delayed report."""
-    indexed = PolicyEngine(corpus, seed=seed, wake=lambda _: None)
-    reference = _ScanningEngine(corpus, seed=seed, wake=lambda _: None)
+    indexed = PolicyEngine(corpus, seed=seed, schedule=Deadlines())
+    reference = _ScanningEngine(corpus, seed=seed, schedule=Deadlines())
     now = flushes = 0
     for (device, attribute), value, gap in steps:
         now += gap
         event = Event(device, attribute, value, now)
-        assert indexed.tick(now) == reference.tick(now)
+        assert run_due(indexed, now) == run_due(reference, now)
         flushes += bool(indexed._pending_reports.get(event.key()))
         assert indexed.process_event(event) == reference.process_event(event)
-    assert indexed.tick(now + 10**7) == reference.tick(now + 10**7)
+    assert run_due(indexed, now + 10**7) == run_due(reference, now + 10**7)
     assert indexed.timers == reference.timers
     return flushes
 
@@ -488,7 +495,7 @@ def test_dispatch_index_matches_full_scan_through_a_flush(mini_registry):
 
 
 def test_device_wildcard_user_policy_reaches_every_attribute(mini_registry):
-    engine = PolicyEngine(_dispatch_corpus(mini_registry), seed=0, wake=lambda _: None)
+    engine = PolicyEngine(_dispatch_corpus(mini_registry), seed=0, schedule=Deadlines())
     # No automation policy reads am1.humidity; the wildcard keeps it while
     # the mode is away and leaves it blocked otherwise.
     assert engine.process_event(Event("am1", "humidity", 60.0, 1000)) == []

@@ -27,6 +27,7 @@ from flowgate.simulator import (
     run_raw,
     verify,
 )
+from tests.conftest import Deadlines, run_due
 
 R1 = "r1: when ps1.presence == present if ts1.temperature > 86 then f1.switch := on"
 HOUR = 3_600_000
@@ -136,19 +137,19 @@ def test_platform_native_timer_cancel_reset_and_fire(mini_registry):
     rules = parse_rules(
         "rt: when mo1.motion == inactive for 60000 then sl1.switch := on", mini_registry
     )
-    platform = SimulatedPlatform(rules, mini_registry, wake=lambda _: None)
+    platform = SimulatedPlatform(rules, mini_registry, wake=Deadlines())
     platform.receive("mo1", "motion", "active", 1000)
     platform.receive("mo1", "motion", "inactive", 2000)       # starts: due at 62 000
     assert list(platform._timers) == ["rt"]
     platform.receive("mo1", "motion", "active", 30_000)       # the counter edge cancels
     assert platform._timers == {}
     platform.receive("mo1", "motion", "inactive", 40_000)     # reset: due at 100 000
-    platform.tick(99_999)
+    run_due(platform, 99_999)
     assert platform.issued == []
-    platform.tick(100_000)
+    run_due(platform, 100_000)
     assert platform.issued == [Command("sl1", "switch", "on", 100_000, "rt")]
     assert platform._timers == {}
-    platform.tick(10**9)
+    run_due(platform, 10**9)
     assert len(platform.issued) == 1
 
 
@@ -194,22 +195,24 @@ def test_t4_seed18_timer_deadline_fidelity():
 
 
 def test_each_deadline_ticks_once(monkeypatch):
-    calls = {"engine": 0, "platform": 0}
+    calls = {"engine": 0, "schedule": 0, "platform": 0}
 
-    def counting(name, tick):
-        def wrapper(self, now):
+    def counting(name, method):
+        def wrapper(self, *args):
             calls[name] += 1
-            return tick(self, now)
+            return method(self, *args)
         return wrapper
 
     monkeypatch.setattr(PolicyEngine, "tick", counting("engine", PolicyEngine.tick))
+    monkeypatch.setattr(_MediatedReplay, "_schedule_engine",
+                        counting("schedule", _MediatedReplay._schedule_engine))
     monkeypatch.setattr(SimulatedPlatform, "tick", counting("platform", SimulatedPlatform.tick))
     tb = synth.testbed("t4")
     registry = tb.registry()
     rules = tb.rules(registry)
     trace = synth.generate_trace(registry, seed=11, days=2, events_target=4000)
     run_mediated(trace, compile_corpus(rules, [], registry), SimConfig(seed=11))
-    assert calls["engine"] / len(trace) < 1
+    assert calls["engine"] == calls["schedule"] > 0
     calls["platform"] = 0
     run_raw(trace, rules, registry, SimConfig(seed=11))
     assert calls["platform"] / len(trace) < 2
@@ -224,8 +227,12 @@ class _HeapTrace:
     def __init__(self, trace, *args):
         super().__init__(trace, *args)
         for seq, event in enumerate(trace, start=-len(trace)):
-            heapq.heappush(self._heap, (event.timestamp, seq, self._device_event, event))
+            heapq.heappush(self._heap, (event.timestamp, seq, self._heap_event, event))
         self.streamed = set()
+
+    def _heap_event(self, now, event):
+        self.farm.states[event.key()] = event.value
+        self.upstream(event, now)
 
     def trace_read_keys(self):
         return set()
@@ -867,8 +874,8 @@ def test_renamed_devices_issue_the_same_commands_long(name, seed):
 
 
 def test_finished_replay_leaves_no_reference_cycle(mini_registry):
-    # The timer, delayed-action and diffKeep deadlines go through the wake
-    # hooks of both the engine and the platform.
+    # The timer, delayed-action and diffKeep deadlines go through the
+    # engine's schedule hook and the platform's wake hook.
     rules = parse_rules(REPLAY_RULES, mini_registry)
     corpus = compile_corpus(rules, [], mini_registry)
     trace = [

@@ -6,6 +6,7 @@ from flowgate.engine import PolicyEngine
 from flowgate.model import DailyWindow, Event
 from flowgate.policy import UserPolicySpec
 from flowgate.simulator import SimConfig, run_mediated
+from tests.conftest import Deadlines
 
 
 @pytest.mark.parametrize("name", synth.ALL_TESTBEDS)
@@ -59,7 +60,7 @@ def test_windowed_user_policy_blocks_only_in_window(mini_registry, r1):
     corpus = compile_corpus([r1], [spec], mini_registry)
 
     def run_at(hour):
-        engine = PolicyEngine(corpus, seed=0, wake=lambda _: None)
+        engine = PolicyEngine(corpus, seed=0, schedule=Deadlines())
         engine.store.db[("ts1", "temperature")] = 90.0
         ts = hour * 3_600_000
         return engine.process_event(Event("ps1", "presence", "present", ts))
