@@ -15,7 +15,7 @@ from .compiler import (
 )
 from .conflicts import ConflictReport, ConstraintSet, detect_conflict, satisfiable, scan_on_update
 from .dsl import load_home, parse_rule, parse_rules, parse_trace, print_rule
-from .engine import Emission, PolicyEngine, StateStore, apply_method, evaluate_policy
+from .engine import Emission, PolicyEngine, StateStore, evaluate_policy
 from .metrics import (
     ActivityLabel,
     AttackReport,

@@ -25,6 +25,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .compiler import CompiledCorpus
 from .model import (
+    KIND_EXPIRY,
+    KIND_REPORT,
+    KIND_SYNC,
     AttributeKind,
     Constraint,
     Event,
@@ -77,11 +80,6 @@ class TimerState:
     start_value: Value
 
 
-KIND_REPORT = "report"
-KIND_SYNC = "sync"
-KIND_EXPIRY = "expiry"
-
-
 class Emission(NamedTuple):
     """One message sent upstream to the platform; equal to the plain tuple of its fields."""
 
@@ -112,51 +110,6 @@ class ReportDecision(NamedTuple):
 
     def key(self) -> tuple[str, str]:
         return (self.device, self.attribute)
-
-
-def sample_interval(
-    rng: random.Random, lo: float, hi: float, constraint: Optional[Constraint] = None
-) -> float:
-    """Uniform sample from [lo, hi] that satisfies ``constraint`` if given."""
-    if lo == hi:
-        return lo
-    for _ in range(64):
-        v = rng.uniform(lo, hi)
-        if constraint is None or constraint.satisfied_by(v):
-            return v
-    # Only open-endpoint pathologies reach here; settle deterministically.
-    return (lo + hi) / 2.0
-
-
-def apply_method(
-    call: MethodCall,
-    current: Value,
-    rng: random.Random,
-    *,
-    constraint: Optional[Constraint] = None,
-    values: tuple[str, ...] = (),
-) -> list[tuple[Value, int, str]]:
-    """Concrete emission plan for a report method: (value, delay_ms, kind) items."""
-    m = call.method
-    if m is Method.KEEP:
-        return [(current, call.delay_ms, KIND_REPORT)]
-    if m is Method.BLOCK:
-        return []
-    if m is Method.DIFF_KEEP:
-        target = call.params[0] if call.params and call.params[0] != "*" else current
-        if not isinstance(target, str):
-            raise EngineError("diffKeep has no complement for numeric values")
-        if not values:
-            raise EngineError("diffKeep needs the attribute value set")
-        others = tuple(v for v in values if v != target)
-        prefix = others[0] if len(others) == 1 else others[rng.randrange(len(others))]
-        return [(prefix, 0, KIND_SYNC), (target, call.delay_ms, KIND_REPORT)]
-    # Method.RANDOMIZE
-    if call.params and isinstance(call.params[0], str):
-        members = tuple(call.params)
-        return [(members[rng.randrange(len(members))], call.delay_ms, KIND_REPORT)]
-    lo, hi = float(call.params[0]), float(call.params[1])
-    return [(sample_interval(rng, lo, hi, constraint), call.delay_ms, KIND_REPORT)]
 
 
 def _fetch_state(store: StateStore, c: Constraint, clock: int) -> Value:
@@ -234,11 +187,15 @@ _Entry = tuple[Policy, Optional[Callable[[Value], bool]], bool]
 class PolicyEngine:
     """Executes a compiled corpus over an incoming event stream.
 
-    The engine keeps no deadlines of its own: ``schedule(when, work)`` is
-    called for every delayed report (an ``Emission``) and every timer (a
-    ``TimerState``) it schedules, and ``tick(when, work)`` runs that work
-    when it falls due. A flushed report or a reset or stopped timer stays
-    scheduled; its tick finds it no longer pending and does nothing.
+    ``_plan`` is the one interpreter of report methods: the trigger's
+    report and every check report are planned by it. The engine keeps no
+    deadlines of its own: ``schedule(when, work)`` is called for every
+    delayed report (an ``Emission``) and every timer (a ``TimerState``) it
+    schedules, and ``tick(when, work)`` runs that work when it falls due.
+    Only diffKeep delays a report, and a newer event or a timer expiry on
+    the key sends it first, so a key holds at most one pending report. A
+    flushed report or a reset or stopped timer stays scheduled; its tick
+    finds it no longer pending and does nothing.
     """
 
     def __init__(self, corpus: CompiledCorpus, seed: int = 0, *,
@@ -248,9 +205,8 @@ class PolicyEngine:
         self.rng = random.Random(seed)
         self.store = StateStore.seeded(corpus.registry.initial_states())
         self.timers: dict[str, TimerState] = {}   # running timers by id
-        # Delayed reports not yet sent, per key by id in scheduling order.
-        # Each is still held by its scheduled tick, so no id is reused.
-        self._pending_reports: dict[tuple[str, str], dict[int, Emission]] = {}
+        # The one delayed report not yet sent, per key.
+        self._pending_reports: dict[tuple[str, str], Emission] = {}
         # Dispatch table: each (device, attribute) key -> one entry per policy
         # whose trigger can match an event on it, in corpus order (timer pushes
         # and decision order follow it). An entry holds the policy, its
@@ -298,7 +254,7 @@ class PolicyEngine:
         db = self.store.db
         if key not in db:
             raise EngineError(f"no state seeded for {key[0]}.{key[1]}")
-        out = self._flush_key_pendings(key, event.timestamp) if self._pending_reports.get(key) else []
+        out = self._flush_key_pending(key, event.timestamp) if key in self._pending_reports else []
         prev = db[key]
         value = db[key] = event.value
 
@@ -332,8 +288,10 @@ class PolicyEngine:
                 return []
             del self.timers[timer_id]
             return self._run_timer_callback(work, now)
-        if self._pending_reports.get(work.key(), {}).pop(id(work), None) is None:
+        key = work.key()
+        if self._pending_reports.get(key) is not work:
             return []
+        del self._pending_reports[key]
         return [self._emit(work)]
 
     def time_tick(self, target_ts: int) -> list[Emission]:
@@ -377,22 +335,23 @@ class PolicyEngine:
         if decisions is None:
             return []
         key = policy.trigger_block.match.key()
-        out = self._flush_key_pendings(key, now) if self._pending_reports.get(key) else []
+        out = self._flush_key_pending(key, now)
+        if self._up_suppresses(key, now):
+            return out  # a user policy withholds the expiry and the syncs it needs
         out.extend(self._emit_sync_decisions(decisions, now))
-        if not self._up_suppresses(key, now):
-            out.append(
-                self._emit(
-                    Emission(
-                        device=key[0],
-                        attribute=key[1],
-                        value=timer.start_value,
-                        timestamp=now,
-                        kind=KIND_EXPIRY,
-                        tag=policy.source_id,
-                        provenance=(policy.id,),
-                    )
+        out.append(
+            self._emit(
+                Emission(
+                    device=key[0],
+                    attribute=key[1],
+                    value=timer.start_value,
+                    timestamp=now,
+                    kind=KIND_EXPIRY,
+                    tag=policy.source_id,
+                    provenance=(policy.id,),
                 )
             )
+        )
         return out
 
     # -- user-policy precedence ---------------------------------------------------
@@ -418,6 +377,11 @@ class PolicyEngine:
     ) -> list[Emission]:
         now = event.timestamp
         ekey = event.key()
+        # A user policy that blocks the trigger withholds its report and the
+        # check reports sent for it. A passing user keep decided too, so its
+        # report is planned with the others.
+        if self._up_suppresses(ekey, now):
+            return []
 
         # 1. Check reports (silent syncs) for every non-trigger attribute.
         out = self._emit_sync_decisions([d for d in decisions if d.key() != ekey], now)
@@ -426,33 +390,19 @@ class PolicyEngine:
         trigger_plan, trig_prov = self._trigger_plan(
             event, prev, [d for d in decisions if d.key() == ekey]
         )
-        # A passing user keep decided too, so its report is already planned.
-        if self._up_suppresses(ekey, now):
-            trigger_plan = []
 
         # 3. Consistency repairs computed against the planned platform view.
         out.extend(self._consistency_repairs(event, trigger_plan, sanctioned, now))
 
-        # 4. Emit the trigger plan; delayed parts are scheduled and pending.
+        # 4. Emit the trigger plan; a delayed report is scheduled and pending.
         for value, delay, kind in trigger_plan:
             emission = Emission(ekey[0], ekey[1], value, now + delay, kind, provenance=trig_prov)
             if delay > 0:
-                self._pending_reports.setdefault(ekey, {})[id(emission)] = emission
+                self._pending_reports[ekey] = emission
                 self.schedule(now + delay, emission)
             else:
                 out.append(self._emit(emission))
         return out
-
-    def _merge_check_plan(
-        self, key: tuple[str, str], decisions: list[ReportDecision]
-    ) -> list[tuple[Value, int, str]]:
-        methods = [d.method for d in decisions if d.method.method is not Method.BLOCK]
-        if not methods:
-            return []
-        current = self.store.current(key)
-        if any(m.method in (Method.KEEP, Method.DIFF_KEEP) for m in methods):
-            return [(current, 0, KIND_SYNC)]
-        return [(v, d, KIND_SYNC) for v, d, _ in self._merge_randomize(key, methods, current)]
 
     def _trigger_plan(
         self,
@@ -463,57 +413,63 @@ class PolicyEngine:
         if not decisions:
             return [], ()
         provenance = tuple(dict.fromkeys(p for d in decisions for p in d.provenance))
-        desc = self.corpus.registry.lookup(*event.key())
+        key = event.key()
         methods = [d.method for d in decisions if d.method.method is not Method.BLOCK]
-        numeric = desc.kind is AttributeKind.NUMERIC
-
-        ap_triggered = any(
-            d.is_trigger and d.origin is PolicyOrigin.AUTOMATION for d in decisions
-        )
-        if not methods:
-            if not (numeric and ap_triggered):
-                return [], provenance
+        numeric = self.corpus.registry.lookup(*key).kind is AttributeKind.NUMERIC
+        if methods:
+            plan = self._plan(key, methods, event.value, KIND_REPORT)
+        elif numeric and any(d.is_trigger and d.origin is PolicyOrigin.AUTOMATION for d in decisions):
             # A numeric-trigger policy passed its checks on a true crossing but
             # the stale last-report already satisfied the trigger; suppressing
             # here would mask the crossing from the platform, so report an
             # obfuscated in-class value anyway.
-            plan = [(self._cell_sample(event.key(), float(event.value)), 0, KIND_REPORT)]  # type: ignore[arg-type]
-        elif any(m.method is Method.DIFF_KEEP for m in methods):
-            call = next(m for m in methods if m.method is Method.DIFF_KEEP)
-            plan = apply_method(call, event.value, self.rng, values=desc.values)
-        elif any(m.method is Method.KEEP for m in methods):
-            delay = min(m.delay_ms for m in methods if m.method is Method.KEEP)
-            plan = [(event.value, delay, KIND_REPORT)]
+            plan = [(self._cell_sample(key, float(event.value)), 0, KIND_REPORT)]  # type: ignore[arg-type]
         else:
-            plan = self._merge_randomize(event.key(), methods, event.value)
-
+            return [], provenance
         if numeric:
-            plan = self._numeric_trigger_plan(event.key(), plan, event.value, prev)
+            [(value, _, _)] = plan   # only diffKeep plans two items, and it never reports a number
+            plan = self._numeric_trigger_plan(key, float(value), float(event.value), prev)  # type: ignore[arg-type]
         return plan, provenance
 
-    def _merge_randomize(
-        self,
-        key: tuple[str, str],
-        methods: list[MethodCall],
-        current: Value,
+    def _plan(
+        self, key: tuple[str, str], methods: list[MethodCall], current: Value, kind: str
     ) -> list[tuple[Value, int, str]]:
-        enum_sets = [tuple(m.params) for m in methods if m.params and isinstance(m.params[0], str)]
+        """What to send for ``current`` on ``key`` under the merged report
+        methods ``methods``, none of them ``block``: (value, delay_ms, kind) items.
+
+        A trigger's diffKeep (``kind`` is ``KIND_REPORT``) sends a silent
+        prefix of another value, then ``current`` after its delay. Otherwise
+        a keep or diffKeep sends ``current``, and randomizes alone send one
+        value that each of them admits.
+        """
+        diff = next((m for m in methods if m.method is Method.DIFF_KEEP), None)
+        if diff is not None and kind == KIND_REPORT:
+            others = [v for v in self.corpus.registry.lookup(*key).values if v != current]
+            if not others:
+                raise EngineError(f"diffKeep has no other value of {key[0]}.{key[1]} to send first")
+            prefix = others[0] if len(others) == 1 else others[self.rng.randrange(len(others))]
+            return [(prefix, 0, KIND_SYNC), (current, diff.delay_ms, KIND_REPORT)]
+        if any(m.method is not Method.RANDOMIZE for m in methods):
+            return [(current, 0, kind)]
+        return [(self._randomized(methods, current), 0, kind)]
+
+    def _randomized(self, methods: list[MethodCall], current: Value) -> Value:
+        """One value that every randomize of ``methods`` admits, or ``current`` if none does."""
+        enum_sets = [m.params for m in methods if isinstance(m.params[0], str)]
         if enum_sets:
-            members = set(enum_sets[0])
-            for s in enum_sets[1:]:
-                members &= set(s)
+            members = set(enum_sets[0]).intersection(*enum_sets[1:])
             if not members:
-                return [(current, 0, KIND_REPORT)]  # no common obfuscation: keep wins
+                return current  # no common obfuscation: keep wins
             ordered = sorted(members)
-            return [(ordered[self.rng.randrange(len(ordered))], 0, KIND_REPORT)]
+            return ordered[self.rng.randrange(len(ordered))]
         lo = max(float(m.params[0]) for m in methods)
         hi = min(float(m.params[1]) for m in methods)
         if not lo < hi:
-            return [(current, 0, KIND_REPORT)]
-        v = sample_interval(self.rng, lo, hi)
+            return current
+        v = self.rng.uniform(lo, hi)
         if v == lo or v == hi:
             v = (lo + hi) / 2.0  # strict thresholds must stay strict
-        return [(v, 0, KIND_REPORT)]
+        return v
 
     # -- numeric trigger alignment ---------------------------------------------------
 
@@ -538,15 +494,11 @@ class PolicyEngine:
         lo, hi = self._cell(key, anchor)
         if lo == hi:
             return anchor
-        v = sample_interval(self.rng, lo, hi)
+        v = self.rng.uniform(lo, hi)
         return v if self._same_cell(key, v, anchor) else anchor
 
     def _numeric_trigger_plan(
-        self,
-        key: tuple[str, str],
-        plan: list[tuple[Value, int, str]],
-        current: Value,
-        prev: Value,
+        self, key: tuple[str, str], value: float, current: float, prev: Value
     ) -> list[tuple[Value, int, str]]:
         """Keep the platform's fire decisions aligned with the true stream.
 
@@ -557,18 +509,12 @@ class PolicyEngine:
         """
         out: list[tuple[Value, int, str]] = []
         star = self.store.last_reported(key)
-        cur = float(current)  # type: ignore[arg-type]
-        for value, delay, kind in plan:
-            if kind != KIND_REPORT:
-                out.append((value, delay, kind))
-                continue
-            v = float(value)  # type: ignore[arg-type]
-            if not self._same_cell(key, v, cur):
-                v = self._cell_sample(key, cur)
-            if isinstance(prev, (int, float)) and isinstance(star, (int, float)):
-                if not self._same_cell(key, float(star), float(prev)):
-                    out.append((self._cell_sample(key, float(prev)), 0, KIND_SYNC))
-            out.append((v, delay, kind))
+        if not self._same_cell(key, value, current):
+            value = self._cell_sample(key, current)
+        if isinstance(prev, (int, float)) and isinstance(star, (int, float)):
+            if not self._same_cell(key, float(star), float(prev)):
+                out.append((self._cell_sample(key, float(prev)), 0, KIND_SYNC))
+        out.append((value, 0, KIND_REPORT))
         return out
 
     # -- consistency repairs ------------------------------------------------------------
@@ -667,23 +613,19 @@ class PolicyEngine:
         for key in sorted(by_key):
             if self._up_suppresses(key, now):
                 continue
-            plan = self._merge_check_plan(key, by_key[key])
+            methods = [d.method for d in by_key[key] if d.method.method is not Method.BLOCK]
+            if not methods:
+                continue
             provenance = tuple(dict.fromkeys(p for d in by_key[key] for p in d.provenance))
-            for value, delay, _ in plan:
-                out.append(
-                    self._emit(Emission(key[0], key[1], value, now + delay, KIND_SYNC,
-                                        provenance=provenance))
-                )
+            for value, delay, kind in self._plan(key, methods, self.store.current(key), KIND_SYNC):
+                out.append(self._emit(Emission(key[0], key[1], value, now + delay, kind,
+                                               provenance=provenance)))
         return out
 
-    def _flush_key_pendings(self, key: tuple[str, str], now: int) -> list[Emission]:
-        """Emit the not-yet-due delayed reports on ``key`` before a newer value lands.
-
-        Callers flush only a key that holds pending reports. The sort is
-        stable, so reports due at one deadline keep their scheduling order.
-        """
-        pending = sorted(self._pending_reports.pop(key).values(), key=lambda p: p.timestamp)
-        return [self._emit(p._replace(timestamp=now)) for p in pending]
+    def _flush_key_pending(self, key: tuple[str, str], now: int) -> list[Emission]:
+        """Send the not-yet-due delayed report on ``key``, if any, before a newer value lands."""
+        pending = self._pending_reports.pop(key, None)
+        return [] if pending is None else [self._emit(pending._replace(timestamp=now))]
 
     def _emit(self, emission: Emission) -> Emission:
         self.store.db_star[emission.key()] = emission.value

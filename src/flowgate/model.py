@@ -202,6 +202,12 @@ class Command(NamedTuple):
         return (self.device, self.attribute)
 
 
+# The kinds of message the mediator sends the platform; ``flowgate.engine``
+# says what each one makes the platform do.
+KIND_REPORT = "report"
+KIND_SYNC = "sync"
+KIND_EXPIRY = "expiry"
+
 _timestamp = operator.attrgetter("timestamp")
 
 

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .model import (
+    KIND_EXPIRY,
+    KIND_REPORT,
+    KIND_SYNC,
     Command,
     Registry,
     Rule,
@@ -73,14 +76,14 @@ class SimulatedPlatform:
     # -- inputs ------------------------------------------------------------------
 
     def receive(self, device: str, attribute: str, value: Value, ts: int,
-                kind: str = "report", tag: str = "") -> None:
+                kind: str = KIND_REPORT, tag: str = "") -> None:
         """Consume one delivered message."""
         key = (device, attribute)
         prev = self.db.get(key)
         self.db[key] = value
-        if kind == "sync":
+        if kind == KIND_SYNC:
             return
-        if kind == "expiry":
+        if kind == KIND_EXPIRY:
             for rule in self._by_key.get(key, ()):
                 if rule.id == tag and rule.trigger.satisfied_by(value):
                     self._fire_rule(rule, ts)

@@ -52,8 +52,8 @@ class MethodCall:
         return s
 
 
-def keep(delay_ms: int = 0) -> MethodCall:
-    return MethodCall(Method.KEEP, (), delay_ms)
+def keep() -> MethodCall:
+    return MethodCall(Method.KEEP)
 
 
 def block() -> MethodCall:

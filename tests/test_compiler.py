@@ -1,5 +1,3 @@
-import random
-
 import pytest
 import yaml
 
@@ -12,7 +10,9 @@ from flowgate.compiler import (
     satisfying_interval,
 )
 from flowgate.dsl import parse_rule, parse_rules
+from flowgate.engine import PolicyEngine
 from flowgate.model import (
+    KIND_SYNC,
     DailyWindow,
     ModelError,
     Operator,
@@ -23,6 +23,7 @@ from flowgate.model import (
 )
 from flowgate.policy import Method, MethodCall, PolicyOrigin, UserPolicySpec, keep
 from flowgate.scenario import parse_user_policies
+from tests.conftest import Deadlines
 
 
 def test_derive_r1_matches_known_shape(mini_registry, r1):
@@ -167,14 +168,10 @@ def test_satisfying_interval_openness(mini_registry):
 
 def test_randomize_always_satisfies_originating_constraint(mini_registry):
     """Sampled check reports must re-satisfy the platform-side predicate."""
-    from flowgate.engine import apply_method
-
-    desc = mini_registry.lookup("ts1", "temperature")
-    c = device_constraint("ts1", "temperature", Operator.GT, 86.0)
+    engine = PolicyEngine(compile_corpus([], [], mini_registry), seed=11, schedule=Deadlines())
     call = MethodCall(Method.RANDOMIZE, (86.0, 10000.0))
-    rng = random.Random(11)
     for _ in range(10_000):
-        [(value, _, _)] = apply_method(call, 90.0, rng, constraint=c)
+        [(value, _, _)] = engine._plan(("ts1", "temperature"), [call], 90.0, KIND_SYNC)
         assert 86.0 < value <= 10000.0
 
 

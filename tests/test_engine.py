@@ -1,4 +1,3 @@
-import random
 
 import hypothesis
 import pytest
@@ -14,12 +13,12 @@ from flowgate.engine import (
     Emission,
     EngineError,
     PolicyEngine,
+    TimerState,
     _fetch_state,
-    apply_method,
     evaluate_policy,
 )
 from flowgate.model import AttributeKind, Event, Operator
-from flowgate.policy import Method, MethodCall, PolicyOrigin
+from flowgate.policy import Method, MethodCall, PolicyOrigin, UserPolicySpec
 from flowgate.scenario import parse_user_policies
 from tests.conftest import Deadlines, run_due
 
@@ -90,35 +89,40 @@ def test_evaluate_unseeded_state_is_configuration_error(mini_registry, r1):
 
 
 # ---------------------------------------------------------------------------
-# apply_method: the worked examples
+# _plan: the worked examples
 # ---------------------------------------------------------------------------
 
-def test_apply_diffkeep_emits_complement_then_value():
-    rng = random.Random(0)
-    plan = apply_method(
-        MethodCall(Method.DIFF_KEEP, ("present",), 300), "present", rng,
-        values=("present", "not-present"),
-    )
+def test_apply_diffkeep_emits_complement_then_value(mini_registry):
+    engine = _engine(mini_registry, R1)
+    plan = engine._plan(("ps1", "presence"), [MethodCall(Method.DIFF_KEEP, ("present",), 300)],
+                        "present", KIND_REPORT)
     assert plan == [("not-present", 0, KIND_SYNC), ("present", 300, KIND_REPORT)]
 
 
-def test_apply_keep_is_identity():
-    rng = random.Random(0)
-    assert apply_method(MethodCall(Method.KEEP), "X", rng) == [("X", 0, KIND_REPORT)]
-    assert apply_method(MethodCall(Method.BLOCK), "X", rng) == []
+def test_apply_keep_is_identity(mini_registry):
+    engine = _engine(mini_registry, R1)
+    assert engine._plan(("mode1", "mode"), [MethodCall(Method.KEEP)], "X", KIND_REPORT) == [
+        ("X", 0, KIND_REPORT)
+    ]
+    # The platform already holds a temperature above 86, so r1's check
+    # block()s it: only the trigger is reported.
+    _set(engine, db={("ts1", "temperature"): 90.0}, db_star={("ts1", "temperature"): 90.0})
+    out = engine.process_event(Event("ps1", "presence", "present", 1000))
+    assert [(e.key(), e.kind) for e in out] == [(("ps1", "presence"), KIND_REPORT)]
 
 
-def test_apply_diffkeep_rejects_numeric():
-    rng = random.Random(0)
+def test_apply_diffkeep_rejects_numeric(mini_registry):
+    engine = _engine(mini_registry, R1)
     with pytest.raises(EngineError):
-        apply_method(MethodCall(Method.DIFF_KEEP, (90.0,)), 90.0, rng)
+        engine._plan(("ts1", "temperature"), [MethodCall(Method.DIFF_KEEP, (90.0,))], 90.0,
+                     KIND_REPORT)
 
 
-def test_apply_randomize_respects_interval():
-    rng = random.Random(1)
+def test_apply_randomize_respects_interval(mini_registry):
+    engine = _engine(mini_registry, R1, seed=1)
     call = MethodCall(Method.RANDOMIZE, (86.0, 10000.0))
     for _ in range(1000):
-        [(v, _, _)] = apply_method(call, 90.0, rng)
+        [(v, _, _)] = engine._plan(("ts1", "temperature"), [call], 90.0, KIND_REPORT)
         assert 86.0 <= v <= 10000.0
 
 
@@ -143,6 +147,58 @@ def test_up_block_overrides_ap_emit(mini_registry):
     _set(engine, db={("ts1", "temperature"): 90.0})
     out = engine.process_event(Event("ps1", "presence", "present", 1000))
     assert [e for e in out if e.key() == ("ps1", "presence")] == []
+
+
+@pytest.mark.parametrize("rule, device, attribute, value", [
+    (R1, "ps1", "presence", "present"),
+    ("rt: when mo1.motion == inactive for 100 if ts1.temperature > 86 then sl1.switch := off",
+     "mo1", "motion", "inactive"),
+], ids=["event", "timer-expiry"])
+def test_blocked_trigger_sends_no_check_report(mini_registry, rule, device, attribute, value):
+    # The trigger fires and its checks pass against a hidden 90, but a user
+    # policy blocks the trigger: the temperature sync sent for it would be
+    # consumed by nothing, so neither the event nor the timer expiry sends it.
+    spec = UserPolicySpec(id="up1", style="blacklist", target_device=device,
+                          target_attribute=attribute)
+    engine = _engine(mini_registry, rule, ups=[spec])
+    _set(engine, db={("ts1", "temperature"): 90.0, ("sl1", "switch"): "on",
+                     ("mo1", "motion"): "active"})
+    assert engine.process_event(Event(device, attribute, value, 1000)) == []
+    assert run_due(engine, 10**6) == []
+
+
+def test_randomize_over_members_syncs_another_admitted_member(mini_registry):
+    # The platform holds mode "away", which fails the condition the true
+    # "home" passes; the check report is a mode other than "away".
+    synced = set()
+    for seed in range(8):
+        engine = _engine(mini_registry, "rv: when ps1.presence == present "
+                                        "if mode1.mode != away then f1.switch := on", seed=seed)
+        _set(engine, db_star={("mode1", "mode"): "away"})
+        out = engine.process_event(Event("ps1", "presence", "present", 1000))
+        [sync] = [e for e in out if e.key() == ("mode1", "mode")]
+        assert sync.kind == KIND_SYNC
+        synced.add(sync.value)
+    assert synced == {"home", "vacation"}
+
+
+def test_randomize_merge_picks_a_common_member(mini_registry):
+    engine = _engine(mini_registry, R1)
+    methods = [MethodCall(Method.RANDOMIZE, ("home", "vacation")),
+               MethodCall(Method.RANDOMIZE, ("away", "vacation"))]
+    assert engine._plan(("mode1", "mode"), methods, "home", KIND_SYNC) == [
+        ("vacation", 0, KIND_SYNC)
+    ]
+
+
+@pytest.mark.parametrize("params, current", [
+    ((("home", "away"), ("vacation", "party")), "home"),   # no common member
+    (((86.0, 90.0), (90.0, 95.0)), 88.0),                  # no value strictly inside both
+])
+def test_randomize_merge_without_common_value_keeps_current(mini_registry, params, current):
+    engine = _engine(mini_registry, R1)
+    methods = [MethodCall(Method.RANDOMIZE, p) for p in params]
+    assert engine._randomized(methods, current) == current
 
 
 def test_two_randomize_ranges_intersect(mini_registry):
@@ -232,6 +288,24 @@ def test_diffkeep_pending_flushed_by_newer_event_on_key(mini_registry):
     assert run_due(engine, 1300) == []
 
 
+def test_timer_expiry_flushes_pending_report_on_its_key(mini_registry):
+    # ra diffKeeps the inactive edge (its report is due at 1300) and rt's
+    # timer on the same key expires at 1100: the report goes first.
+    engine = _engine(mini_registry, "ra: when mo1.motion == inactive then sl1.switch := on\n"
+                                    "rt: when mo1.motion == inactive for 100 then f1.switch := on")
+    engine.process_event(Event("mo1", "motion", "active", 500))
+    out = engine.process_event(Event("mo1", "motion", "inactive", 1000))
+    assert [(e.value, e.kind) for e in out] == [("active", KIND_SYNC)]
+    out = run_due(engine, 1100)
+    assert [(e.value, e.kind, e.timestamp, e.tag) for e in out] == [
+        ("inactive", KIND_REPORT, 1100, ""), ("inactive", KIND_EXPIRY, 1100, "rt"),
+    ]
+    assert run_due(engine, 10**6) == []
+    # The full-scan reference flushes its own pending store at the expiry too.
+    steps = [(("mo1", "motion"), "active", 500), (("mo1", "motion"), "inactive", 500)]
+    assert _dispatch_steps(engine.corpus, steps, seed=0) == 0
+
+
 def test_two_timers_same_deadline_fire_in_creation_order(mini_registry):
     engine = _engine(
         mini_registry,
@@ -309,12 +383,19 @@ def _matches(match, event):
 
 class _ScanningEngine(PolicyEngine):
     """Reference dispatch: every policy is tested against every event, the
-    merge runs in full even when nothing was decided, and a flush scans
-    every scheduled deadline."""
+    merge runs in full even when nothing was decided, pending reports are
+    kept in a store of its own that allows any number per key, and a flush
+    scans every scheduled deadline. It records each delayed report it
+    schedules and each it sends, by its tick or by a flush."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pending = {}   # key -> {id(emission): emission}
+        self.scheduled, self.sent = [], []
 
     def process_event(self, event):
         key = event.key()
-        out = self._flush_key_pendings(key, event.timestamp)
+        out = self._flush_key_pending(key, event.timestamp)
         prev = self.store.db[key]
         self.store.db[key] = event.value
         decisions, sanctioned = [], set()
@@ -355,13 +436,13 @@ class _ScanningEngine(PolicyEngine):
         # All four steps on every event, whether or not anything was decided.
         now = event.timestamp
         ekey = event.key()
+        if self._scan_disposition(ekey, now) == "suppress":
+            return []
         out = self._emit_sync_decisions([d for d in decisions if d.key() != ekey], now)
         trigger_plan, trig_prov = self._trigger_plan(
             event, prev, [d for d in decisions if d.key() == ekey]
         )
-        if self._scan_disposition(ekey, now) == "suppress":
-            trigger_plan = []
-        elif not any(k == KIND_REPORT for _, _, k in trigger_plan):
+        if not any(k == KIND_REPORT for _, _, k in trigger_plan):
             if self._scan_disposition(ekey, now) == "keep":
                 trigger_plan = [(event.value, 0, KIND_REPORT)]
                 trig_prov = trig_prov or ("up",)
@@ -369,19 +450,29 @@ class _ScanningEngine(PolicyEngine):
         for value, delay, kind in trigger_plan:
             emission = Emission(ekey[0], ekey[1], value, now + delay, kind, provenance=trig_prov)
             if delay > 0:
-                self._pending_reports.setdefault(ekey, {})[id(emission)] = emission
+                self.pending.setdefault(ekey, {})[id(emission)] = emission
+                self.scheduled.append(emission)
                 self.schedule(now + delay, emission)
             else:
                 out.append(self._emit(emission))
         return out
 
-    def _flush_key_pendings(self, key, now):
+    def tick(self, now, work):
+        if isinstance(work, TimerState):
+            return super().tick(now, work)   # a timer expiry flushes through _flush_key_pending
+        if self.pending.get(work.key(), {}).pop(id(work), None) is None:
+            return []
+        self.sent.append(work)
+        return [self._emit(work)]
+
+    def _flush_key_pending(self, key, now):
         # Every scheduled deadline in (deadline, seq) order; the key's
         # emissions still pending are sent now, and their ticks do nothing.
-        pending = self._pending_reports.get(key, {})
+        pending = self.pending.get(key, {})
         flushed = []
         for _, _, (_, work) in sorted(self.schedule.heap):
             if isinstance(work, Emission) and pending.pop(id(work), None) is work:
+                self.sent.append(work)
                 flushed.append(self._emit(work._replace(timestamp=now)))
         return flushed
 
@@ -443,7 +534,8 @@ def _event_sequences(registry):
 
 def _dispatch_steps(corpus, steps, seed):
     """Feed ``steps`` to the indexed engine and to the full scan, asserting
-    equal emissions and timers; returns how many events flushed a delayed report."""
+    equal emissions and timers and that every scheduled delayed report was
+    sent exactly once; returns how many events flushed a delayed report."""
     indexed = PolicyEngine(corpus, seed=seed, schedule=Deadlines())
     reference = _ScanningEngine(corpus, seed=seed, schedule=Deadlines())
     now = flushes = 0
@@ -451,10 +543,12 @@ def _dispatch_steps(corpus, steps, seed):
         now += gap
         event = Event(device, attribute, value, now)
         assert run_due(indexed, now) == run_due(reference, now)
-        flushes += bool(indexed._pending_reports.get(event.key()))
+        flushes += event.key() in indexed._pending_reports
         assert indexed.process_event(event) == reference.process_event(event)
     assert run_due(indexed, now + 10**7) == run_due(reference, now + 10**7)
     assert indexed.timers == reference.timers
+    assert sorted(map(id, reference.sent)) == sorted(map(id, reference.scheduled))
+    assert indexed._pending_reports == {}
     return flushes
 
 

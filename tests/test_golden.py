@@ -26,10 +26,10 @@ GOLDEN = {
         "gt_commands.log": "d7872fb592d6e2cf26d9ac61aa912481b1decf38b5a3f8c9db6ae62d99c18cc1",
         "gt_pruned.log": "6675bbe1d03a4d09e16f0ddf2802f45d9ddc4c8429adda39d22847b3154d004f",
         "latency.csv": "1a41452b35516507ed862a78589d6a03d9441ef1facf2af4dc5115dcc2756237",
-        "metrics.json": "7909bac8d3c7f80fd8ed1cd28f9de04ddd17fe48bb4a14011a50818da9372d25",
+        "metrics.json": "b0496b8ce311a6251412d0d5ee33f6e1d7aef6923c6913d0aa5c41d0eeab1d1a",
         "p_commands.log": "fc05dc18a05e08ada91dbe3ead9800b86712d8cad276be9bdec9fbdcbf1f4418",
         "policies.txt": "6019932cd93e0c1c24257645e971e2369bc99f5a36858bffbf041fd5e2b2d31d",
-        "reported_events.log": "6e3be5a7e352764e3cd694d6438ac734da80f0ea90f2e5010819bfc9ed75e4a5",
+        "reported_events.log": "207effe73df6d0d3e08f40a5b373c58d0b76a8c3703d314a4de25394594062fd",
         "verification.json": "86dc6a37a08b10a707c71012e44ec19fa392122156f6fb546eb3b1ebc2e82419",
     },
     ('scenario-with-ups.yaml', 'pull'): {
