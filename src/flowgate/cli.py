@@ -14,8 +14,9 @@ from typing import Optional
 from .compiler import CompiledCorpus, compile_corpus
 from .conflicts import scan_on_update
 from .dsl import format_commands
+from .engine import Emission
 from .metrics import StateTimeline, catr, ctr, reduction_rate
-from .model import AttributeKind, Event, ModelError, Trace, Value, format_value
+from .model import AttributeKind, ModelError, Trace, Value, format_value
 from .policy import dump_policy
 from .scenario import MODES, Scenario, load_scenario, scenario_table
 from .simulator import (
@@ -120,9 +121,9 @@ def _metrics_summary(scenario: Scenario, artifacts: RunArtifacts) -> dict:
     actuations: dict[tuple[str, str], list[tuple[int, Value]]] = {}
     for device, attribute, value, ts in artifacts.actuations:
         actuations.setdefault((device, attribute), []).append((ts, value))
-    observed_by_key: dict[tuple[str, str], list[Event]] = {}
+    observed_by_key: dict[tuple[str, str], list[Emission]] = {}
     for r in artifacts.reported_events:
-        observed_by_key.setdefault(r.key(), []).append(r.as_event())
+        observed_by_key.setdefault(r.key(), []).append(r)
     for key in registry.all_pairs():
         times, values = trace.column(key)
         raw = len(times)

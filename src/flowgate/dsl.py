@@ -16,7 +16,8 @@ from __future__ import annotations
 import io
 import math
 import re
-from typing import IO, Callable, Iterable, Optional, TypeVar, Union
+from array import array
+from typing import IO, Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 import yaml
 
@@ -30,6 +31,7 @@ from .model import (
     DEFAULT_NUMERIC_BOUNDS,
     DeviceDescriptor,
     Event,
+    MAX_TIMESTAMP_MS,
     ModelError,
     Operator,
     Registry,
@@ -300,8 +302,9 @@ def parse_rules(source: Union[str, IO[str]], registry: Registry) -> list[Rule]:
 def parse_trace(source: Union[str, IO[str]], registry: Registry) -> Trace:
     """Parse a trace file into a timestamp-ordered :class:`Trace`.
 
-    A record older than the one before it is an error naming its line. An
-    exact repeat of a record at the same millisecond collapses to one event.
+    A record older than the one before it, or whose timestamp is negative or
+    above ``MAX_TIMESTAMP_MS``, is an error naming its line. An exact repeat
+    of a record at the same millisecond collapses to one event.
 
     One pass: each distinct ``device attribute value`` text is looked up and
     validated once, and each record lands in its key's columns. Only a
@@ -314,7 +317,7 @@ def parse_trace(source: Union[str, IO[str]], registry: Registry) -> Trace:
     order = trace.order
     # Validated (key's timestamps, key's values, key id, value), keyed by the
     # record's text after its timestamp.
-    validated: dict[str, tuple[list[int], list[Value], int, Value]] = {}
+    validated: dict[str, tuple[array[int], list[Value], int, Value]] = {}
     last_ts = -math.inf
     for line_no, line in enumerate(source, start=1):
         if "#" in line:
@@ -349,13 +352,16 @@ def parse_trace(source: Union[str, IO[str]], registry: Registry) -> Trace:
         if ts == last_ts and _repeats(times, values, ts, value):
             continue
         last_ts = ts
-        times.append(ts)
+        try:
+            times.append(ts)
+        except OverflowError:
+            raise ParseError(f"timestamp {ts} is outside 0..{MAX_TIMESTAMP_MS}", line_no) from None
         values.append(value)
         order.append(kid)
     return trace
 
 
-def _repeats(times: list[int], values: list[Value], ts: int, value: Value) -> bool:
+def _repeats(times: Sequence[int], values: list[Value], ts: int, value: Value) -> bool:
     """Whether one key's events at ``ts``, the last in its column, already hold ``value``."""
     for j in range(len(times) - 1, -1, -1):
         if times[j] != ts:

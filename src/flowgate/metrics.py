@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import attrgetter, eq, sub
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Iterator, MutableSequence, Optional, Sequence, Union
 
+from .engine import Emission
 from .model import Event, ModelError, Registry, Value
 
 MS_PER_HOUR = 3_600_000
@@ -29,14 +30,21 @@ def reduction_rate(raw_count: int, reported_count: int) -> float:
 
 @dataclass
 class StateTimeline:
-    """Step function value(t) over one attribute, last-value-holds; tied steps last zero time."""
+    """Step function value(t) over one attribute, last-value-holds; tied steps last zero time.
+
+    ``times`` may be a trace's own timestamp column, an ``array('Q')``, held
+    without a copy: ``segments`` slices it and yields the steps one at a time,
+    so no reader turns a column into a list of ints.
+    """
 
     initial: Value
-    times: list[int] = field(default_factory=list)    # change instants, ascending
+    times: MutableSequence[int] = field(default_factory=list)    # change instants, ascending
     values: list[Value] = field(default_factory=list)
 
     @classmethod
-    def from_events(cls, events: Iterable[Event], initial: Value) -> "StateTimeline":
+    def from_events(
+        cls, events: Iterable[Union[Event, Emission]], initial: Value
+    ) -> "StateTimeline":
         ordered = sorted(events, key=attrgetter("timestamp"))
         return cls(initial, [e.timestamp for e in ordered], [e.value for e in ordered])
 
@@ -53,19 +61,20 @@ class StateTimeline:
         i = bisect_right(self.times, t)
         return self.initial if i == 0 else self.values[i - 1]
 
-    def segments(self, start: int, end: int) -> tuple[list[int], list[int], list[Value]]:
-        """The starts, ends and values of the steps clipped to ``[start, end)``, ``start < end``."""
+    def segments(self, start: int, end: int) -> Iterator[tuple[int, int, Value]]:
+        """The (start, end, value) steps clipped to ``[start, end)``, ``start < end``,
+        read lazily off slices of the columns."""
         i, j = bisect_right(self.times, start), bisect_left(self.times, end)
         inner = self.times[i:j]
         first = self.values[i - 1] if i else self.initial
-        return [start, *inner], [*inner, end], [first, *self.values[i:j]]
+        return zip(chain((start,), inner), chain(inner, (end,)),
+                   chain((first,), self.values[i:j]))
 
     def time_in(self, value: Value, start: int, end: int) -> int:
         """Milliseconds in ``[start, end)`` during which the timeline holds ``value``."""
         if end <= start:
             return 0
-        starts, ends, values = self.segments(start, end)
-        return sum(compress(map(sub, ends, starts), map(eq, values, repeat(value))))
+        return sum(e - s for s, e, v in self.segments(start, end) if v == value)
 
 
 def ctr(true_tl: StateTimeline, observed_tl: StateTimeline, horizon: tuple[int, int]) -> float:
@@ -73,8 +82,7 @@ def ctr(true_tl: StateTimeline, observed_tl: StateTimeline, horizon: tuple[int, 
     t0, t1 = horizon
     if t1 <= t0:
         raise ModelError("empty horizon")
-    starts, ends, values = observed_tl.segments(t0, t1)
-    equal = sum(map(true_tl.time_in, values, starts, ends))
+    equal = sum(true_tl.time_in(v, s, e) for s, e, v in observed_tl.segments(t0, t1))
     return equal / (t1 - t0)
 
 
@@ -91,8 +99,8 @@ def catr(
     believed_active = observed_tl.time_in(active_value, t0, t1)
     if believed_active == 0:
         return None
-    segments = zip(*observed_tl.segments(t0, t1))
-    both = sum(true_tl.time_in(v, s, e) for s, e, v in segments if v == active_value)
+    both = sum(true_tl.time_in(v, s, e)
+               for s, e, v in observed_tl.segments(t0, t1) if v == active_value)
     return both / believed_active
 
 

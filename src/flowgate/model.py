@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from array import array
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count, repeat
@@ -25,6 +25,9 @@ from typing import Callable, NamedTuple, Optional, Union
 MS_PER_MINUTE = 60_000
 MS_PER_DAY = 86_400_000
 MINUTES_PER_DAY = 1440
+# A timestamp is a count of milliseconds that a trace stores as an unsigned
+# 64-bit integer.
+MAX_TIMESTAMP_MS = 2**64 - 1
 
 # Bounds the platform documents for common sensor attributes; any other
 # numeric attribute must declare min/max in the home configuration.
@@ -214,18 +217,20 @@ _timestamp = operator.attrgetter("timestamp")
 class Trace:
     """A trace stored by key; iterated as events in timestamp order.
 
-    Each key has a column of ascending timestamps and one of the values
-    read at them; ``order`` holds the key id of every event in trace order
-    (ties in record order), and an event's place is its index there. Events
-    are built only when read, and ``placed(keys)`` builds only those on
-    ``keys``.
+    Each key has a column of ascending timestamps, an ``array('Q')`` of
+    unsigned 64-bit milliseconds (0 to ``MAX_TIMESTAMP_MS``), and a list of
+    the values read at them, each distinct value one shared object; ``order``,
+    an ``array('I')``, holds the key id of every event in trace order (ties in
+    record order), and an event's place is its index there. That is about
+    24 bytes per event. Events are built only when read, and
+    ``placed(keys)`` builds only those on ``keys``.
     """
 
     __slots__ = ("keys", "times", "values", "order", "_ids")
 
     def __init__(self) -> None:
         self.keys: list[tuple[str, str]] = []    # key id -> (device, attribute)
-        self.times: list[list[int]] = []          # key id -> its timestamps
+        self.times: list[array[int]] = []         # key id -> its timestamps
         self.values: list[list[Value]] = []       # key id -> its values
         self.order = array("I")                    # key id of each event
         self._ids: dict[tuple[str, str], int] = {}
@@ -238,7 +243,12 @@ class Trace:
         trace = cls()
         for device, attribute, value, ts in sorted(events, key=_timestamp):
             kid = trace.key_id((device, attribute))
-            trace.times[kid].append(ts)
+            try:
+                trace.times[kid].append(ts)
+            except OverflowError:
+                raise ModelError(
+                    f"event {device}.{attribute}: timestamp {ts} is outside 0..{MAX_TIMESTAMP_MS}"
+                ) from None
             trace.values[kid].append(value)
             trace.order.append(kid)
         return trace
@@ -249,11 +259,11 @@ class Trace:
         if kid is None:
             kid = self._ids[key] = len(self.keys)
             self.keys.append(key)
-            self.times.append([])
+            self.times.append(array("Q"))
             self.values.append([])
         return kid
 
-    def column(self, key: tuple[str, str]) -> tuple[list[int], list[Value]]:
+    def column(self, key: tuple[str, str]) -> tuple[Sequence[int], list[Value]]:
         """The timestamps of ``key``'s events and their values."""
         kid = self._ids.get(key)
         return ([], []) if kid is None else (self.times[kid], self.values[kid])
@@ -274,8 +284,8 @@ class Trace:
     def placed(self, keys: Container[tuple[str, str]]) -> Iterator[tuple[int, Event]]:
         """The events on ``keys`` in trace order, each with its place in the trace."""
         wanted = [key in keys for key in self.keys]
-        mask = list(map(wanted.__getitem__, self.order))
-        return zip(compress(count(), mask), self._events(compress(self.order, mask)))
+        places = array("I", compress(count(), map(wanted.__getitem__, self.order)))
+        return zip(places, self._events(map(self.order.__getitem__, places)))
 
     def __iter__(self) -> Iterator[Event]:
         return self._events(self.order)

@@ -439,9 +439,19 @@ def _run_ends_in_one_line(scenario: Path, out: Path) -> str:
 COLD_RULE = "rz: when mo1.motion == active if mu1.temperature < cold then sl1.switch := on"
 
 
-@pytest.mark.parametrize("fault", ["value", "regression", "rule-word", *BAD_UPS])
+@pytest.mark.parametrize("fault", [
+    "value", "regression", "negative-timestamp", "timestamp-2**64", "rule-word", *BAD_UPS])
 def test_input_error_ends_in_one_line(demo_scenario, fault):
-    if fault in BAD_UPS:
+    if fault == "negative-timestamp":
+        trace = demo_scenario / "trace.log"
+        trace.write_text("-1 mo1 motion active\n" + trace.read_text())
+        expected = "timestamp -1 is outside 0..18446744073709551615 at line 1"
+        scenario = demo_scenario / "scenario.yaml"
+    elif fault == "timestamp-2**64":
+        line = _bad_trace(demo_scenario / "trace.log", "18446744073709551616 mo1 motion active")
+        expected = f"timestamp {2**64} is outside 0..{2**64 - 1} at line {line}"
+        scenario = demo_scenario / "scenario.yaml"
+    elif fault in BAD_UPS:
         text, expected = BAD_UPS[fault]
         (demo_scenario / "ups.yaml").write_text(text)
         scenario = demo_scenario / "scenario-ups.yaml"

@@ -141,6 +141,22 @@ def test_parse_trace_bounds_error(mini_registry, record):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("record", [
+    "-1 mo1 motion active",
+    "18446744073709551616 mo1 motion active",
+], ids=["negative", "2**64"])
+def test_parse_trace_timestamp_range_error(mini_registry, record):
+    with pytest.raises(ParseError) as err:
+        parse_trace(f"# out of range\n{record}\n", mini_registry)
+    assert err.value.line == 2
+    assert "is outside 0..18446744073709551615" in str(err.value)
+
+
+def test_parse_trace_keeps_the_largest_timestamp(mini_registry):
+    [event] = parse_trace("18446744073709551615 mo1 motion active\n", mini_registry)
+    assert event.timestamp == 2**64 - 1
+
+
 def test_parse_trace_regression_error(mini_registry):
     text = "5000 ts1 temperature 90\n1000 ts1 temperature 80\n"
     with pytest.raises(ParseError) as err:
@@ -182,6 +198,8 @@ def reference_parse_trace(source, registry=None, tolerance_ms=0):
                 value = float(value_text)
             except ValueError:
                 value = value_text
+        if not 0 <= ts < 2**64:
+            raise ParseError(f"timestamp {ts} is outside 0..{2**64 - 1}", line_no)
         key = (device, attribute, value, ts)
         if key in seen:
             continue
@@ -204,7 +222,7 @@ RESPELL = {"20": "20.0", "20.0": "020", "020": "20"}
 BAD_RECORDS = [
     "mo1 motion", "12x mo1 motion active", "5.5 ps1 presence present", "{ts} mo1 motion maybe",
     "{ts} ts1 temperature 20000", "{ts} ts1 temperature nan", "{ts} zz9 motion active",
-    "{ts} mo1 humidity 40",
+    "{ts} mo1 humidity 40", "-1 mo1 motion active", "18446744073709551616 mo1 motion active",
 ]
 NOISE = ["", "   ", "# a comment", "\t# indented comment"]
 

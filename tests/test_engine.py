@@ -485,6 +485,9 @@ DISPATCH_RULES = "\n".join([
 ])
 
 # A device wildcard (no attribute) and windowed single-attribute blacklists.
+# upp blocks R1's trigger from the first minute on, so a sequence reaches a
+# blocked trigger whose checks would sync ts1.temperature; the flush test's
+# events all fall in the first minute.
 DISPATCH_UPS = """
 - id: upw
   style: conditional
@@ -499,6 +502,10 @@ DISPATCH_UPS = """
   style: blacklist
   target: {device: mo1, attribute: motion}
   window: {start: "00:10", end: "01:00"}
+- id: upp
+  style: blacklist
+  target: {device: ps1, attribute: presence}
+  window: {start: "00:01", end: "01:00"}
 """
 
 

@@ -1,9 +1,13 @@
 import dataclasses
+import gc
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from flowgate.dsl import parse_trace
 from flowgate.model import (
     AttributeDescriptor,
     AttributeKind,
@@ -11,11 +15,14 @@ from flowgate.model import (
     Constraint,
     DailyWindow,
     Event,
+    MAX_TIMESTAMP_MS,
     ModelError,
     Operator,
+    Trace,
     Value,
     device_constraint,
     format_hhmm,
+    format_value,
     minute_of_day,
     parse_hhmm,
 )
@@ -284,3 +291,83 @@ def test_event_and_command_are_immutable_hashable_tuples():
     assert event != command and command != event
     assert event != Command(*event, "r1")
     assert len({event, command}) == 2
+
+
+@pytest.mark.parametrize("ts", [-1, MAX_TIMESTAMP_MS + 1], ids=["negative", "2**64"])
+def test_trace_rejects_out_of_range_timestamp(ts):
+    events = [Event("mo1", "motion", "active", 0), Event("ps1", "presence", "present", ts)]
+    with pytest.raises(ModelError, match=f"ps1.presence: timestamp {ts} is outside"):
+        Trace.of(events)
+
+
+def test_trace_keeps_the_largest_timestamp():
+    event = Event("mo1", "motion", "active", MAX_TIMESTAMP_MS)
+    assert list(Trace.of([event])) == [event]
+
+
+# ---------------------------------------------------------------------------
+# Trace storage: guards on the bytes the store and its readers hold
+# ---------------------------------------------------------------------------
+
+def _mini_home_trace_text(registry, events, rare_key, rare_share):
+    """``events`` synthetic records on every mini-home key; ``rare_key`` gets
+    about ``rare_share`` of them."""
+    rng = random.Random(7)
+    common = [key for key in registry.all_pairs() if key != rare_key]
+    lines, ts = [], 0
+    for _ in range(events):
+        ts += rng.choice([1, 250, 1000, 60_000])
+        device, attribute = rare_key if rng.random() < rare_share else rng.choice(common)
+        desc = registry.lookup(device, attribute)
+        if desc.kind is AttributeKind.NUMERIC:
+            value = format_value(float(rng.randrange(int(desc.min), int(desc.min) + 100)))
+        else:
+            value = rng.choice(desc.values)
+        lines.append(f"{ts} {device} {attribute} {value}\n")
+    return "".join(lines)
+
+
+def _traced_bytes(build):
+    """What ``build()`` returns, the bytes it still holds, and its peak allocation."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        built = build()
+        held, peak = tracemalloc.get_traced_memory()
+        return built, held - before, peak - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+RARE = ("mode1", "mode")
+
+
+@pytest.fixture(scope="module")
+def mini_trace_text(mini_registry):
+    return _mini_home_trace_text(mini_registry, 24_000, RARE, 0.01)
+
+
+def test_trace_store_holds_under_30_bytes_per_event(mini_registry, mini_trace_text):
+    # A timestamp is 8 bytes in its key's array('Q'), a value one pointer in
+    # its key's list, and the key id 4 bytes in ``order``: about 24 bytes
+    # with the columns' spare room. An int object per timestamp would add 32.
+    trace, held, _ = _traced_bytes(lambda: parse_trace(mini_trace_text, mini_registry))
+    assert len(trace) >= 20_000
+    assert held / len(trace) <= 30
+
+
+def test_placed_allocates_under_a_byte_per_trace_event(mini_registry, mini_trace_text):
+    # Streaming a key with 1% of the events keeps only its places; a list
+    # mask over the whole trace would cost 8 bytes per event.
+    trace = parse_trace(mini_trace_text, mini_registry)
+    share = len(trace.column(RARE)[0]) / len(trace)
+    assert 0.005 < share < 0.02
+    placed, _, peak = _traced_bytes(lambda: trace.placed({RARE}))
+    assert peak / len(trace) <= 1
+    expected = [(i, e) for i, e in enumerate(trace) if e.key() == RARE]
+    assert list(placed) == expected
