@@ -35,6 +35,7 @@ from .policy import (
     diff_keep,
     keep,
 )
+from .platform_sim import RuleTable
 
 
 class CompileError(ModelError):
@@ -252,15 +253,18 @@ def encode_user_policy(spec: UserPolicySpec, registry: Registry) -> Policy:
 
 @dataclass
 class CompiledCorpus:
-    """Everything the engine and the simulated platform need for one home."""
+    """Everything the engine and the simulated platform need for one home.
+
+    ``rules`` is the platform-side rule table: every rule with its timer
+    stripped, and each held-duration rule gated, so that only its bundle's
+    expiry report fires it. The engine predicts the platform from the same table.
+    """
 
     registry: Registry
+    rules: RuleTable
     policies: list[Policy] = field(default_factory=list)        # UPs first, then APs
     user_policies: list[Policy] = field(default_factory=list)
     automation_policies: list[Policy] = field(default_factory=list)
-    forwarded_rules: list[Rule] = field(default_factory=list)   # platform-side rule set
-    tag_gated: set[str] = field(default_factory=set)            # rule ids firing on expiry only
-    trigger_thresholds: dict[tuple[str, str], tuple[float, ...]] = field(default_factory=dict)
 
 
 def compile_corpus(
@@ -269,32 +273,14 @@ def compile_corpus(
     registry: Registry,
     diffkeep_ms: int = DIFFKEEP_DELAY_DEFAULT_MS,
 ) -> CompiledCorpus:
-    corpus = CompiledCorpus(registry=registry)
-    for spec in user_specs:
-        corpus.user_policies.append(encode_user_policy(spec, registry))
+    user_policies = [encode_user_policy(spec, registry) for spec in user_specs]
+    automation_policies: list[Policy] = []
     for rule in rules:
         if rule.condition_timer is not None:
-            corpus.automation_policies.extend(derive_timer_bundle(rule, registry, diffkeep_ms))
-            corpus.forwarded_rules.append(strip_timer(rule))
-            corpus.tag_gated.add(rule.id)
+            automation_policies.extend(derive_timer_bundle(rule, registry, diffkeep_ms))
         else:
-            corpus.automation_policies.append(derive_policy(rule, registry, diffkeep_ms))
-            corpus.forwarded_rules.append(rule)
-    corpus.policies = [*corpus.user_policies, *corpus.automation_policies]
-    corpus.trigger_thresholds = _collect_thresholds(corpus.forwarded_rules, registry)
-    return corpus
-
-
-def _collect_thresholds(rules: list[Rule], registry: Registry) -> dict[tuple[str, str], tuple[float, ...]]:
-    """Numeric trigger thresholds per attribute, for value-class-preserving reports."""
-    out: dict[tuple[str, str], set[float]] = {}
-    for rule in rules:
-        trig = rule.trigger
-        if trig.is_time:
-            continue
-        desc = registry.lookup(trig.subject, trig.attribute)
-        if desc.kind is not AttributeKind.NUMERIC:
-            continue
-        out.setdefault(trig.key(), set()).update(trig.cut_points())
-    return {k: tuple(sorted(v)) for k, v in out.items()}
-
+            automation_policies.append(derive_policy(rule, registry, diffkeep_ms))
+    table = RuleTable(map(strip_timer, rules), registry,
+                      gated=(rule.id for rule in rules if rule.condition_timer is not None))
+    return CompiledCorpus(registry, table, [*user_policies, *automation_policies],
+                          user_policies, automation_policies)

@@ -98,7 +98,7 @@ def satisfiable(cs: ConstraintSet) -> tuple[bool, Optional[dict[tuple[str, str],
     witness: dict[tuple[str, str], Value] = {}
     for var, atoms in sorted(by_var.items()):
         if atoms[0].is_time:
-            minutes = [m for m in range(MINUTES_PER_DAY) if all(_time_sat(a, m) for a in atoms)]
+            minutes = [m for m in range(MINUTES_PER_DAY) if all(a.satisfied_by(m) for a in atoms)]
             if not minutes:
                 return False, None
             witness[var] = minutes[0]
@@ -124,12 +124,6 @@ def satisfiable(cs: ConstraintSet) -> tuple[bool, Optional[dict[tuple[str, str],
                 return False, None
             witness[var] = candidates[0]
     return True, witness
-
-
-def _time_sat(a: Constraint, minute: int) -> bool:
-    if a.operator is Operator.EQ:
-        return minute == int(a.value)  # type: ignore[arg-type]
-    return a.satisfied_by(minute)
 
 
 @dataclass

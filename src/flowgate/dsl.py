@@ -79,16 +79,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_OPS = {
-    "==": Operator.EQ,
-    "!=": Operator.NE,
-    "<": Operator.LT,
-    "<=": Operator.LE,
-    ">": Operator.GT,
-    ">=": Operator.GE,
-}
-
-
 class _Tokens:
     def __init__(self, text: str, line_no: int):
         self.text = text
@@ -165,7 +155,7 @@ def _parse_constraint(tok: _Tokens, registry: Registry, line: int) -> Constraint
     kind, text, col = tok.next("op")
     if text == ":=":
         raise ParseError("':=' is only valid in actions", line, col)
-    op = _OPS[text]
+    op = Operator(text)
     if tok.peek() is None:
         raise ParseError("constraint missing value", line, col)
     if is_time:
@@ -217,6 +207,9 @@ def parse_rule(text: str, registry: Registry, line_no: int = 1) -> Rule:
 
     tok.next("word", "when")
     trigger = _parse_constraint(tok, registry, line_no)
+    if trigger.is_time and trigger.operator is not Operator.EQ:
+        # The platform fires a time trigger at one minute of the day.
+        raise ParseError("a time trigger needs '== HH:MM'", line_no)
 
     timer: Optional[ConditionTimer] = None
     if tok.accept_word("for"):

@@ -37,6 +37,7 @@ from .model import (
     Value,
     minute_of_day,
 )
+from .platform_sim import conditions_pass
 from .policy import CheckBlock, Method, MethodCall, Policy, PolicyOrigin, TriggerBlock
 
 
@@ -195,12 +196,16 @@ class PolicyEngine:
     Only diffKeep delays a report, and a newer event or a timer expiry on
     the key sends it first, so a key holds at most one pending report. A
     flushed report or a reset or stopped timer stays scheduled; its tick
-    finds it no longer pending and does nothing.
+    finds it no longer pending and does nothing. Repairs predict the
+    platform from its own rule table, ``corpus.rules``: which rules a report
+    or a clock instant fires there, and whether their conditions pass on
+    the last-reported states.
     """
 
     def __init__(self, corpus: CompiledCorpus, seed: int = 0, *,
                  schedule: Callable[[int, Emission | TimerState], None]):
         self.corpus = corpus
+        self.rules = corpus.rules
         self.schedule = schedule
         self.rng = random.Random(seed)
         self.store = StateStore.seeded(corpus.registry.initial_states())
@@ -214,15 +219,16 @@ class PolicyEngine:
         # an ``any`` trigger, which every event on the key fires (a timer
         # policy starts or stops on an edge only, so it keeps its test). A
         # device wildcard covers every attribute of the device; time triggers
-        # match clock instants, not events.
+        # match clock instants, not events: ``_clock_policies`` holds them
+        # by minute of day, in corpus order.
         self._dispatch: dict[tuple[str, str], list[_Entry]] = {}
         self._user_by_key: dict[tuple[str, str], list[Policy]] = {}
-        self._clock_policies: list[Policy] = []
+        self._clock_policies: dict[int, list[Policy]] = {}
         for policy in corpus.policies:
             m = policy.trigger_block.match
             if m.is_time:
                 if m.operator is Operator.EQ:
-                    self._clock_policies.append(policy)
+                    self._clock_policies.setdefault(int(m.value), []).append(policy)  # type: ignore[arg-type]
                 continue
             is_timer = bool(policy.timer_start or policy.timer_stop)
             test = None if m.operator is Operator.ANY and not is_timer else m.satisfied_by
@@ -232,19 +238,6 @@ class PolicyEngine:
                 if policy.origin is PolicyOrigin.USER:
                     self._user_by_key.setdefault((m.subject, attr), []).append(policy)
         self.trigger_keys = self._dispatch.keys()   # the keys some policy triggers on
-        self._forwarded_by_key: dict[tuple[str, str], list[Rule]] = {}
-        for rule in corpus.forwarded_rules:
-            if rule.trigger.is_time or rule.id in corpus.tag_gated:
-                continue
-            self._forwarded_by_key.setdefault(rule.trigger.key(), []).append(rule)
-        self._time_rules = [r for r in corpus.forwarded_rules if r.trigger.is_time]
-
-    # -- scheduling ----------------------------------------------------------
-
-    def time_trigger_minutes(self) -> list[int]:
-        minutes = {int(r.trigger.value) for r in self._time_rules}  # type: ignore[arg-type]
-        minutes.update(int(p.trigger_block.match.value) for p in self._clock_policies)  # type: ignore[arg-type]
-        return sorted(minutes)
 
     # -- event processing ------------------------------------------------------
 
@@ -299,9 +292,7 @@ class PolicyEngine:
         minute = minute_of_day(target_ts)
         decisions: list[ReportDecision] = []
         sanctioned: set[str] = set()
-        for policy in self._clock_policies:
-            if int(policy.trigger_block.match.value) != minute:  # type: ignore[arg-type]
-                continue
+        for policy in self._clock_policies.get(minute, ()):
             local = _run_checks(policy, self.store, target_ts)
             if local is None:
                 continue
@@ -310,9 +301,7 @@ class PolicyEngine:
                 sanctioned.add(policy.source_id)
         out = self._emit_sync_decisions(decisions, target_ts)
         out.extend(self._repairs(
-            (rule for rule in self._time_rules
-             if int(rule.trigger.value) == minute  # type: ignore[arg-type]
-             and rule.id not in sanctioned),
+            (rule for rule in self.rules.at_minute.get(minute, ()) if rule.id not in sanctioned),
             target_ts,
         ))
         return out
@@ -477,7 +466,7 @@ class PolicyEngine:
         """The interval between adjacent trigger thresholds containing ``value``."""
         desc = self.corpus.registry.lookup(*key)
         lo, hi = float(desc.min), float(desc.max)  # type: ignore[arg-type]
-        for cut in self.corpus.trigger_thresholds.get(key, ()):
+        for cut in self.rules.thresholds.get(key, ()):
             if cut <= value:
                 lo = max(lo, cut)
             else:
@@ -485,7 +474,7 @@ class PolicyEngine:
         return lo, hi
 
     def _same_cell(self, key: tuple[str, str], a: float, b: float) -> bool:
-        for cut in self.corpus.trigger_thresholds.get(key, ()):
+        for cut in self.rules.thresholds.get(key, ()):
             if (a <= cut) != (b <= cut) or (a < cut) != (b < cut):
                 return False
         return True
@@ -546,7 +535,7 @@ class PolicyEngine:
                 platform_prev = value
                 continue
             repairs.extend(self._repairs(
-                (rule for rule in self._forwarded_by_key.get(key, ())
+                (rule for rule in self.rules.on_key.get(key, ())
                  if rule.id not in sanctioned and not rule.uses_history
                  and rule.trigger.fires(value, platform_prev)),
                 now,
@@ -558,7 +547,7 @@ class PolicyEngine:
         """One repair per rule of ``rules`` that true state stops but the platform's copy would fire."""
         for rule in rules:
             failing = self._first_repairable_condition(rule)
-            if failing is not None and self._platform_conditions_pass(rule, now):
+            if failing is not None and conditions_pass(rule, now, self.store.last_reported):
                 yield self._repair_emission(failing, now)
 
     def _first_repairable_condition(self, rule: Rule) -> Optional[Constraint]:
@@ -568,13 +557,6 @@ class PolicyEngine:
             if not c.satisfied_by(self.store.current(c.key())):
                 return c
         return None
-
-    def _platform_conditions_pass(self, rule: Rule, now: int) -> bool:
-        for c in rule.condition:
-            value = minute_of_day(now) if c.is_time else self.store.last_reported(c.key())
-            if not c.satisfied_by(value):
-                return False
-        return True
 
     def _repair_emission(self, c: Constraint, now: int) -> Emission:
         desc = self.corpus.registry.lookup(c.subject, c.attribute)

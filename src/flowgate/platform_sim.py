@@ -10,24 +10,77 @@ never delivers an event, so its platform learns states only by refreshing.
 Issued commands collect in ``issued`` until the caller drains them.
 ``wake(when)`` is called for every deadline the platform schedules (a delayed
 action or a native timer); ``tick(when)`` then runs the work due.
+
+Which rules an input fires, and whether their conditions pass, is decided by
+a ``RuleTable``. The mediator predicts the platform's decisions from the same
+table, so the two can never disagree on which rules a report fires.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .model import (
     KIND_EXPIRY,
     KIND_REPORT,
     KIND_SYNC,
+    AttributeKind,
     Command,
     Registry,
     Rule,
     Value,
     minute_of_day,
 )
+
+
+class RuleTable:
+    """The platform's rules, indexed by what fires them; built once, never changed.
+
+    * ``on_key[key]`` -- the rules a report on ``key`` fires, in rule order;
+      a gated rule is left out.
+    * ``gated[rule_id]`` -- each gated rule: a held-duration rule whose timer
+      the mediator runs, fired only by its expiry report.
+    * ``at_minute[minute]`` -- the time rules of each minute of the day, in
+      rule order; ``minutes`` lists those minutes in ascending order.
+    * ``keys`` -- the keys the rules trigger on or command.
+    * ``thresholds[key]`` -- the sorted cut points of the numeric triggers on ``key``.
+    """
+
+    def __init__(self, rules: Iterable[Rule], registry: Registry, gated: Iterable[str] = ()):
+        gated = set(gated)
+        self.on_key: dict[tuple[str, str], list[Rule]] = {}
+        self.gated: dict[str, Rule] = {}
+        self.at_minute: dict[int, list[Rule]] = {}
+        self.keys: set[tuple[str, str]] = set()
+        cuts: dict[tuple[str, str], set[float]] = {}
+        for rule in rules:
+            trig = rule.trigger
+            self.keys.update((a.device, a.attribute) for a in rule.actions)
+            if trig.is_time:
+                self.at_minute.setdefault(int(trig.value), []).append(rule)  # type: ignore[arg-type]
+                continue
+            key = trig.key()
+            self.keys.add(key)
+            if rule.id in gated:
+                self.gated[rule.id] = rule
+            else:
+                self.on_key.setdefault(key, []).append(rule)
+            if registry.lookup(*key).kind is AttributeKind.NUMERIC:
+                cuts.setdefault(key, set()).update(trig.cut_points())
+        self.minutes = sorted(self.at_minute)
+        self.thresholds = {key: tuple(sorted(v)) for key, v in cuts.items()}
+
+
+def conditions_pass(rule: Rule, ts: int, state: Callable[[tuple[str, str]], Optional[Value]]) -> bool:
+    """Whether every condition of ``rule`` holds at ``ts``: a time atom on
+    the clock, a device atom on ``state(key)`` (None fails it)."""
+    for c in rule.condition:
+        value = minute_of_day(ts) if c.is_time else state(c.key())
+        if value is None or not c.satisfied_by(value):
+            return False
+    return True
 
 
 @dataclass
@@ -38,16 +91,9 @@ class _NativeTimer:
 class SimulatedPlatform:
     """Executes automation rules over received events and its own clock."""
 
-    def __init__(
-        self,
-        rules: list[Rule],
-        registry: Registry,
-        tag_gated: Optional[set[str]] = None,
-        *,
-        wake: Callable[[int], None],
-    ):
+    def __init__(self, rules: RuleTable, registry: Registry, *, wake: Callable[[int], None]):
+        self.rules = rules
         self.wake = wake
-        self.tag_gated = set(tag_gated or ())
         self.db: dict[tuple[str, str], Value] = registry.initial_states()
         # The state of a condition key kept out of ``db``, or None; the raw
         # replay reads such keys off its trace. By default nothing is read.
@@ -57,16 +103,8 @@ class SimulatedPlatform:
         # Delayed actions and native rule timers share one deadline heap.
         self._pending: list[tuple[int, int, str, object]] = []
         self._timers: dict[str, _NativeTimer] = {}   # running timers by rule id
-        self._by_key: dict[tuple[str, str], list[Rule]] = {}
-        for rule in rules:
-            if not rule.trigger.is_time:
-                self._by_key.setdefault(rule.trigger.key(), []).append(rule)
-        self._time_rules = [r for r in rules if r.trigger.is_time]
 
     # -- scheduling ------------------------------------------------------------
-
-    def time_trigger_minutes(self) -> list[int]:
-        return sorted({int(r.trigger.value) for r in self._time_rules})  # type: ignore[arg-type]
 
     def _push(self, deadline: int, kind: str, payload: object) -> None:
         self._seq += 1
@@ -84,15 +122,13 @@ class SimulatedPlatform:
         if kind == KIND_SYNC:
             return
         if kind == KIND_EXPIRY:
-            for rule in self._by_key.get(key, ()):
-                if rule.id == tag and rule.trigger.satisfied_by(value):
-                    self._fire_rule(rule, ts)
+            rule = self.rules.gated.get(tag)
+            if rule is not None:
+                self._fire_rule(rule, ts)
             return
         if prev is None:
             return
-        for rule in self._by_key.get(key, ()):
-            if rule.id in self.tag_gated:
-                continue  # fires only on its timer-bundle expiry report
+        for rule in self.rules.on_key.get(key, ()):
             if rule.condition_timer is not None:
                 self._drive_native_timer(rule, value, prev, ts)
             elif rule.trigger.fires(value, prev):
@@ -103,10 +139,8 @@ class SimulatedPlatform:
         self.db.update(snapshot)
 
     def time_tick(self, ts: int) -> None:
-        minute = minute_of_day(ts)
-        for rule in self._time_rules:
-            if int(rule.trigger.value) == minute:  # type: ignore[arg-type]
-                self._fire_rule(rule, ts)
+        for rule in self.rules.at_minute.get(minute_of_day(ts), ()):
+            self._fire_rule(rule, ts)
 
     def tick(self, now: int) -> None:
         """Issue due delayed actions and fire due native timers."""
@@ -120,10 +154,13 @@ class SimulatedPlatform:
                 rule = payload.rule
                 if self._timers.get(rule.id) is payload:
                     del self._timers[rule.id]
-                    if self._conditions_pass(rule, deadline):
-                        self._execute_actions(rule, deadline)
+                    self._fire_rule(rule, deadline)
 
     # -- rule execution --------------------------------------------------------------
+
+    def _state(self, key: tuple[str, str]) -> Optional[Value]:
+        value = self.db.get(key)
+        return self.read(key) if value is None else value
 
     def _drive_native_timer(self, rule: Rule, value: Value, prev: Value, ts: int) -> None:
         watched = rule.condition_timer.watched  # type: ignore[union-attr]
@@ -135,19 +172,8 @@ class SimulatedPlatform:
             self._timers.pop(rule.id, None)
 
     def _fire_rule(self, rule: Rule, ts: int) -> None:
-        if rule.condition_timer is not None and rule.id not in self.tag_gated:
-            return  # held-duration rules go through their native timer
-        if self._conditions_pass(rule, ts):
+        if conditions_pass(rule, ts, self._state):
             self._execute_actions(rule, ts)
-
-    def _conditions_pass(self, rule: Rule, ts: int) -> bool:
-        for c in rule.condition:
-            value = minute_of_day(ts) if c.is_time else self.db.get(c.key())
-            if value is None:
-                value = self.read(c.key())
-            if value is None or not c.satisfied_by(value):
-                return False
-        return True
 
     def _execute_actions(self, rule: Rule, ts: int) -> None:
         for act in rule.actions:

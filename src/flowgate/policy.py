@@ -109,10 +109,6 @@ class Policy:
     timer_stop: Optional[str] = None        # stopTimer(id) on trigger
     timer_duration_ms: int = 0
 
-    @property
-    def priority(self) -> str:
-        return "user" if self.origin is PolicyOrigin.USER else "automation"
-
 
 @dataclass(frozen=True)
 class UserPolicySpec:
@@ -154,7 +150,7 @@ def _fmt_satisfy(c: Constraint) -> str:
 
 def dump_policy(policy: Policy) -> str:
     """Human-readable dump mirroring the policy format's field names."""
-    lines = [f"POLICY {policy.id} [{policy.priority}] from {policy.source_id}"]
+    lines = [f"POLICY {policy.id} [{policy.origin.value}] from {policy.source_id}"]
     tb = policy.trigger_block
     lines.append("TRIGGER:{")
     lines.append(f"    match {_fmt_subject(tb.match)}")

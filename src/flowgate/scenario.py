@@ -22,16 +22,6 @@ from .model import (
 from .policy import Method, MethodCall, UserPolicySpec
 from .simulator import SimConfig
 
-_OP_NAMES = {
-    "==": Operator.EQ,
-    "!=": Operator.NE,
-    "<": Operator.LT,
-    "<=": Operator.LE,
-    ">": Operator.GT,
-    ">=": Operator.GE,
-    "in-range": Operator.IN_RANGE,
-}
-
 MODES = ("mediated", "raw", "pull")
 
 # The keys each configuration table may hold; a misspelt key is an error, not
@@ -48,7 +38,9 @@ T = TypeVar("T")
 
 def _context_constraint(c: dict, registry: Registry) -> Constraint:
     """One user-policy context atom, checked as the rule DSL checks its atoms."""
-    device, attribute, op = str(c["device"]), str(c["attribute"]), _OP_NAMES[c["op"]]
+    device, attribute, op = str(c["device"]), str(c["attribute"]), Operator(c["op"])
+    if op is Operator.ANY or op is Operator.IN_WINDOW:
+        raise ModelError(f"operator {op.value} does not apply to a device attribute")
     value = c["value"]
     if op is Operator.IN_RANGE and isinstance(value, list):
         value = tuple(map(_number, value))

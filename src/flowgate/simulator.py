@@ -28,6 +28,12 @@ The loop keeps two rules:
   that runs no due work, so a held-duration timer that ends exactly when
   its condition's device changes sees the change in every pipeline alike.
 
+The platform runs one ``RuleTable`` (``flowgate.platform_sim``): the raw
+and pull replays build it from the home's rules, and the mediated replay
+takes the compiled corpus's, whose repairs the engine predicts from the same
+table. Its minutes give the daily instants: the platform's clock fires at
+each, and the mediated engine decides on each just ahead of it.
+
 Each deadline is pushed when it is scheduled. The engine hands every
 delayed report and timer to its ``schedule`` hook, which pushes a tick of
 that one piece of work at the deadline; a tick whose report was flushed
@@ -64,7 +70,7 @@ from .model import (
     Value,
     format_value,
 )
-from .platform_sim import SimulatedPlatform
+from .platform_sim import RuleTable, SimulatedPlatform
 
 DEFAULT_MATCH_WINDOW_MS = 3000
 # Time-of-day triggers and pull-mode refreshes are scheduled up to this long
@@ -127,13 +133,6 @@ def _unhooked(when: int, work: Any = None) -> None:
     """The deadline hook of a finished replay: it runs no more deadlines."""
 
 
-def _rule_keys(rules: Iterable[Rule]) -> set[tuple[str, str]]:
-    """The keys rules trigger on or command."""
-    keys = {rule.trigger.key() for rule in rules if not rule.trigger.is_time}
-    keys.update((a.device, a.attribute) for rule in rules for a in rule.actions)
-    return keys
-
-
 class _TraceReads:
     """The states of keys read off the trace instead of streamed, at the
     replay's moment: a streamed event at ``time`` and ``place`` sees the
@@ -189,28 +188,20 @@ class _Replay:
 
     command_delay_ms = 0     # platform -> device transport delay
 
-    def __init__(
-        self,
-        trace: Iterable[Event],
-        rules: list[Rule],
-        registry: Registry,
-        config: SimConfig,
-        tag_gated: Optional[set[str]] = None,
-    ):
+    def __init__(self, trace: Iterable[Event], rules: RuleTable, registry: Registry,
+                 config: SimConfig):
         self.config = config
         self.farm = DeviceFarm(registry)
         self.artifacts = RunArtifacts()
-        self.platform = SimulatedPlatform(
-            rules, registry, tag_gated,
-            wake=self._wake_platform,
-        )
+        self.platform = SimulatedPlatform(rules, registry, wake=self._wake_platform)
         self._trace = Trace.of(trace)
         # A key without seeded state is streamed, so it still fails closed.
-        self.streamed = _rule_keys(rules) | (set(self._trace.keys) - self.farm.states.keys())
+        self.streamed = rules.keys | (set(self._trace.keys) - self.farm.states.keys())
         self.horizon = self._trace.end + GRACE_MS
         self._heap: list[tuple[int, int, _Handler, Any]] = []
         self._seq = 0
-        for ts in _daily_instants(self.platform.time_trigger_minutes(), self.horizon):
+        self.instants = _daily_instants(rules.minutes, self.horizon)
+        for ts in self.instants:
             self.push(ts, self._platform_time, None)
 
     def push(self, when: int, handler: _Handler, payload: Any) -> None:
@@ -300,7 +291,7 @@ class _RawReplay(_Replay):
 
 
 class _PullReplay(_Replay):
-    def __init__(self, trace: Iterable[Event], rules: list[Rule], registry: Registry,
+    def __init__(self, trace: Iterable[Event], rules: RuleTable, registry: Registry,
                  config: SimConfig):
         super().__init__(trace, rules, registry, config)
         if config.refresh_ms:
@@ -317,15 +308,14 @@ class _PullReplay(_Replay):
 class _MediatedReplay(_Replay):
     def __init__(self, trace: Iterable[Event], corpus: CompiledCorpus, config: SimConfig,
                  manual_commands: list[Command]):
-        super().__init__(trace, corpus.forwarded_rules, corpus.registry, config,
-                         tag_gated=corpus.tag_gated)
+        super().__init__(trace, corpus.rules, corpus.registry, config)
         self.engine = PolicyEngine(corpus, config.seed, schedule=self._schedule_engine)
         self.streamed.update(self.engine.trigger_keys)
         self.streamed.update(cmd.key() for cmd in manual_commands)
         self.command_delay_ms = config.l2_ms
         self.latency = config.l1_ms + config.l2_ms
         self._drop_rng = random.Random((config.seed << 8) ^ 0x5F)
-        for ts in _daily_instants(self.engine.time_trigger_minutes(), self.horizon):
+        for ts in self.instants:
             self.push(max(0, ts - self.latency - 1), self._engine_time, ts)
         for cmd in manual_commands:
             self.push(cmd.timestamp, self._manual, cmd)
@@ -388,7 +378,7 @@ def run_raw(
     config: Optional[SimConfig] = None,
 ) -> RunArtifacts:
     """Replay the unfiltered trace straight into the platform."""
-    return _RawReplay(trace, rules, registry, config or SimConfig()).run()
+    return _RawReplay(trace, RuleTable(rules, registry), registry, config or SimConfig()).run()
 
 
 def run_pull_baseline(
@@ -398,7 +388,7 @@ def run_pull_baseline(
     config: Optional[SimConfig] = None,
 ) -> RunArtifacts:
     """No pushes: the platform sees only refreshed states, never events."""
-    return _PullReplay(trace, rules, registry, config or SimConfig()).run()
+    return _PullReplay(trace, RuleTable(rules, registry), registry, config or SimConfig()).run()
 
 
 def remove_redundant(

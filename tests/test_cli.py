@@ -358,6 +358,9 @@ BAD_CONTEXTS = {
     "order-on-binary": {"device": "ps1", "attribute": "presence", "op": ">", "value": 3},
     "foreign-value": {"device": "mode1", "attribute": "mode", "op": "==", "value": "party"},
     "unknown-op": {"device": "ps1", "attribute": "presence", "op": "~", "value": "present"},
+    "any-op": {"device": "ps1", "attribute": "presence", "op": "any", "value": "present"},
+    "window-op": {"device": "ps1", "attribute": "presence", "op": "in-daily-window",
+                  "value": "present"},
 }
 
 
@@ -437,10 +440,13 @@ def _run_ends_in_one_line(scenario: Path, out: Path) -> str:
 
 # Line 7 of the t1 rules file: an ordering test of a numeric attribute against a word.
 COLD_RULE = "rz: when mo1.motion == active if mu1.temperature < cold then sl1.switch := on"
+# Also line 7: a time trigger over a window, which names no minute to fire at.
+WINDOW_RULE = "rw: when time.clock in 18:00..20:00 then sl1.switch := on"
 
 
 @pytest.mark.parametrize("fault", [
-    "value", "regression", "negative-timestamp", "timestamp-2**64", "rule-word", *BAD_UPS])
+    "value", "regression", "negative-timestamp", "timestamp-2**64", "rule-word", "window-trigger",
+    *BAD_UPS])
 def test_input_error_ends_in_one_line(demo_scenario, fault):
     if fault == "negative-timestamp":
         trace = demo_scenario / "trace.log"
@@ -455,10 +461,11 @@ def test_input_error_ends_in_one_line(demo_scenario, fault):
         text, expected = BAD_UPS[fault]
         (demo_scenario / "ups.yaml").write_text(text)
         scenario = demo_scenario / "scenario-ups.yaml"
-    elif fault == "rule-word":
+    elif fault in ("rule-word", "window-trigger"):
         with (demo_scenario / "rules.dsl").open("a") as fh:
-            fh.write(COLD_RULE + "\n")
-        expected = "numeric attribute mu1.temperature compared to 'cold' at line 7, column 50"
+            fh.write((COLD_RULE if fault == "rule-word" else WINDOW_RULE) + "\n")
+        expected = ("numeric attribute mu1.temperature compared to 'cold' at line 7, column 50"
+                    if fault == "rule-word" else "a time trigger needs '== HH:MM' at line 7")
         scenario = demo_scenario / "scenario.yaml"
     else:
         record = "{ts} mo1 motion sideways" if fault == "value" else "0 mo1 motion active"

@@ -117,8 +117,8 @@ def test_timer_bundle_compiles_into_corpus(mini_registry):
     )
     corpus = compile_corpus(rules, [], mini_registry)
     assert len(corpus.automation_policies) == 2
-    assert corpus.tag_gated == {"rt"}
-    forwarded = corpus.forwarded_rules[0]
+    assert list(corpus.rules.gated) == ["rt"] and corpus.rules.on_key == {}
+    forwarded = corpus.rules.gated["rt"]
     assert forwarded.condition_timer is None  # stripped so the timer is not doubled
     assert forwarded.trigger.value == "inactive"
 
@@ -129,7 +129,7 @@ def test_encode_blacklist_window(mini_registry):
         window=DailyWindow(parse_hhmm("17:00"), parse_hhmm("08:00")),
     )
     policy = encode_user_policy(spec, mini_registry)
-    assert policy.origin is PolicyOrigin.USER and policy.priority == "user"
+    assert policy.origin is PolicyOrigin.USER
     assert policy.trigger_block.match.operator is Operator.ANY
     assert policy.trigger_block.run_action.method is Method.BLOCK
     assert policy.check_blocks[0].fetch.is_time
@@ -199,7 +199,7 @@ def test_trigger_thresholds_collected(mini_registry):
         mini_registry,
     )
     corpus = compile_corpus(rules, [], mini_registry)
-    assert corpus.trigger_thresholds[("ts1", "temperature")] == (86.0, 90.0)
+    assert corpus.rules.thresholds[("ts1", "temperature")] == (86.0, 90.0)
 
 
 # Atoms no attribute can take: (device, attribute, operator, ref).

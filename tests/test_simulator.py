@@ -14,7 +14,7 @@ from flowgate.compiler import compile_corpus
 from flowgate.dsl import load_home, parse_rules
 from flowgate.engine import EngineError, PolicyEngine
 from flowgate.model import Command, Event, format_value
-from flowgate.platform_sim import SimulatedPlatform
+from flowgate.platform_sim import RuleTable, SimulatedPlatform
 from flowgate.scenario import Scenario, parse_user_policies
 from flowgate.simulator import (
     SimConfig,
@@ -137,7 +137,7 @@ def test_platform_native_timer_cancel_reset_and_fire(mini_registry):
     rules = parse_rules(
         "rt: when mo1.motion == inactive for 60000 then sl1.switch := on", mini_registry
     )
-    platform = SimulatedPlatform(rules, mini_registry, wake=Deadlines())
+    platform = SimulatedPlatform(RuleTable(rules, mini_registry), mini_registry, wake=Deadlines())
     platform.receive("mo1", "motion", "active", 1000)
     platform.receive("mo1", "motion", "inactive", 2000)       # starts: due at 62 000
     assert list(platform._timers) == ["rt"]
@@ -192,6 +192,89 @@ def test_t4_seed18_timer_deadline_fidelity():
     _, report = _fidelity(trace, rules, registry, SimConfig(seed=18))
     assert report.missed == []
     assert (report.r_s, report.r_c) == (1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# consistency repairs: stale last-reported state must not fire a rule
+# ---------------------------------------------------------------------------
+
+def _platform_syncs(monkeypatch):
+    """Record every sync the platform receives as (time, key, value)."""
+    syncs = []
+    receive = SimulatedPlatform.receive
+
+    def spy_receive(self, device, attribute, value, ts, kind="report", tag=""):
+        if kind == "sync":
+            syncs.append((ts, (device, attribute), value))
+        return receive(self, device, attribute, value, ts, kind, tag)
+
+    monkeypatch.setattr(SimulatedPlatform, "receive", spy_receive)
+    return syncs
+
+
+def _repairs(run):
+    return [(e.timestamp, e.key(), e.value) for e in run.reported_events
+            if e.provenance == ("repair",)]
+
+
+def test_clock_rule_repairs_a_stale_condition_before_its_instant(mini_registry, monkeypatch):
+    # Day 1: presence turns present before 08:00, so the mediator syncs it
+    # for rc, then turns not-present unreported. Day 2: at 08:00 the
+    # platform still holds present, so the mediator must repair it just
+    # before the instant, or the platform fires rc where the raw stream
+    # does not.
+    rules = parse_rules(
+        "rc: when time.clock == 08:00 if ps1.presence == present then sl1.switch := on",
+        mini_registry,
+    )
+    day, eight = 24 * HOUR, 8 * HOUR
+    trace = [
+        Event("ps1", "presence", "present", 7 * HOUR),
+        Event("ps1", "presence", "not-present", 9 * HOUR),
+        Event("mo1", "motion", "active", day + 9 * HOUR),   # runs the replay past day 2's 08:00
+    ]
+    syncs = _platform_syncs(monkeypatch)
+    med = run_mediated(trace, compile_corpus(rules, [], mini_registry), SimConfig(seed=0))
+    raw = run_raw(trace, rules, mini_registry, SimConfig(seed=0))
+    assert raw.p_commands == [Command("sl1", "switch", "on", eight, "rc")]
+    assert med.p_commands == raw.p_commands
+    assert _repairs(med) == [(day + eight, ("ps1", "presence"), "not-present")]
+    assert [s for s in syncs if s[1] == ("ps1", "presence")] == [
+        (eight - 1, ("ps1", "presence"), "present"),
+        (day + eight - 1, ("ps1", "presence"), "not-present"),
+    ]
+
+
+def test_repair_of_time_conditioned_rule_skips_the_time_atom(mini_registry, monkeypatch):
+    # rb's policy aborts at 18:50 on the true presence, but the user's
+    # whitelist still reports the motion edge. The platform's copy of rb
+    # would fire on the stale present it holds, within the window, so the
+    # mediator repairs presence; the clock itself is never repaired.
+    rules = parse_rules(
+        "rb: when mo1.motion == active if time.clock in 18:00..23:00 and "
+        "ps1.presence == present then sl1.switch := on",
+        mini_registry,
+    )
+    whitelist = parse_user_policies(yaml.safe_dump([
+        {"id": "upw", "style": "whitelist", "target": {"device": "mo1", "attribute": "motion"}},
+    ]), mini_registry)
+    minute = 60_000
+    at = [18 * HOUR + m * minute for m in (10, 20, 30, 40, 50)]
+    trace = [
+        Event("ps1", "presence", "present", at[0]),
+        Event("mo1", "motion", "active", at[1]),        # rb fires in both pipelines
+        Event("mo1", "motion", "inactive", at[2]),
+        Event("ps1", "presence", "not-present", at[3]),
+        Event("mo1", "motion", "active", at[4]),        # rb's condition fails
+    ]
+    config = SimConfig(seed=0)
+    med = run_mediated(trace, compile_corpus(rules, whitelist, mini_registry), config)
+    raw = run_raw(trace, rules, mini_registry, config)
+    assert raw.p_commands == [Command("sl1", "switch", "on", at[1], "rb")]
+    assert [(c.key(), c.value, c.origin) for c in med.p_commands] == [
+        (("sl1", "switch"), "on", "rb"),
+    ]
+    assert _repairs(med) == [(at[4], ("ps1", "presence"), "not-present")]
 
 
 def test_each_deadline_ticks_once(monkeypatch):
@@ -266,17 +349,18 @@ def test_condition_event_at_trigger_millisecond(mini_registry, condition_first):
     # The trigger sees the condition event only if it came first; heap work
     # at that millisecond sees it either way.
     rules = parse_rules(SAME_MS_RULES, mini_registry)
+    table = RuleTable(rules, mini_registry)
     corpus = compile_corpus(rules, [], mini_registry)
     at = 60_000
     condition, trigger = Event("ps1", "presence", "present", at), Event("mo1", "motion", "active", at)
     trace = [condition, trigger] if condition_first else [trigger, condition]
     config = SimConfig(seed=0, refresh_ms=at)
-    raw = _RawReplay(trace, rules, mini_registry, config).run()
-    assert raw == _HeapRawReplay(trace, rules, mini_registry, config).run()
+    raw = _RawReplay(trace, table, mini_registry, config).run()
+    assert raw == _HeapRawReplay(trace, table, mini_registry, config).run()
     med = _MediatedReplay(trace, corpus, config, []).run()
     assert med == _HeapMediatedReplay(trace, corpus, config, []).run()
-    pull = _PullReplay(trace, rules, mini_registry, config).run()
-    assert pull == _HeapPullReplay(trace, rules, mini_registry, config).run()
+    pull = _PullReplay(trace, table, mini_registry, config).run()
+    assert pull == _HeapPullReplay(trace, table, mini_registry, config).run()
 
     clock = [(120_000, ("f1", "switch"), "on", "rc")]
     expected = [(at, ("sl1", "switch"), "on", "rs")] * condition_first + clock
@@ -369,6 +453,7 @@ def _replay_traces(draw):
 
 def test_streamed_trace_matches_heap_replay(mini_registry):
     rules = parse_rules(REPLAY_RULES, mini_registry)
+    table = RuleTable(rules, mini_registry)
     corpus = compile_corpus(rules, parse_user_policies(REPLAY_UPS, mini_registry), mini_registry)
 
     @settings(max_examples=120, deadline=None)
@@ -376,10 +461,10 @@ def test_streamed_trace_matches_heap_replay(mini_registry):
     def check(case, seed):
         trace, manual = case
         config = SimConfig(seed=seed, refresh_ms=60_000)
-        assert (_RawReplay(trace, rules, mini_registry, config).run()
-                == _HeapRawReplay(trace, rules, mini_registry, config).run())
-        assert (_PullReplay(trace, rules, mini_registry, config).run()
-                == _HeapPullReplay(trace, rules, mini_registry, config).run())
+        assert (_RawReplay(trace, table, mini_registry, config).run()
+                == _HeapRawReplay(trace, table, mini_registry, config).run())
+        assert (_PullReplay(trace, table, mini_registry, config).run()
+                == _HeapPullReplay(trace, table, mini_registry, config).run())
         assert (_MediatedReplay(trace, corpus, config, manual).run()
                 == _HeapMediatedReplay(trace, corpus, config, manual).run())
 
@@ -464,6 +549,7 @@ def test_unreferenced_events_change_no_command_long():
 
 def test_out_of_order_trace_replays_in_timestamp_order(mini_registry):
     rules = parse_rules(REPLAY_RULES, mini_registry)
+    table = RuleTable(rules, mini_registry)
     corpus = compile_corpus(rules, [], mini_registry)
     trace = [
         Event("ps1", "presence", "present", 80_000),
@@ -474,9 +560,9 @@ def test_out_of_order_trace_replays_in_timestamp_order(mini_registry):
         Event("ps1", "presence", "present", 80_000),
     ]
     config = SimConfig(seed=0)
-    replay = _RawReplay(trace, rules, mini_registry, config)
+    replay = _RawReplay(trace, table, mini_registry, config)
     assert list(replay._trace) == sorted(trace, key=lambda e: e.timestamp)
-    assert replay.run() == _HeapRawReplay(trace, rules, mini_registry, config).run()
+    assert replay.run() == _HeapRawReplay(trace, table, mini_registry, config).run()
     assert (_MediatedReplay(trace, corpus, config, []).run()
             == _HeapMediatedReplay(trace, corpus, config, []).run())
 
@@ -493,6 +579,7 @@ def test_quiet_event_on_platform_deadline_takes_full_path(mini_registry):
         "rq: when ps1.presence == not-present then f1.switch := on",
         mini_registry,
     )
+    table = RuleTable(rules, mini_registry)
     trace = [
         Event("ps1", "presence", "present", 10_000),
         Event("mo1", "motion", "active", 10_000),
@@ -501,8 +588,8 @@ def test_quiet_event_on_platform_deadline_takes_full_path(mini_registry):
         Event("ps1", "presence", "not-present", 80_000),
     ]
     config = SimConfig(seed=0)
-    raw = _RawReplay(trace, rules, mini_registry, config).run()
-    assert raw == _HeapRawReplay(trace, rules, mini_registry, config).run()
+    raw = _RawReplay(trace, table, mini_registry, config).run()
+    assert raw == _HeapRawReplay(trace, table, mini_registry, config).run()
     assert [(c.timestamp, c.key(), c.value, c.origin) for c in raw.p_commands] == [
         (80_000, ("f1", "switch"), "on", "rq"),
     ]
@@ -877,6 +964,7 @@ def test_finished_replay_leaves_no_reference_cycle(mini_registry):
     # The timer, delayed-action and diffKeep deadlines go through the
     # engine's schedule hook and the platform's wake hook.
     rules = parse_rules(REPLAY_RULES, mini_registry)
+    table = RuleTable(rules, mini_registry)
     corpus = compile_corpus(rules, [], mini_registry)
     trace = [
         Event("ps1", "presence", "present", 0),
@@ -888,8 +976,8 @@ def test_finished_replay_leaves_no_reference_cycle(mini_registry):
     ]
     config = SimConfig(seed=0, refresh_ms=60_000)
     builds = {
-        "raw": lambda: _RawReplay(trace, rules, mini_registry, config),
-        "pull": lambda: _PullReplay(trace, rules, mini_registry, config),
+        "raw": lambda: _RawReplay(trace, table, mini_registry, config),
+        "pull": lambda: _PullReplay(trace, table, mini_registry, config),
         "mediated": lambda: _MediatedReplay(trace, corpus, config, []),
     }
     gc.collect()
