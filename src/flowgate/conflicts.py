@@ -22,7 +22,7 @@ from .model import (
     Registry,
     Value,
 )
-from .policy import Method, MethodCall, Policy
+from .policy import MethodCall, Policy
 
 
 @dataclass

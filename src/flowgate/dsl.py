@@ -300,35 +300,43 @@ def parse_trace(source: Union[str, IO[str]], registry: Registry) -> Trace:
     of a record at the same millisecond collapses to one event.
 
     One pass: each distinct ``device attribute value`` text is looked up and
-    validated once, and each record lands in its key's columns. Only a
-    record at the latest millisecond can repeat an earlier one, so only such
-    a record is compared with its key's events at that millisecond.
+    validated once, and each record lands in its key's columns. A record
+    whose text after its first space was seen before skips the split: only
+    its timestamp is parsed. Only a record at the latest millisecond can
+    repeat an earlier one, so only such a record is compared with its key's
+    events at that millisecond.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
     trace = Trace()
     order = trace.order
     # Validated (key's timestamps, key's values, key id, value), keyed by the
-    # record's text after its timestamp.
+    # record's text after its first space. A text is kept only from a record
+    # whose first field is exactly the text before that space, so any line
+    # it matches later splits into the same fields.
     validated: dict[str, tuple[array[int], list[Value], int, Value]] = {}
     last_ts = -math.inf
     for line_no, line in enumerate(source, start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        # head[-1] is the text after the timestamp; a one-field line's lone
-        # field holds no whitespace, so it matches no key.
-        head = line.split(None, 1)
-        if not head:
-            continue
-        record = validated.get(head[-1])
+        ts_text, _, rest = line.partition(" ")
+        record = validated.get(rest)
+        if record is not None:
+            try:
+                ts = int(ts_text)
+            except ValueError:
+                record = None
         if record is None:
+            # A new text, a bad timestamp, or a blank, comment or oddly spaced line.
+            if "#" in line:
+                line = line.split("#", 1)[0]
             fields = line.split()
+            if not fields:
+                continue
             if len(fields) < 4:
                 raise ParseError(f"trace record needs 4 fields, got {len(fields)}", line_no)
-        try:
-            ts = int(head[0])
-        except ValueError:
-            raise ParseError(f"bad timestamp {head[0]!r}", line_no) from None
+            try:
+                ts = int(fields[0])
+            except ValueError:
+                raise ParseError(f"bad timestamp {fields[0]!r}", line_no) from None
         if ts < last_ts:
             raise ParseError(
                 f"timestamp {ts} is older than {last_ts} on the record before it", line_no
@@ -340,7 +348,9 @@ def parse_trace(source: Union[str, IO[str]], registry: Registry) -> Trace:
             except ModelError as exc:
                 raise ParseError(str(exc), line_no) from None
             kid = trace.key_id((device, attribute))
-            record = validated[head[1]] = (trace.times[kid], trace.values[kid], kid, value)
+            record = (trace.times[kid], trace.values[kid], kid, value)
+            if fields[0] == ts_text:
+                validated[rest] = record
         times, values, kid, value = record
         if ts == last_ts and _repeats(times, values, ts, value):
             continue

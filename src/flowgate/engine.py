@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .compiler import CompiledCorpus
@@ -34,10 +35,13 @@ from .model import (
     ModelError,
     Operator,
     Rule,
+    Transitions,
     Value,
+    cut_points,
     minute_of_day,
+    value_class,
 )
-from .platform_sim import conditions_pass
+from .platform_sim import FIRE, conditions_pass
 from .policy import CheckBlock, Method, MethodCall, Policy, PolicyOrigin, TriggerBlock
 
 
@@ -62,7 +66,9 @@ class StateStore:
         return cls(dict(initial), dict(initial))
 
     def current(self, key: tuple[str, str]) -> Value:
-        value = self.db[key] if key in self.db else self.read(key)
+        value = self.db.get(key)
+        if value is None:
+            value = self.read(key)
         if value is None:
             raise EngineError(f"no state seeded for {key[0]}.{key[1]}")
         return value
@@ -163,19 +169,18 @@ def _run_checks(policy: Policy, store: StateStore, clock: int) -> Optional[list[
 
 
 def evaluate_policy(
-    event: Event, policy: Policy, store: StateStore, clock: int
+    key: tuple[str, str], policy: Policy, store: StateStore, clock: int
 ) -> list[ReportDecision]:
-    """Run one policy on the event that fired its trigger; empty when a check aborts it.
+    """Run one policy on an event on ``key`` that fired its trigger; empty when a check aborts it.
 
-    The caller has decided that ``event`` fired the trigger (on an edge, as
+    The caller has decided that the event fired the trigger (on an edge, as
     the platform would have fired on the raw stream) and has already stored
     the event's value in ``store.db``.
     """
     decisions = _run_checks(policy, store, clock)
     if decisions is None:
         return []
-    tb = policy.trigger_block
-    d = _block_decision(policy, tb, event.device, event.attribute, store, clock, True)
+    d = _block_decision(policy, policy.trigger_block, key[0], key[1], store, clock, True)
     if d is not None:
         decisions.append(d)
     return decisions
@@ -183,6 +188,13 @@ def evaluate_policy(
 
 # A dispatch-table entry: (policy, trigger test or None, is a timer policy).
 _Entry = tuple[Policy, Optional[Callable[[Value], bool]], bool]
+
+
+def _fired(entries: list[_Entry], prev: Value, value: Value) -> tuple[tuple[Policy, bool], ...]:
+    """Each ``(policy, is a timer policy)`` of ``entries`` whose trigger a
+    change from ``prev`` to ``value`` fires, in entry order."""
+    return tuple((policy, is_timer) for policy, test, is_timer in entries
+                 if test is None or (test(value) and not test(prev)))
 
 
 class PolicyEngine:
@@ -218,10 +230,11 @@ class PolicyEngine:
         # trigger test and whether it is a timer policy; the test is None for
         # an ``any`` trigger, which every event on the key fires (a timer
         # policy starts or stops on an edge only, so it keeps its test). A
-        # device wildcard covers every attribute of the device; time triggers
-        # match clock instants, not events: ``_clock_policies`` holds them
-        # by minute of day, in corpus order.
-        self._dispatch: dict[tuple[str, str], list[_Entry]] = {}
+        # key's ``Transitions`` memo gives the entries that a change of its
+        # value fires. A device wildcard covers every attribute of the
+        # device; time triggers match clock instants, not events:
+        # ``_clock_policies`` holds them by minute of day, in corpus order.
+        entries: dict[tuple[str, str], list[_Entry]] = {}
         self._user_by_key: dict[tuple[str, str], list[Policy]] = {}
         self._clock_policies: dict[int, list[Policy]] = {}
         for policy in corpus.policies:
@@ -234,32 +247,41 @@ class PolicyEngine:
             test = None if m.operator is Operator.ANY and not is_timer else m.satisfied_by
             wildcard = m.attribute == "*"
             for attr in corpus.registry.devices[m.subject].attributes if wildcard else (m.attribute,):
-                self._dispatch.setdefault((m.subject, attr), []).append((policy, test, is_timer))
+                entries.setdefault((m.subject, attr), []).append((policy, test, is_timer))
                 if policy.origin is PolicyOrigin.USER:
                     self._user_by_key.setdefault((m.subject, attr), []).append(policy)
+        self._dispatch: dict[tuple[str, str], Transitions] = {}
+        for key, es in entries.items():
+            numeric = corpus.registry.lookup(*key).kind is AttributeKind.NUMERIC
+            cuts = cut_points(p.trigger_block.match for p, _, _ in es) if numeric else None
+            self._dispatch[key] = Transitions(partial(_fired, es), cuts)
         self.trigger_keys = self._dispatch.keys()   # the keys some policy triggers on
 
     # -- event processing ------------------------------------------------------
 
-    def process_event(self, event: Event) -> list[Emission]:
-        """Update DB, run the policies on the key whose trigger fired, merge, emit."""
-        key = event.key()
+    def process_event(self, key: tuple[str, str], value: Value, ts: int) -> list[Emission]:
+        """Update DB with the event ``value`` on ``key`` at ``ts``, run the
+        policies whose trigger it fired, merge, emit."""
         db = self.store.db
-        if key not in db:
+        prev = db.get(key)
+        if prev is None:
             raise EngineError(f"no state seeded for {key[0]}.{key[1]}")
-        out = self._flush_key_pending(key, event.timestamp) if key in self._pending_reports else []
-        prev = db[key]
-        value = db[key] = event.value
+        pending = self._pending_reports
+        out = self._flush_key_pending(key, ts) if pending and key in pending else []
+        db[key] = value
+        transitions = self._dispatch.get(key)
+        # Only an edge fires a trigger: the raw stream would not have fired either.
+        fired = () if transitions is None else transitions(prev, value)
+        if not fired:
+            return out
 
         decisions: list[ReportDecision] = []
         sanctioned: set[str] = set()
-        for policy, test, is_timer in self._dispatch.get(key, ()):
-            if test is not None and (not test(value) or test(prev)):
-                continue  # not an edge: the raw stream would not have fired either
+        for policy, is_timer in fired:
             if is_timer:
-                self._apply_timer_policy(policy, event)
+                self._apply_timer_policy(policy, value, ts)
                 continue
-            ds = evaluate_policy(event, policy, self.store, event.timestamp)
+            ds = evaluate_policy(key, policy, self.store, ts)
             if ds:
                 decisions.extend(ds)
                 if policy.origin is PolicyOrigin.AUTOMATION:
@@ -269,7 +291,7 @@ class PolicyEngine:
         # decides whenever they pass: nothing decided means no user
         # disposition either, so the event stays blocked.
         if decisions:
-            out.extend(self._merge_and_emit(event, prev, decisions, sanctioned))
+            out.extend(self._merge_and_emit(key, value, prev, decisions, sanctioned, ts))
         return out
 
     def tick(self, now: int, work: Emission | TimerState) -> list[Emission]:
@@ -308,12 +330,12 @@ class PolicyEngine:
 
     # -- timers -----------------------------------------------------------------
 
-    def _apply_timer_policy(self, policy: Policy, event: Event) -> None:
-        """Start (or reset) or stop the timer of a policy whose trigger ``event`` fired."""
+    def _apply_timer_policy(self, policy: Policy, value: Value, ts: int) -> None:
+        """Start (or reset) or stop the timer of a policy whose trigger ``value`` fired at ``ts``."""
         if policy.timer_start:
-            timer = TimerState(policy, event.value)
+            timer = TimerState(policy, value)
             self.timers[policy.timer_start] = timer  # create or reset
-            self.schedule(event.timestamp + policy.timer_duration_ms, timer)
+            self.schedule(ts + policy.timer_duration_ms, timer)
         else:
             self.timers.pop(policy.timer_stop, None)
 
@@ -359,13 +381,13 @@ class PolicyEngine:
 
     def _merge_and_emit(
         self,
-        event: Event,
+        ekey: tuple[str, str],
+        current: Value,
         prev: Value,
         decisions: list[ReportDecision],
         sanctioned: set[str],
+        now: int,
     ) -> list[Emission]:
-        now = event.timestamp
-        ekey = event.key()
         # A user policy that blocks the trigger withholds its report and the
         # check reports sent for it. A passing user keep decided too, so its
         # report is planned with the others.
@@ -377,11 +399,11 @@ class PolicyEngine:
 
         # 2. The trigger report plan (prefix sync + report), not yet emitted.
         trigger_plan, trig_prov = self._trigger_plan(
-            event, prev, [d for d in decisions if d.key() == ekey]
+            ekey, current, prev, [d for d in decisions if d.key() == ekey]
         )
 
         # 3. Consistency repairs computed against the planned platform view.
-        out.extend(self._consistency_repairs(event, trigger_plan, sanctioned, now))
+        out.extend(self._consistency_repairs(ekey, trigger_plan, sanctioned, now))
 
         # 4. Emit the trigger plan; a delayed report is scheduled and pending.
         for value, delay, kind in trigger_plan:
@@ -395,29 +417,29 @@ class PolicyEngine:
 
     def _trigger_plan(
         self,
-        event: Event,
+        key: tuple[str, str],
+        current: Value,
         prev: Value,
         decisions: list[ReportDecision],
     ) -> tuple[list[tuple[Value, int, str]], tuple[str, ...]]:
         if not decisions:
             return [], ()
         provenance = tuple(dict.fromkeys(p for d in decisions for p in d.provenance))
-        key = event.key()
         methods = [d.method for d in decisions if d.method.method is not Method.BLOCK]
         numeric = self.corpus.registry.lookup(*key).kind is AttributeKind.NUMERIC
         if methods:
-            plan = self._plan(key, methods, event.value, KIND_REPORT)
+            plan = self._plan(key, methods, current, KIND_REPORT)
         elif numeric and any(d.is_trigger and d.origin is PolicyOrigin.AUTOMATION for d in decisions):
             # A numeric-trigger policy passed its checks on a true crossing but
             # the stale last-report already satisfied the trigger; suppressing
             # here would mask the crossing from the platform, so report an
             # obfuscated in-class value anyway.
-            plan = [(self._cell_sample(key, float(event.value)), 0, KIND_REPORT)]  # type: ignore[arg-type]
+            plan = [(self._cell_sample(key, float(current)), 0, KIND_REPORT)]  # type: ignore[arg-type]
         else:
             return [], provenance
         if numeric:
             [(value, _, _)] = plan   # only diffKeep plans two items, and it never reports a number
-            plan = self._numeric_trigger_plan(key, float(value), float(event.value), prev)  # type: ignore[arg-type]
+            plan = self._numeric_trigger_plan(key, float(value), float(current), prev)  # type: ignore[arg-type]
         return plan, provenance
 
     def _plan(
@@ -474,10 +496,8 @@ class PolicyEngine:
         return lo, hi
 
     def _same_cell(self, key: tuple[str, str], a: float, b: float) -> bool:
-        for cut in self.rules.thresholds.get(key, ()):
-            if (a <= cut) != (b <= cut) or (a < cut) != (b < cut):
-                return False
-        return True
+        cuts = self.rules.thresholds.get(key, ())
+        return value_class(cuts, a) == value_class(cuts, b)
 
     def _cell_sample(self, key: tuple[str, str], anchor: float) -> float:
         lo, hi = self._cell(key, anchor)
@@ -510,7 +530,7 @@ class PolicyEngine:
 
     def _consistency_repairs(
         self,
-        event: Event,
+        key: tuple[str, str],
         trigger_plan: list[tuple[Value, int, str]],
         sanctioned: set[str],
         now: int,
@@ -524,22 +544,18 @@ class PolicyEngine:
         suppressions are left alone; the raw pipeline issues the same
         (redundant) command.
         """
-        reports = [(v, k) for v, _, k in trigger_plan if k == KIND_REPORT]
-        if not reports:
+        transitions = self.rules.on_key.get(key)
+        if transitions is None:
             return []
-        key = event.key()
         repairs: list[Emission] = []
         platform_prev = self.store.last_reported(key)
-        for value, delay, kind in trigger_plan:
-            if kind == KIND_SYNC:
-                platform_prev = value
-                continue
-            repairs.extend(self._repairs(
-                (rule for rule in self.rules.on_key.get(key, ())
-                 if rule.id not in sanctioned and not rule.uses_history
-                 and rule.trigger.fires(value, platform_prev)),
-                now,
-            ))
+        for value, _, kind in trigger_plan:
+            if kind == KIND_REPORT:
+                repairs.extend(self._repairs(
+                    (rule for move, rule in transitions(platform_prev, value)
+                     if move is FIRE and rule.id not in sanctioned and not rule.uses_history),
+                    now,
+                ))
             platform_prev = value
         return repairs
 
@@ -610,5 +626,5 @@ class PolicyEngine:
         return [] if pending is None else [self._emit(pending._replace(timestamp=now))]
 
     def _emit(self, emission: Emission) -> Emission:
-        self.store.db_star[emission.key()] = emission.value
+        self.store.db_star[emission.device, emission.attribute] = emission.value
         return emission

@@ -5,22 +5,23 @@ pipeline stages. Values of binary and enumerated attributes are kept as the
 strings the devices actually emit (e.g. ``present`` / ``not-present``), never
 coerced to booleans.
 
-``Event`` and ``Command``, built once per replayed event or issued command,
-are named tuples: cheap to build, hashable, and equal to a plain tuple of
-their fields. An ``Event`` never equals a ``Command``, whose five fields make
-a longer tuple. A loaded ``Trace`` keeps its records in per-key columns and
-builds ``Event`` tuples only when they are read.
+``Event`` and ``Command`` are named tuples: cheap to build, hashable, and
+equal to a plain tuple of their fields. An ``Event`` never equals a
+``Command``, whose five fields make a longer tuple. A loaded ``Trace`` keeps
+its records in per-key columns; it builds ``Event`` tuples only when it is
+iterated, and a replay reads plain ``(key, value, ts)`` rows instead.
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count, repeat
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 MS_PER_MINUTE = 60_000
 MS_PER_DAY = 86_400_000
@@ -222,8 +223,9 @@ class Trace:
     the values read at them, each distinct value one shared object; ``order``,
     an ``array('I')``, holds the key id of every event in trace order (ties in
     record order), and an event's place is its index there. That is about
-    24 bytes per event. Events are built only when read, and
-    ``placed(keys)`` builds only those on ``keys``.
+    24 bytes per event. Iterating builds ``Event`` tuples as they are read;
+    ``placed(keys)`` builds none: it zips ``(key, value, ts)`` rows of only
+    the events on ``keys`` from the columns, the key one shared tuple.
     """
 
     __slots__ = ("keys", "times", "values", "order", "_ids")
@@ -273,22 +275,23 @@ class Trace:
         """The last event's timestamp; 0 for an empty trace."""
         return max((times[-1] for times in self.times if times), default=0)
 
-    def _events(self, order: Iterable[int]) -> Iterator[Event]:
-        """The events of ``order``, an ordered selection of ``self.order``."""
+    def placed(
+        self, keys: Container[tuple[str, str]]
+    ) -> Iterator[tuple[int, tuple[tuple[str, str], Value, int]]]:
+        """The ``(key, value, ts)`` rows of the events on ``keys`` in trace
+        order, each with its place in the trace."""
+        wanted = [key in keys for key in self.keys]
+        places = array("I", compress(count(), map(wanted.__getitem__, self.order)))
+        rows = [zip(repeat(key), values, times)
+                for key, times, values in zip(self.keys, self.times, self.values)]
+        return zip(places, map(next, map(rows.__getitem__, map(self.order.__getitem__, places))))
+
+    def __iter__(self) -> Iterator[Event]:
         streams = [
             map(Event, repeat(device), repeat(attribute), values, times)
             for (device, attribute), times, values in zip(self.keys, self.times, self.values)
         ]
-        return map(next, map(streams.__getitem__, order))
-
-    def placed(self, keys: Container[tuple[str, str]]) -> Iterator[tuple[int, Event]]:
-        """The events on ``keys`` in trace order, each with its place in the trace."""
-        wanted = [key in keys for key in self.keys]
-        places = array("I", compress(count(), map(wanted.__getitem__, self.order)))
-        return zip(places, self._events(map(self.order.__getitem__, places)))
-
-    def __iter__(self) -> Iterator[Event]:
-        return self._events(self.order)
+        return map(next, map(streams.__getitem__, self.order))
 
     def __len__(self) -> int:
         return len(self.order)
@@ -487,6 +490,53 @@ def device_constraint(device: str, attribute: str, op: Operator, value: object) 
 
 def time_constraint(op: Operator, value: object) -> Constraint:
     return Constraint("time", TIME_SUBJECT, TIME_ATTRIBUTE, op, value)
+
+
+def value_class(cuts: Sequence[float], value: float) -> int:
+    """The class of a numeric ``value`` among the sorted distinct ``cuts``.
+
+    The class is the pair ``(bisect_left(cuts, value), bisect_right(cuts,
+    value))``, told apart by its sum: ``2i`` strictly between the ``i``-th
+    cut and the one before, ``2i + 1`` on the ``i``-th cut itself. An atom
+    whose cut points are all in ``cuts`` has one truth value per class.
+    """
+    return bisect_left(cuts, value) + bisect_right(cuts, value)
+
+
+class Transitions:
+    """What a change of one key's value does, memoized by value class.
+
+    ``derive(prev, value)`` works the outcome out from the atoms on the key;
+    it runs once per pair of classes. A binary or enumerated value is its
+    own class (``cuts`` is None); a numeric one's is ``value_class(cuts,
+    value)``, where ``cuts`` holds the cut points of every atom ``derive``
+    tests. Each such atom has one truth value per class, so the memo is
+    exact, and finite.
+    """
+
+    __slots__ = ("derive", "cuts", "_memo")
+
+    def __init__(self, derive: Callable[[Value, Value], tuple[Any, ...]],
+                 cuts: Optional[Sequence[float]]):
+        self.derive = derive
+        self.cuts = cuts
+        self._memo: dict[tuple[object, object], tuple[Any, ...]] = {}
+
+    def __call__(self, prev: Value, value: Value) -> tuple[Any, ...]:
+        cuts = self.cuts
+        if cuts is None:
+            classes: tuple[object, object] = (prev, value)
+        else:
+            classes = (value_class(cuts, prev), value_class(cuts, value))  # type: ignore[arg-type]
+        outcome = self._memo.get(classes)
+        if outcome is None:
+            outcome = self._memo[classes] = self.derive(prev, value)
+        return outcome
+
+
+def cut_points(atoms: Iterable[Constraint]) -> tuple[float, ...]:
+    """The sorted distinct cut points of numeric ``atoms``."""
+    return tuple(sorted({cut for atom in atoms for cut in atom.cut_points()}))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,17 @@ action or a native timer); ``tick(when)`` then runs the work due.
 
 Which rules an input fires, and whether their conditions pass, is decided by
 a ``RuleTable``. The mediator predicts the platform's decisions from the same
-table, so the two can never disagree on which rules a report fires.
+table, so the two can never disagree on which rules a report fires. The
+table memoizes each key's transitions: a report that moves a key from one
+value class to another looks up the rules' moves instead of testing every
+trigger again.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .model import (
@@ -30,31 +34,56 @@ from .model import (
     Command,
     Registry,
     Rule,
+    Transitions,
     Value,
+    cut_points,
     minute_of_day,
 )
+
+# A rule's move on a report: fire it, or start (or reset) or stop its native timer.
+FIRE = "fire"
+START = "start"
+STOP = "stop"
+
+
+def _moves(rules: list[Rule], prev: Value, value: Value) -> tuple[tuple[str, Rule], ...]:
+    """The move of each rule of ``rules`` that a report from ``prev`` to ``value`` makes, in rule order."""
+    moves = []
+    for rule in rules:
+        timer = rule.condition_timer
+        if timer is None:
+            if rule.trigger.fires(value, prev):
+                moves.append((FIRE, rule))
+        elif timer.watched.fires(value, prev):
+            moves.append((START, rule))
+        elif timer.watched.satisfied_by(prev) and not timer.watched.satisfied_by(value):
+            moves.append((STOP, rule))
+    return tuple(moves)
 
 
 class RuleTable:
     """The platform's rules, indexed by what fires them; built once, never changed.
 
-    * ``on_key[key]`` -- the rules a report on ``key`` fires, in rule order;
-      a gated rule is left out.
+    * ``on_key[key]`` -- the ``Transitions`` of the rules a report on
+      ``key`` moves: called with the platform's previous value and the
+      reported one, it gives each ``(move, rule)`` in rule order, ``move``
+      one of ``FIRE``, ``START`` and ``STOP``; a gated rule is left out.
     * ``gated[rule_id]`` -- each gated rule: a held-duration rule whose timer
       the mediator runs, fired only by its expiry report.
     * ``at_minute[minute]`` -- the time rules of each minute of the day, in
       rule order; ``minutes`` lists those minutes in ascending order.
     * ``keys`` -- the keys the rules trigger on or command.
-    * ``thresholds[key]`` -- the sorted cut points of the numeric triggers on ``key``.
+    * ``thresholds[key]`` -- the sorted cut points of the numeric atoms the
+      rules test on ``key``: triggers, and the atoms held-duration timers watch.
     """
 
     def __init__(self, rules: Iterable[Rule], registry: Registry, gated: Iterable[str] = ()):
         gated = set(gated)
-        self.on_key: dict[tuple[str, str], list[Rule]] = {}
+        on_key: dict[tuple[str, str], list[Rule]] = {}
         self.gated: dict[str, Rule] = {}
         self.at_minute: dict[int, list[Rule]] = {}
         self.keys: set[tuple[str, str]] = set()
-        cuts: dict[tuple[str, str], set[float]] = {}
+        atoms: dict[tuple[str, str], list] = {}
         for rule in rules:
             trig = rule.trigger
             self.keys.update((a.device, a.attribute) for a in rule.actions)
@@ -66,11 +95,14 @@ class RuleTable:
             if rule.id in gated:
                 self.gated[rule.id] = rule
             else:
-                self.on_key.setdefault(key, []).append(rule)
+                on_key.setdefault(key, []).append(rule)
             if registry.lookup(*key).kind is AttributeKind.NUMERIC:
-                cuts.setdefault(key, set()).update(trig.cut_points())
+                timer = rule.condition_timer
+                atoms.setdefault(key, []).extend((trig,) if timer is None else (trig, timer.watched))
         self.minutes = sorted(self.at_minute)
-        self.thresholds = {key: tuple(sorted(v)) for key, v in cuts.items()}
+        self.thresholds = {key: cut_points(a) for key, a in atoms.items()}
+        self.on_key = {key: Transitions(partial(_moves, rs), self.thresholds.get(key))
+                       for key, rs in on_key.items()}
 
 
 def conditions_pass(rule: Rule, ts: int, state: Callable[[tuple[str, str]], Optional[Value]]) -> bool:
@@ -113,10 +145,9 @@ class SimulatedPlatform:
 
     # -- inputs ------------------------------------------------------------------
 
-    def receive(self, device: str, attribute: str, value: Value, ts: int,
+    def receive(self, key: tuple[str, str], value: Value, ts: int,
                 kind: str = KIND_REPORT, tag: str = "") -> None:
-        """Consume one delivered message."""
-        key = (device, attribute)
+        """Consume one delivered message on ``key``."""
         prev = self.db.get(key)
         self.db[key] = value
         if kind == KIND_SYNC:
@@ -126,13 +157,18 @@ class SimulatedPlatform:
             if rule is not None:
                 self._fire_rule(rule, ts)
             return
-        if prev is None:
+        transitions = self.rules.on_key.get(key)
+        if prev is None or transitions is None:
             return
-        for rule in self.rules.on_key.get(key, ()):
-            if rule.condition_timer is not None:
-                self._drive_native_timer(rule, value, prev, ts)
-            elif rule.trigger.fires(value, prev):
+        for move, rule in transitions(prev, value):
+            if move is FIRE:
                 self._fire_rule(rule, ts)
+            elif move is START:
+                timer = _NativeTimer(rule)
+                self._timers[rule.id] = timer  # create or reset
+                self._push(ts + rule.condition_timer.duration_ms, "timer", timer)  # type: ignore[union-attr]
+            else:
+                self._timers.pop(rule.id, None)
 
     def refresh(self, snapshot: dict[tuple[str, str], Value]) -> None:
         """A state-refresh (pull) response: states update, no events fire."""
@@ -161,15 +197,6 @@ class SimulatedPlatform:
     def _state(self, key: tuple[str, str]) -> Optional[Value]:
         value = self.db.get(key)
         return self.read(key) if value is None else value
-
-    def _drive_native_timer(self, rule: Rule, value: Value, prev: Value, ts: int) -> None:
-        watched = rule.condition_timer.watched  # type: ignore[union-attr]
-        if watched.fires(value, prev):
-            timer = _NativeTimer(rule)
-            self._timers[rule.id] = timer  # create or reset
-            self._push(ts + rule.condition_timer.duration_ms, "timer", timer)  # type: ignore[union-attr]
-        elif watched.satisfied_by(prev) and not watched.satisfied_by(value):
-            self._timers.pop(rule.id, None)
 
     def _fire_rule(self, rule: Rule, ts: int) -> None:
         if conditions_pass(rule, ts, self._state):

@@ -28,6 +28,12 @@ The loop keeps two rules:
   that runs no due work, so a held-duration timer that ends exactly when
   its condition's device changes sees the change in every pipeline alike.
 
+A streamed event is a ``(key, value, ts)`` row zipped from the trace
+columns (``Trace.placed``), and it goes upstream as those three values:
+``PolicyEngine.process_event(key, value, ts)`` or
+``SimulatedPlatform.receive(key, value, ts)``. No ``Event`` is built for
+it. An actuation builds one, the state change that the run records.
+
 The platform runs one ``RuleTable`` (``flowgate.platform_sim``): the raw
 and pull replays build it from the home's rules, and the mediated replay
 takes the compiled corpus's, whose repairs the engine predicts from the same
@@ -97,13 +103,14 @@ class DeviceFarm:
         self.registry = registry
         self.states: dict[tuple[str, str], Value] = dict(registry.initial_states())
 
-    def actuate(self, command: Command) -> Optional[Event]:
-        desc = self.registry.lookup(command.device, command.attribute)
-        value = desc.validate_value(command.value)
-        if self.states.get(command.key()) == value:
+    def actuate(self, command: Command, now: int) -> Optional[Event]:
+        """Apply ``command`` at ``now``; the state change it makes, or None."""
+        device, attribute = key = command.device, command.attribute
+        value = self.registry.lookup(device, attribute).validate_value(command.value)
+        if self.states.get(key) == value:
             return None
-        self.states[command.key()] = value
-        return Event(command.device, command.attribute, value, command.timestamp)
+        self.states[key] = value
+        return Event(device, attribute, value, now)
 
 
 @dataclass
@@ -216,13 +223,12 @@ class _Replay:
         heap, states, upstream = self._heap, self.farm.states, self.upstream
         reads = self.reads = _TraceReads(self._trace, self.trace_read_keys(), states)
         self.read_from(reads)
-        for place, event in self._trace.placed(self.streamed):
-            ts = event.timestamp
+        for place, (key, value, ts) in self._trace.placed(self.streamed):
             if heap and heap[0][0] < ts:
                 self._run_heap(ts)
             reads.time, reads.place = ts, place
-            states[event.key()] = event.value
-            upstream(event, ts)
+            states[key] = value
+            upstream(key, value, ts)
         self._run_heap(None)
         self.unhook()
         self.artifacts.p_commands.sort(key=_timestamp)
@@ -246,18 +252,18 @@ class _Replay:
 
     # -- devices and platform ----------------------------------------------------
 
-    def upstream(self, event: Event, now: int) -> None:
-        """Carry one device event (trace or actuation) towards the platform."""
+    def upstream(self, key: tuple[str, str], value: Value, now: int) -> None:
+        """Carry one device event, ``value`` on ``key`` (trace or actuation), towards the platform."""
         raise NotImplementedError
 
     def lost_in_transit(self) -> bool:
         return False
 
     def _actuate(self, now: int, cmd: Command) -> None:
-        change = self.farm.actuate(Command(cmd.device, cmd.attribute, cmd.value, now, cmd.origin))
+        change = self.farm.actuate(cmd, now)
         if change is not None:
             self.artifacts.actuations.append(change)
-            self.upstream(change, now)
+            self.upstream((change.device, change.attribute), change.value, now)
 
     def _wake_platform(self, when: int) -> None:
         self.push(when, self.drain_platform, None)
@@ -285,9 +291,10 @@ class _RawReplay(_Replay):
     def read_from(self, reads: _TraceReads) -> None:
         reads.serve(self.platform)
 
-    def upstream(self, event: Event, now: int) -> None:
-        self.platform.receive(event.device, event.attribute, event.value, now)
-        self.send_issued()
+    def upstream(self, key: tuple[str, str], value: Value, now: int) -> None:
+        self.platform.receive(key, value, now)
+        if self.platform.issued:
+            self.send_issued()
 
 
 class _PullReplay(_Replay):
@@ -298,7 +305,7 @@ class _PullReplay(_Replay):
             for ts in range(0, self.horizon + 1, config.refresh_ms):
                 self.push(ts, self._refresh, None)
 
-    def upstream(self, event: Event, now: int) -> None:
+    def upstream(self, key: tuple[str, str], value: Value, now: int) -> None:
         pass  # nothing is pushed
 
     def _refresh(self, now: int, _: None) -> None:
@@ -332,8 +339,8 @@ class _MediatedReplay(_Replay):
         drop = self.config.drop_prob
         return bool(drop) and self._drop_rng.random() < drop
 
-    def upstream(self, event: Event, now: int) -> None:
-        emissions = self.engine.process_event(event)
+    def upstream(self, key: tuple[str, str], value: Value, now: int) -> None:
+        emissions = self.engine.process_event(key, value, now)
         if emissions:
             self._report(emissions)
 
@@ -353,7 +360,7 @@ class _MediatedReplay(_Replay):
 
     def _deliver(self, now: int, e: Emission) -> None:
         self.artifacts.reported_events.append(e)
-        self.platform.receive(e.device, e.attribute, e.value, now, e.kind, e.tag)
+        self.platform.receive((e.device, e.attribute), e.value, now, e.kind, e.tag)
         self.drain_platform(now, None)
 
     def _manual(self, now: int, cmd: Command) -> None:

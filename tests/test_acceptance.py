@@ -81,7 +81,7 @@ def test_criterion_02_case_analysis(mini_registry, r1):
             engine.store.db[k] = v
         for k, v in db_star.items():
             engine.store.db_star[k] = v
-        out = engine.process_event(event)
+        out = engine.process_event(event.key(), event.value, event.timestamp)
         out.extend(run_due(engine, 10**9))
         return out
 

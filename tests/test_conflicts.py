@@ -9,7 +9,6 @@ from flowgate.dsl import load_home, parse_rule
 from flowgate.engine import PolicyEngine, evaluate_policy
 from flowgate.model import (
     DailyWindow,
-    Event,
     Operator,
     device_constraint,
     parse_hhmm,
@@ -128,10 +127,10 @@ def test_conditional_up_blocks_only_in_context(mini_registry):
     corpus = compile_corpus([rule], [spec], mini_registry)
     engine = PolicyEngine(corpus, seed=0, schedule=Deadlines())
     engine.store.db[("mode1", "mode")] = "home"
-    out = engine.process_event(Event("ps1", "presence", "present", 1000))
+    out = engine.process_event(("ps1", "presence"), "present", 1000)
     assert [e.value for e in out] == ["present"]
     engine.store.db[("mode1", "mode")] = "vacation"
-    out = engine.process_event(Event("ps1", "presence", "not-present", 2000))
+    out = engine.process_event(("ps1", "presence"), "not-present", 2000)
     assert out == []
 
 
@@ -257,9 +256,8 @@ def test_conflict_witness_replays_to_differing_decisions(mini_registry, r1):
     for key, value in (report.witness_star or {}).items():
         engine.store.db_star[key] = value
     obj = report.shared_object
-    event = Event(obj[0], obj[1], report.witness[obj], 1000)
-    ap_decisions = evaluate_policy(event, ap, engine.store, 1000)
-    up_decisions = evaluate_policy(event, up, engine.store, 1000)
+    ap_decisions = evaluate_policy(obj, ap, engine.store, 1000)
+    up_decisions = evaluate_policy(obj, up, engine.store, 1000)
     ap_on_obj = [d for d in ap_decisions if d.key() == obj]
     up_on_obj = [d for d in up_decisions if d.key() == obj]
     assert ap_on_obj and up_on_obj

@@ -1,4 +1,6 @@
 
+import math
+
 import hypothesis
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from flowgate.engine import (
     _fetch_state,
     evaluate_policy,
 )
-from flowgate.model import AttributeKind, Event, Operator
+from flowgate.model import AttributeKind, Event, Operator, cut_points
 from flowgate.policy import Method, MethodCall, PolicyOrigin, UserPolicySpec
 from flowgate.scenario import parse_user_policies
 from tests.conftest import Deadlines, run_due
@@ -50,8 +52,7 @@ def test_evaluate_r1_reports_obfuscated_check_then_trigger(mini_registry, r1):
          db={("ts1", "temperature"): 90.0, ("f1", "switch"): "off",
              ("ps1", "presence"): "present"},
          db_star={("ts1", "temperature"): 70.0, ("ps1", "presence"): "not-present"})
-    event = Event("ps1", "presence", "present", 1000)
-    decisions = evaluate_policy(event, policy, engine.store, 1000)
+    decisions = evaluate_policy(("ps1", "presence"), policy, engine.store, 1000)
     assert [d.key() for d in decisions] == [("ts1", "temperature"), ("ps1", "presence")]
     assert decisions[0].method.method is Method.RANDOMIZE
     assert decisions[1].method.method is Method.KEEP
@@ -63,8 +64,7 @@ def test_evaluate_r1_aborts_when_fan_already_on(mini_registry, r1):
     engine = _engine(mini_registry, R1)
     _set(engine, db={("ts1", "temperature"): 90.0, ("f1", "switch"): "on",
                      ("ps1", "presence"): "present"})
-    event = Event("ps1", "presence", "present", 1000)
-    assert evaluate_policy(event, policy, engine.store, 1000) == []
+    assert evaluate_policy(("ps1", "presence"), policy, engine.store, 1000) == []
 
 
 def test_evaluate_r1_blocks_temp_when_platform_already_satisfied(mini_registry, r1):
@@ -74,8 +74,7 @@ def test_evaluate_r1_blocks_temp_when_platform_already_satisfied(mini_registry, 
          db={("ts1", "temperature"): 90.0, ("f1", "switch"): "off",
              ("ps1", "presence"): "present"},
          db_star={("ts1", "temperature"): 90.0, ("ps1", "presence"): "present"})
-    event = Event("ps1", "presence", "present", 1000)
-    decisions = evaluate_policy(event, policy, engine.store, 1000)
+    decisions = evaluate_policy(("ps1", "presence"), policy, engine.store, 1000)
     assert decisions[0].method.method is Method.BLOCK       # platform already > 86
     assert decisions[1].method.method is Method.DIFF_KEEP   # alternation must be restored
 
@@ -85,7 +84,7 @@ def test_evaluate_unseeded_state_is_configuration_error(mini_registry, r1):
     engine = _engine(mini_registry, R1)
     del engine.store.db[("ts1", "temperature")]
     with pytest.raises(EngineError):
-        evaluate_policy(Event("ps1", "presence", "present", 0), policy, engine.store, 0)
+        evaluate_policy(("ps1", "presence"), policy, engine.store, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ def test_apply_keep_is_identity(mini_registry):
     # The platform already holds a temperature above 86, so r1's check
     # block()s it: only the trigger is reported.
     _set(engine, db={("ts1", "temperature"): 90.0}, db_star={("ts1", "temperature"): 90.0})
-    out = engine.process_event(Event("ps1", "presence", "present", 1000))
+    out = engine.process_event(("ps1", "presence"), "present", 1000)
     assert [(e.key(), e.kind) for e in out] == [(("ps1", "presence"), KIND_REPORT)]
 
 
@@ -132,8 +131,8 @@ def test_apply_randomize_respects_interval(mini_registry):
 
 def test_default_deny_unmatched_events(mini_registry):
     engine = _engine(mini_registry, R1)
-    assert engine.process_event(Event("am1", "humidity", 60.0, 1000)) == []
-    assert engine.process_event(Event("mo1", "motion", "active", 2000)) == []
+    assert engine.process_event(("am1", "humidity"), 60.0, 1000) == []
+    assert engine.process_event(("mo1", "motion"), "active", 2000) == []
 
 
 def test_up_block_overrides_ap_emit(mini_registry):
@@ -145,7 +144,7 @@ def test_up_block_overrides_ap_emit(mini_registry):
     corpus = compile_corpus(rules, [spec], mini_registry)
     engine = PolicyEngine(corpus, seed=0, schedule=Deadlines())
     _set(engine, db={("ts1", "temperature"): 90.0})
-    out = engine.process_event(Event("ps1", "presence", "present", 1000))
+    out = engine.process_event(("ps1", "presence"), "present", 1000)
     assert [e for e in out if e.key() == ("ps1", "presence")] == []
 
 
@@ -163,7 +162,7 @@ def test_blocked_trigger_sends_no_check_report(mini_registry, rule, device, attr
     engine = _engine(mini_registry, rule, ups=[spec])
     _set(engine, db={("ts1", "temperature"): 90.0, ("sl1", "switch"): "on",
                      ("mo1", "motion"): "active"})
-    assert engine.process_event(Event(device, attribute, value, 1000)) == []
+    assert engine.process_event((device, attribute), value, 1000) == []
     assert run_due(engine, 10**6) == []
 
 
@@ -175,7 +174,7 @@ def test_randomize_over_members_syncs_another_admitted_member(mini_registry):
         engine = _engine(mini_registry, "rv: when ps1.presence == present "
                                         "if mode1.mode != away then f1.switch := on", seed=seed)
         _set(engine, db_star={("mode1", "mode"): "away"})
-        out = engine.process_event(Event("ps1", "presence", "present", 1000))
+        out = engine.process_event(("ps1", "presence"), "present", 1000)
         [sync] = [e for e in out if e.key() == ("mode1", "mode")]
         assert sync.kind == KIND_SYNC
         synced.add(sync.value)
@@ -208,7 +207,7 @@ def test_two_randomize_ranges_intersect(mini_registry):
         "rb: when ts1.temperature > 90 then sl1.switch := on",
         seed=5,
     )
-    out = engine.process_event(Event("ts1", "temperature", 95.0, 1000))
+    out = engine.process_event(("ts1", "temperature"), 95.0, 1000)
     reports = [e for e in out if e.kind == KIND_REPORT]
     assert len(reports) == 1
     assert 90.0 < float(reports[0].value) <= 10000.0
@@ -220,7 +219,7 @@ def test_emission_values_within_bounds_and_obfuscated(mini_registry):
     engine = _engine(mini_registry, R1, seed=9)
     _set(engine, db={("ts1", "temperature"): 90.0},
          db_star={("ts1", "temperature"): 70.0})
-    out = engine.process_event(Event("ps1", "presence", "present", 1000))
+    out = engine.process_event(("ps1", "presence"), "present", 1000)
     sync = next(e for e in out if e.key() == ("ts1", "temperature"))
     assert sync.kind == KIND_SYNC
     assert 86.0 < float(sync.value) <= 10000.0
@@ -237,8 +236,8 @@ TIMER = "rt: when mo1.motion == inactive for 300000 then sl1.switch := off"
 def test_timer_fires_after_uninterrupted_duration(mini_registry):
     engine = _engine(mini_registry, TIMER)
     _set(engine, db={("sl1", "switch"): "on"})
-    engine.process_event(Event("mo1", "motion", "active", 1000))
-    assert engine.process_event(Event("mo1", "motion", "inactive", 10_000)) == []
+    engine.process_event(("mo1", "motion"), "active", 1000)
+    assert engine.process_event(("mo1", "motion"), "inactive", 10_000) == []
     assert run_due(engine, 10_000 + 299_999) == []
     out = run_due(engine, 10_000 + 300_000)
     assert len(out) == 1
@@ -248,9 +247,9 @@ def test_timer_fires_after_uninterrupted_duration(mini_registry):
 
 def test_timer_cancelled_by_counter_edge(mini_registry):
     engine = _engine(mini_registry, TIMER)
-    engine.process_event(Event("mo1", "motion", "active", 1000))
-    engine.process_event(Event("mo1", "motion", "inactive", 10_000))
-    engine.process_event(Event("mo1", "motion", "active", 70_000))  # within 5 minutes
+    engine.process_event(("mo1", "motion"), "active", 1000)
+    engine.process_event(("mo1", "motion"), "inactive", 10_000)
+    engine.process_event(("mo1", "motion"), "active", 70_000)  # within 5 minutes
     assert run_due(engine, 10_000 + 300_000) == []
 
 
@@ -258,8 +257,8 @@ def test_zero_duration_timer_fires_immediately(mini_registry):
     engine = _engine(mini_registry,
                      "rz: when mo1.motion == inactive for 0 then sl1.switch := off")
     _set(engine, db={("sl1", "switch"): "on"})
-    engine.process_event(Event("mo1", "motion", "active", 1000))
-    engine.process_event(Event("mo1", "motion", "inactive", 2000))
+    engine.process_event(("mo1", "motion"), "active", 1000)
+    engine.process_event(("mo1", "motion"), "inactive", 2000)
     out = run_due(engine, 2000)
     assert [e.kind for e in out] == [KIND_EXPIRY]
 
@@ -269,7 +268,7 @@ def test_diffkeep_pending_flushed_at_deadline(mini_registry):
     _set(engine,
          db={("ts1", "temperature"): 90.0, ("f1", "switch"): "off"},
          db_star={("ts1", "temperature"): 90.0, ("ps1", "presence"): "present"})
-    out = engine.process_event(Event("ps1", "presence", "present", 1000))
+    out = engine.process_event(("ps1", "presence"), "present", 1000)
     assert [e.kind for e in out] == [KIND_SYNC]       # the complement, immediately
     assert run_due(engine, 1299) == []
     flushed = run_due(engine, 1300)
@@ -281,9 +280,9 @@ def test_diffkeep_pending_flushed_by_newer_event_on_key(mini_registry):
     _set(engine,
          db={("ts1", "temperature"): 90.0, ("f1", "switch"): "off"},
          db_star={("ts1", "temperature"): 90.0, ("ps1", "presence"): "present"})
-    engine.process_event(Event("ps1", "presence", "present", 1000))
-    assert engine.process_event(Event("am1", "humidity", 60.0, 1100)) == []
-    out = engine.process_event(Event("ps1", "presence", "not-present", 1200))
+    engine.process_event(("ps1", "presence"), "present", 1000)
+    assert engine.process_event(("am1", "humidity"), 60.0, 1100) == []
+    out = engine.process_event(("ps1", "presence"), "not-present", 1200)
     assert [(e.value, e.kind, e.timestamp) for e in out] == [("present", KIND_REPORT, 1200)]
     assert run_due(engine, 1300) == []
 
@@ -293,8 +292,8 @@ def test_timer_expiry_flushes_pending_report_on_its_key(mini_registry):
     # timer on the same key expires at 1100: the report goes first.
     engine = _engine(mini_registry, "ra: when mo1.motion == inactive then sl1.switch := on\n"
                                     "rt: when mo1.motion == inactive for 100 then f1.switch := on")
-    engine.process_event(Event("mo1", "motion", "active", 500))
-    out = engine.process_event(Event("mo1", "motion", "inactive", 1000))
+    engine.process_event(("mo1", "motion"), "active", 500)
+    out = engine.process_event(("mo1", "motion"), "inactive", 1000)
     assert [(e.value, e.kind) for e in out] == [("active", KIND_SYNC)]
     out = run_due(engine, 1100)
     assert [(e.value, e.kind, e.timestamp, e.tag) for e in out] == [
@@ -314,8 +313,8 @@ def test_two_timers_same_deadline_fire_in_creation_order(mini_registry):
     )
     _set(engine, db={("mo1", "motion"): "active", ("am1", "motion"): "active",
                      ("sl1", "switch"): "on", ("f1", "switch"): "on"})
-    engine.process_event(Event("mo1", "motion", "inactive", 1000))
-    engine.process_event(Event("am1", "motion", "inactive", 1000))
+    engine.process_event(("mo1", "motion"), "inactive", 1000)
+    engine.process_event(("am1", "motion"), "inactive", 1000)
     out = run_due(engine, 61_000)
     assert [e.tag for e in out] == ["ra", "rb"]
 
@@ -323,15 +322,15 @@ def test_two_timers_same_deadline_fire_in_creation_order(mini_registry):
 def test_timers_hold_only_running_timers(mini_registry):
     engine = _engine(mini_registry, TIMER)
     _set(engine, db={("sl1", "switch"): "on"})
-    engine.process_event(Event("mo1", "motion", "active", 1000))
-    engine.process_event(Event("mo1", "motion", "inactive", 10_000))
+    engine.process_event(("mo1", "motion"), "active", 1000)
+    engine.process_event(("mo1", "motion"), "inactive", 10_000)
     timer = engine.timers["rt"]
     assert engine.timers == {"rt": timer}
     assert (timer.policy.id, timer.start_value) == ("ap:rt:start", "inactive")
-    engine.process_event(Event("mo1", "motion", "active", 20_000))   # the counter edge
+    engine.process_event(("mo1", "motion"), "active", 20_000)   # the counter edge
     assert engine.timers == {}
     assert run_due(engine, 400_000) == []
-    engine.process_event(Event("mo1", "motion", "inactive", 500_000))   # restart
+    engine.process_event(("mo1", "motion"), "inactive", 500_000)   # restart
     assert list(engine.timers) == ["rt"]
     out = run_due(engine, 10**7)
     assert [(e.timestamp, e.kind, e.tag) for e in out] == [(800_000, KIND_EXPIRY, "rt")]
@@ -353,7 +352,7 @@ def test_deterministic_replay(mini_registry):
         out = []
         for e in trace:
             out.extend(run_due(engine, e.timestamp))
-            out.extend(engine.process_event(e))
+            out.extend(engine.process_event(e.key(), e.value, e.timestamp))
         out.extend(run_due(engine, 10**9))
         return out
 
@@ -363,7 +362,7 @@ def test_deterministic_replay(mini_registry):
 def test_db_star_tracks_last_emission(mini_registry):
     engine = _engine(mini_registry, R1, seed=3)
     _set(engine, db={("ts1", "temperature"): 90.0})
-    emitted = engine.process_event(Event("ps1", "presence", "present", 1000))
+    emitted = engine.process_event(("ps1", "presence"), "present", 1000)
     emitted += run_due(engine, 10_000)
     for key, value in engine.store.db_star.items():
         matching = [e for e in emitted if e.key() == key]
@@ -375,10 +374,10 @@ def test_db_star_tracks_last_emission(mini_registry):
 # dispatch index
 # ---------------------------------------------------------------------------
 
-def _matches(match, event):
-    """Whether ``match`` names the event's device and attribute (or every attribute)."""
-    return (not match.is_time and match.subject == event.device
-            and match.attribute in ("*", event.attribute))
+def _matches(match, key):
+    """Whether ``match`` names the device and attribute of ``key`` (or every attribute)."""
+    return (not match.is_time and match.subject == key[0]
+            and match.attribute in ("*", key[1]))
 
 
 class _ScanningEngine(PolicyEngine):
@@ -393,28 +392,27 @@ class _ScanningEngine(PolicyEngine):
         self.pending = {}   # key -> {id(emission): emission}
         self.scheduled, self.sent = [], []
 
-    def process_event(self, event):
-        key = event.key()
-        out = self._flush_key_pending(key, event.timestamp)
+    def process_event(self, key, value, ts):
+        out = self._flush_key_pending(key, ts)
         prev = self.store.db[key]
-        self.store.db[key] = event.value
+        self.store.db[key] = value
         decisions, sanctioned = [], set()
         for policy in self.corpus.policies:
             m = policy.trigger_block.match
             if policy.timer_start or policy.timer_stop:
-                if _matches(m, event) and m.fires(event.value, prev):
-                    self._apply_timer_policy(policy, event)
+                if _matches(m, key) and m.fires(value, prev):
+                    self._apply_timer_policy(policy, value, ts)
                 continue
-            if not _matches(m, event):
+            if not _matches(m, key):
                 continue
-            if m.operator is not Operator.ANY and not m.fires(event.value, prev):
+            if m.operator is not Operator.ANY and not m.fires(value, prev):
                 continue
-            ds = evaluate_policy(event, policy, self.store, event.timestamp)
+            ds = evaluate_policy(key, policy, self.store, ts)
             if ds:
                 decisions.extend(ds)
                 if policy.origin is PolicyOrigin.AUTOMATION:
                     sanctioned.add(policy.source_id)
-        out.extend(self._merge_and_emit(event, prev, decisions, sanctioned))
+        out.extend(self._merge_and_emit(key, value, prev, decisions, sanctioned, ts))
         return out
 
     def _up_suppresses(self, key, clock):
@@ -432,21 +430,19 @@ class _ScanningEngine(PolicyEngine):
                 return "suppress" if action.method is Method.BLOCK else "keep"
         return None
 
-    def _merge_and_emit(self, event, prev, decisions, sanctioned):
+    def _merge_and_emit(self, ekey, value, prev, decisions, sanctioned, now):
         # All four steps on every event, whether or not anything was decided.
-        now = event.timestamp
-        ekey = event.key()
         if self._scan_disposition(ekey, now) == "suppress":
             return []
         out = self._emit_sync_decisions([d for d in decisions if d.key() != ekey], now)
         trigger_plan, trig_prov = self._trigger_plan(
-            event, prev, [d for d in decisions if d.key() == ekey]
+            ekey, value, prev, [d for d in decisions if d.key() == ekey]
         )
         if not any(k == KIND_REPORT for _, _, k in trigger_plan):
             if self._scan_disposition(ekey, now) == "keep":
-                trigger_plan = [(event.value, 0, KIND_REPORT)]
+                trigger_plan = [(value, 0, KIND_REPORT)]
                 trig_prov = trig_prov or ("up",)
-        out.extend(self._consistency_repairs(event, trigger_plan, sanctioned, now))
+        out.extend(self._consistency_repairs(ekey, trigger_plan, sanctioned, now))
         for value, delay, kind in trigger_plan:
             emission = Emission(ekey[0], ekey[1], value, now + delay, kind, provenance=trig_prov)
             if delay > 0:
@@ -477,11 +473,15 @@ class _ScanningEngine(PolicyEngine):
         return flushed
 
 
+# Numeric triggers (>, in-range, >=) and held durations on a binary and on a
+# numeric key. No automation policy reads am1.humidity.
 DISPATCH_RULES = "\n".join([
     R1,
     TIMER,
     "rn: when ts1.temperature > 90 then sl1.switch := on",
     "rm: when am1.motion == active if mode1.mode != away then f1.switch := off after 60000",
+    "ri: when ts1.temperature in 40..88 if ps1.presence == present then sl1.switch := off",
+    "rh: when ts1.temperature >= 95 for 60000 if mode1.mode == home then f1.switch := on",
 ])
 
 # A device wildcard (no attribute) and windowed single-attribute blacklists.
@@ -514,10 +514,17 @@ def _dispatch_corpus(registry):
                           parse_user_policies(DISPATCH_UPS, registry), registry)
 
 
-def _value_strategy(desc):
-    if desc.kind is AttributeKind.NUMERIC:
-        return st.sampled_from([40.0, 86.0, 88.0, 90.0, 95.0])
-    return st.sampled_from(list(desc.values))
+def _key_values(registry, key):
+    """A numeric key's every cut point in the dispatch rules, the floats on
+    either side of it and a value between each pair; any other key's every value."""
+    desc = registry.lookup(*key)
+    if desc.kind is not AttributeKind.NUMERIC:
+        return list(desc.values)
+    rules = parse_rules(DISPATCH_RULES, registry)
+    cuts = cut_points(c for r in rules for c in (r.trigger, *r.condition) if c.key() == key)
+    between = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+    near = [math.nextafter(cut, side) for cut in cuts for side in (-math.inf, math.inf)]
+    return sorted({desc.min, desc.max, *cuts, *between, *near})
 
 
 def _event_sequences(registry):
@@ -527,7 +534,7 @@ def _event_sequences(registry):
     # the diffKeep delay.
     gaps = st.sampled_from([0, 1, 299, 300, 60_000, 300_000, 400_000])
     any_step = st.sampled_from(registry.all_pairs()).flatmap(
-        lambda key: st.tuples(st.just(key), _value_strategy(registry.lookup(*key)), gaps)
+        lambda key: st.tuples(st.just(key), st.sampled_from(_key_values(registry, key)), gaps)
     )
     warm = st.tuples(st.just(("ts1", "temperature")), st.sampled_from([88.0, 90.0, 95.0]), gaps)
     flip = st.tuples(
@@ -546,12 +553,12 @@ def _dispatch_steps(corpus, steps, seed):
     indexed = PolicyEngine(corpus, seed=seed, schedule=Deadlines())
     reference = _ScanningEngine(corpus, seed=seed, schedule=Deadlines())
     now = flushes = 0
-    for (device, attribute), value, gap in steps:
+    for key, value, gap in steps:
         now += gap
-        event = Event(device, attribute, value, now)
         assert run_due(indexed, now) == run_due(reference, now)
-        flushes += event.key() in indexed._pending_reports
-        assert indexed.process_event(event) == reference.process_event(event)
+        flushes += key in indexed._pending_reports
+        assert indexed.process_event(key, value, now) == reference.process_event(key, value, now)
+        assert indexed.timers == reference.timers
     assert run_due(indexed, now + 10**7) == run_due(reference, now + 10**7)
     assert indexed.timers == reference.timers
     assert sorted(map(id, reference.sent)) == sorted(map(id, reference.scheduled))
@@ -595,13 +602,29 @@ def test_dispatch_index_matches_full_scan_through_a_flush(mini_registry):
     assert _dispatch_steps(_dispatch_corpus(mini_registry), steps, seed=0) == 1
 
 
+def test_dispatch_index_matches_full_scan_across_every_cut(mini_registry):
+    # ts1.temperature walks up and down through every cut point of the
+    # dispatch rules and the floats beside it, with the presence and mode
+    # that R1, ri and rh read set both ways on the way.
+    values = _key_values(mini_registry, ("ts1", "temperature"))
+    walk = [*values, *values[::-1], *values[::2], *values[1::2], *values[::3]]
+    sides = [(("ps1", "presence"), "present"), (("mode1", "mode"), "away"),
+             (("ps1", "presence"), "not-present"), (("mode1", "mode"), "home")]
+    steps = []
+    for i, value in enumerate(walk):
+        if i % 7 == 0:
+            steps.append((*sides[i // 7 % len(sides)], 1))
+        steps.append((("ts1", "temperature"), value, [1, 400, 60_000][i % 3]))
+    _dispatch_steps(_dispatch_corpus(mini_registry), steps, seed=0)
+
+
 def test_device_wildcard_user_policy_reaches_every_attribute(mini_registry):
     engine = PolicyEngine(_dispatch_corpus(mini_registry), seed=0, schedule=Deadlines())
     # No automation policy reads am1.humidity; the wildcard keeps it while
     # the mode is away and leaves it blocked otherwise.
-    assert engine.process_event(Event("am1", "humidity", 60.0, 1000)) == []
-    engine.process_event(Event("mode1", "mode", "away", 2000))
-    out = engine.process_event(Event("am1", "humidity", 61.0, 3000))
+    assert engine.process_event(("am1", "humidity"), 60.0, 1000) == []
+    engine.process_event(("mode1", "mode"), "away", 2000)
+    out = engine.process_event(("am1", "humidity"), 61.0, 3000)
     assert [(e.key(), e.value, e.kind, e.provenance) for e in out] == [
         (("am1", "humidity"), 61.0, KIND_REPORT, ("up:upw",))
     ]
@@ -612,9 +635,9 @@ def _counted_evaluations(monkeypatch):
     calls = []
     real = engine_module.evaluate_policy
 
-    def counting(event, policy, *args):
+    def counting(key, policy, *args):
         calls.append(policy.id)
-        return real(event, policy, *args)
+        return real(key, policy, *args)
 
     monkeypatch.setattr(engine_module, "evaluate_policy", counting)
     return calls
@@ -623,10 +646,10 @@ def _counted_evaluations(monkeypatch):
 def test_unreferenced_key_evaluates_no_policy(mini_registry, monkeypatch):
     calls = _counted_evaluations(monkeypatch)
     engine = _engine(mini_registry, R1)
-    assert engine.process_event(Event("am1", "humidity", 60.0, 1000)) == []
+    assert engine.process_event(("am1", "humidity"), 60.0, 1000) == []
     assert calls == []
     assert engine.store.current(("am1", "humidity")) == 60.0
-    engine.process_event(Event("ps1", "presence", "present", 2000))
+    engine.process_event(("ps1", "presence"), "present", 2000)
     assert calls == ["ap:r1"]
 
 
@@ -634,8 +657,8 @@ def test_only_a_trigger_that_became_true_evaluates_its_policy(mini_registry, mon
     calls = _counted_evaluations(monkeypatch)
     engine = _engine(mini_registry, "rn: when ts1.temperature > 90 then sl1.switch := on")
     _set(engine, db={("ts1", "temperature"): 95.0})
-    engine.process_event(Event("ts1", "temperature", 96.0, 1000))
+    engine.process_event(("ts1", "temperature"), 96.0, 1000)
     assert calls == []
     _set(engine, db={("ts1", "temperature"): 80.0})
-    engine.process_event(Event("ts1", "temperature", 95.0, 2000))
+    engine.process_event(("ts1", "temperature"), 95.0, 2000)
     assert calls == ["ap:rn"]

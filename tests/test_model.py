@@ -369,5 +369,5 @@ def test_placed_allocates_under_a_byte_per_trace_event(mini_registry, mini_trace
     assert 0.005 < share < 0.02
     placed, _, peak = _traced_bytes(lambda: trace.placed({RARE}))
     assert peak / len(trace) <= 1
-    expected = [(i, e) for i, e in enumerate(trace) if e.key() == RARE]
+    expected = [(i, (e.key(), e.value, e.timestamp)) for i, e in enumerate(trace) if e.key() == RARE]
     assert list(placed) == expected

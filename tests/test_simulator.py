@@ -13,7 +13,7 @@ from flowgate.cli import _latency_csv, _metrics_summary
 from flowgate.compiler import compile_corpus
 from flowgate.dsl import load_home, parse_rules
 from flowgate.engine import EngineError, PolicyEngine
-from flowgate.model import Command, Event, format_value
+from flowgate.model import Command, Event, Trace, format_value
 from flowgate.platform_sim import RuleTable, SimulatedPlatform
 from flowgate.scenario import Scenario, parse_user_policies
 from flowgate.simulator import (
@@ -138,12 +138,12 @@ def test_platform_native_timer_cancel_reset_and_fire(mini_registry):
         "rt: when mo1.motion == inactive for 60000 then sl1.switch := on", mini_registry
     )
     platform = SimulatedPlatform(RuleTable(rules, mini_registry), mini_registry, wake=Deadlines())
-    platform.receive("mo1", "motion", "active", 1000)
-    platform.receive("mo1", "motion", "inactive", 2000)       # starts: due at 62 000
+    platform.receive(("mo1", "motion"), "active", 1000)
+    platform.receive(("mo1", "motion"), "inactive", 2000)       # starts: due at 62 000
     assert list(platform._timers) == ["rt"]
-    platform.receive("mo1", "motion", "active", 30_000)       # the counter edge cancels
+    platform.receive(("mo1", "motion"), "active", 30_000)       # the counter edge cancels
     assert platform._timers == {}
-    platform.receive("mo1", "motion", "inactive", 40_000)     # reset: due at 100 000
+    platform.receive(("mo1", "motion"), "inactive", 40_000)     # reset: due at 100 000
     run_due(platform, 99_999)
     assert platform.issued == []
     run_due(platform, 100_000)
@@ -203,10 +203,10 @@ def _platform_syncs(monkeypatch):
     syncs = []
     receive = SimulatedPlatform.receive
 
-    def spy_receive(self, device, attribute, value, ts, kind="report", tag=""):
+    def spy_receive(self, key, value, ts, kind="report", tag=""):
         if kind == "sync":
-            syncs.append((ts, (device, attribute), value))
-        return receive(self, device, attribute, value, ts, kind, tag)
+            syncs.append((ts, key, value))
+        return receive(self, key, value, ts, kind, tag)
 
     monkeypatch.setattr(SimulatedPlatform, "receive", spy_receive)
     return syncs
@@ -315,7 +315,7 @@ class _HeapTrace:
 
     def _heap_event(self, now, event):
         self.farm.states[event.key()] = event.value
-        self.upstream(event, now)
+        self.upstream(event.key(), event.value, now)
 
     def trace_read_keys(self):
         return set()
@@ -375,14 +375,14 @@ def test_events_nothing_triggers_on_or_commands_reach_no_upstream(monkeypatch):
     seen = {"engine": set(), "platform": set()}
     process_event, receive = PolicyEngine.process_event, SimulatedPlatform.receive
 
-    def spy_process_event(self, event):
-        seen["engine"].add(event.key())
-        return process_event(self, event)
+    def spy_process_event(self, key, value, ts):
+        seen["engine"].add(key)
+        return process_event(self, key, value, ts)
 
-    def spy_receive(self, device, attribute, value, ts, kind="report", tag=""):
+    def spy_receive(self, key, value, ts, kind="report", tag=""):
         if kind != "sync":   # mediated check reports and repairs are not trace events
-            seen["platform"].add((device, attribute))
-        return receive(self, device, attribute, value, ts, kind, tag)
+            seen["platform"].add(key)
+        return receive(self, key, value, ts, kind, tag)
 
     monkeypatch.setattr(PolicyEngine, "process_event", spy_process_event)
     monkeypatch.setattr(SimulatedPlatform, "receive", spy_receive)
@@ -991,3 +991,41 @@ def test_finished_replay_leaves_no_reference_cycle(mini_registry):
             assert freed() is None, f"the {mode} replay outlived its last reference"
     finally:
         gc.enable()
+
+
+def test_replays_build_an_event_per_state_change_and_none_per_trace_event(mini_registry,
+                                                                          monkeypatch):
+    # The loop reads (key, value, ts) rows off the trace columns; only a
+    # command that changes its device's state becomes an Event, the
+    # actuation the replay records.
+    rules = parse_rules(REPLAY_RULES, mini_registry)
+    corpus = compile_corpus(rules, [], mini_registry)
+    events = [
+        Event("ps1", "presence", "present", 0),
+        Event("ts1", "temperature", 95.0, 1000),
+        Event("mo1", "motion", "active", 1000),
+        Event("mo1", "motion", "inactive", 20_000),
+        Event("am1", "motion", "active", 30_000),
+        Event("am1", "humidity", 60.0, 40_000),
+        Event("ps1", "presence", "not-present", 200_000),
+        Event("ps1", "presence", "present", 300_000),
+        Event("mo1", "motion", "active", 301_000),
+        Event("mo1", "motion", "inactive", 302_000),
+    ]
+    trace = Trace.of([e._replace(timestamp=e.timestamp + day * 86_400_000)
+                      for day in range(3) for e in events])
+    built = []
+    new = Event.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__new__", counting)
+    config = SimConfig(seed=0)
+    for run in (lambda: run_raw(trace, rules, mini_registry, config),
+                lambda: run_mediated(trace, corpus, config)):
+        built.clear()
+        artifacts = run()
+        assert len(artifacts.actuations) >= 6
+        assert len(built) == len(artifacts.actuations)

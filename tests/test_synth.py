@@ -63,7 +63,7 @@ def test_windowed_user_policy_blocks_only_in_window(mini_registry, r1):
         engine = PolicyEngine(corpus, seed=0, schedule=Deadlines())
         engine.store.db[("ts1", "temperature")] = 90.0
         ts = hour * 3_600_000
-        return engine.process_event(Event("ps1", "presence", "present", ts))
+        return engine.process_event(("ps1", "presence"), "present", ts)
 
     assert [e for e in run_at(18) if e.key() == ("ps1", "presence")] == []
     inside = [e for e in run_at(12) if e.key() == ("ps1", "presence")]
