@@ -31,6 +31,7 @@ from .model import (
     DEFAULT_NUMERIC_BOUNDS,
     DeviceDescriptor,
     Event,
+    MAX_PLACE,
     MAX_TIMESTAMP_MS,
     ModelError,
     Operator,
@@ -295,73 +296,85 @@ def parse_rules(source: Union[str, IO[str]], registry: Registry) -> list[Rule]:
 def parse_trace(source: Union[str, IO[str]], registry: Registry) -> Trace:
     """Parse a trace file into a timestamp-ordered :class:`Trace`.
 
-    A record older than the one before it, or whose timestamp is negative or
-    above ``MAX_TIMESTAMP_MS``, is an error naming its line. An exact repeat
-    of a record at the same millisecond collapses to one event.
+    A record older than the one before it, whose timestamp is negative or
+    above ``MAX_TIMESTAMP_MS``, or that comes after ``MAX_PLACE + 1`` events,
+    is an error naming its line. An exact repeat of a record at the same
+    millisecond collapses to one event.
 
     One pass: each distinct ``device attribute value`` text is looked up and
-    validated once, and each record lands in its key's columns. A record
-    whose text after its first space was seen before skips the split: only
-    its timestamp is parsed. Only a record at the latest millisecond can
-    repeat an earlier one, so only such a record is compared with its key's
-    events at that millisecond.
+    validated once, and each record lands in its key's columns, its place
+    the count of events before it. A record whose text after its first
+    space was seen before skips the split: only its timestamp is parsed.
+    Only a record at the latest millisecond can repeat an earlier one, so
+    only such a record is compared with its key's events at that
+    millisecond.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
     trace = Trace()
-    order = trace.order
-    # Validated (key's timestamps, key's values, key id, value), keyed by the
+    # Validated (key's places, key's timestamps, key's values, value), keyed by the
     # record's text after its first space. A text is kept only from a record
     # whose first field is exactly the text before that space, so any line
     # it matches later splits into the same fields.
-    validated: dict[str, tuple[array[int], list[Value], int, Value]] = {}
+    validated: dict[str, tuple[array[int], array[int], list[Value], Value]] = {}
     last_ts = -math.inf
-    for line_no, line in enumerate(source, start=1):
-        ts_text, _, rest = line.partition(" ")
-        record = validated.get(rest)
-        if record is not None:
+    lines = iter(source)
+    # ``enumerate`` numbers the events, restarting at the same place after a
+    # skipped (blank, comment or repeat) line; a line's number is its place
+    # plus ``offset``, one more than the lines skipped before it.
+    place, offset = 0, 1
+    while True:
+        for place, line in enumerate(lines, place):
+            ts_text, _, rest = line.partition(" ")
+            record = validated.get(rest)
+            if record is not None:
+                try:
+                    ts = int(ts_text)
+                except ValueError:
+                    record = None
+            if record is None:
+                # A new text, a bad timestamp, or a blank, comment or oddly spaced line.
+                if "#" in line:
+                    line = line.split("#", 1)[0]
+                fields = line.split()
+                if not fields:
+                    break
+                if len(fields) < 4:
+                    raise ParseError(f"trace record needs 4 fields, got {len(fields)}", place + offset)
+                try:
+                    ts = int(fields[0])
+                except ValueError:
+                    raise ParseError(f"bad timestamp {fields[0]!r}", place + offset) from None
+            if ts < last_ts:
+                raise ParseError(
+                    f"timestamp {ts} is older than {last_ts} on the record before it", place + offset
+                )
+            if record is None:
+                device, attribute, value_text = fields[1:4]
+                try:
+                    value = registry.lookup(device, attribute).validate_value(value_text)
+                except ModelError as exc:
+                    raise ParseError(str(exc), place + offset) from None
+                kid = trace.key_id((device, attribute))
+                record = (trace.places[kid], trace.times[kid], trace.values[kid], value)
+                if fields[0] == ts_text:
+                    validated[rest] = record
+            places, times, values, value = record
+            if ts == last_ts and _repeats(times, values, ts, value):
+                break
+            last_ts = ts
             try:
-                ts = int(ts_text)
-            except ValueError:
-                record = None
-        if record is None:
-            # A new text, a bad timestamp, or a blank, comment or oddly spaced line.
-            if "#" in line:
-                line = line.split("#", 1)[0]
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) < 4:
-                raise ParseError(f"trace record needs 4 fields, got {len(fields)}", line_no)
+                times.append(ts)
+            except OverflowError:
+                raise ParseError(f"timestamp {ts} is outside 0..{MAX_TIMESTAMP_MS}", place + offset) from None
             try:
-                ts = int(fields[0])
-            except ValueError:
-                raise ParseError(f"bad timestamp {fields[0]!r}", line_no) from None
-        if ts < last_ts:
-            raise ParseError(
-                f"timestamp {ts} is older than {last_ts} on the record before it", line_no
-            )
-        if record is None:
-            device, attribute, value_text = fields[1:4]
-            try:
-                value = registry.lookup(device, attribute).validate_value(value_text)
-            except ModelError as exc:
-                raise ParseError(str(exc), line_no) from None
-            kid = trace.key_id((device, attribute))
-            record = (trace.times[kid], trace.values[kid], kid, value)
-            if fields[0] == ts_text:
-                validated[rest] = record
-        times, values, kid, value = record
-        if ts == last_ts and _repeats(times, values, ts, value):
-            continue
-        last_ts = ts
-        try:
-            times.append(ts)
-        except OverflowError:
-            raise ParseError(f"timestamp {ts} is outside 0..{MAX_TIMESTAMP_MS}", line_no) from None
-        values.append(value)
-        order.append(kid)
-    return trace
+                places.append(place)
+            except OverflowError:
+                raise ParseError(f"a trace holds at most {MAX_PLACE + 1} events", place + offset) from None
+            values.append(value)
+        else:
+            return trace
+        offset += 1
 
 
 def _repeats(times: Sequence[int], values: list[Value], ts: int, value: Value) -> bool:

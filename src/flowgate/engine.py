@@ -119,12 +119,6 @@ class ReportDecision(NamedTuple):
         return (self.device, self.attribute)
 
 
-def _fetch_state(store: StateStore, c: Constraint, clock: int) -> Value:
-    if c.is_time:
-        return minute_of_day(clock)
-    return store.current(c.key())
-
-
 def _block_decision(
     policy: Policy,
     block: TriggerBlock | CheckBlock,
@@ -153,15 +147,19 @@ def _block_decision(
 
 
 def _run_checks(policy: Policy, store: StateStore, clock: int) -> Optional[list[ReportDecision]]:
-    """Fetch, check and resolve every CHECK block in order.
+    """Fetch and check every CHECK block in order, then resolve them.
 
     Returns the blocks' report decisions, or ``None`` when a fetched state
     fails its check and the policy execution aborts.
     """
+    db = store.db
+    for cb in policy.check_blocks:
+        fetch = cb.fetch
+        state = minute_of_day(clock) if fetch.is_time else db.get(fetch.key())
+        if not fetch.satisfied_by(store.current(fetch.key()) if state is None else state):
+            return None
     decisions: list[ReportDecision] = []
     for cb in policy.check_blocks:
-        if not cb.fetch.satisfied_by(_fetch_state(store, cb.fetch, clock)):
-            return None
         d = _block_decision(policy, cb, cb.fetch.subject, cb.fetch.attribute, store, clock, False)
         if d is not None:
             decisions.append(d)
@@ -188,6 +186,11 @@ def evaluate_policy(
 
 # A dispatch-table entry: (policy, trigger test or None, is a timer policy).
 _Entry = tuple[Policy, Optional[Callable[[Value], bool]], bool]
+
+
+def _repair_candidates(moves: Callable[..., tuple], prev: Value, value: Value) -> tuple[Rule, ...]:
+    """The rules without history that a report from ``prev`` to ``value`` fires on the platform."""
+    return tuple(rule for move, rule in moves(prev, value) if move is FIRE and not rule.uses_history)
 
 
 def _fired(entries: list[_Entry], prev: Value, value: Value) -> tuple[tuple[Policy, bool], ...]:
@@ -250,12 +253,19 @@ class PolicyEngine:
                 entries.setdefault((m.subject, attr), []).append((policy, test, is_timer))
                 if policy.origin is PolicyOrigin.USER:
                     self._user_by_key.setdefault((m.subject, attr), []).append(policy)
+        self._numeric_keys = {key for key in entries
+                              if corpus.registry.lookup(*key).kind is AttributeKind.NUMERIC}
         self._dispatch: dict[tuple[str, str], Transitions] = {}
         for key, es in entries.items():
-            numeric = corpus.registry.lookup(*key).kind is AttributeKind.NUMERIC
+            numeric = key in self._numeric_keys
             cuts = cut_points(p.trigger_block.match for p, _, _ in es) if numeric else None
             self._dispatch[key] = Transitions(partial(_fired, es), cuts)
         self.trigger_keys = self._dispatch.keys()   # the keys some policy triggers on
+        # Each key's repair candidates, memoized like the rule moves they filter.
+        self._repair_candidates = {
+            key: Transitions(partial(_repair_candidates, moves.derive), moves.cuts)
+            for key, moves in self.rules.on_key.items()
+        }
 
     # -- event processing ------------------------------------------------------
 
@@ -395,12 +405,14 @@ class PolicyEngine:
             return []
 
         # 1. Check reports (silent syncs) for every non-trigger attribute.
-        out = self._emit_sync_decisions([d for d in decisions if d.key() != ekey], now)
+        if all(d.is_trigger for d in decisions):
+            out: list[Emission] = []
+        else:
+            out = self._emit_sync_decisions([d for d in decisions if d.key() != ekey], now)
+            decisions = [d for d in decisions if d.key() == ekey]
 
         # 2. The trigger report plan (prefix sync + report), not yet emitted.
-        trigger_plan, trig_prov = self._trigger_plan(
-            ekey, current, prev, [d for d in decisions if d.key() == ekey]
-        )
+        trigger_plan, trig_prov = self._trigger_plan(ekey, current, prev, decisions)
 
         # 3. Consistency repairs computed against the planned platform view.
         out.extend(self._consistency_repairs(ekey, trigger_plan, sanctioned, now))
@@ -424,9 +436,10 @@ class PolicyEngine:
     ) -> tuple[list[tuple[Value, int, str]], tuple[str, ...]]:
         if not decisions:
             return [], ()
-        provenance = tuple(dict.fromkeys(p for d in decisions for p in d.provenance))
+        provenance = decisions[0].provenance if len(decisions) == 1 else tuple(
+            dict.fromkeys(p for d in decisions for p in d.provenance))
         methods = [d.method for d in decisions if d.method.method is not Method.BLOCK]
-        numeric = self.corpus.registry.lookup(*key).kind is AttributeKind.NUMERIC
+        numeric = key in self._numeric_keys
         if methods:
             plan = self._plan(key, methods, current, KIND_REPORT)
         elif numeric and any(d.is_trigger and d.origin is PolicyOrigin.AUTOMATION for d in decisions):
@@ -544,18 +557,15 @@ class PolicyEngine:
         suppressions are left alone; the raw pipeline issues the same
         (redundant) command.
         """
-        transitions = self.rules.on_key.get(key)
-        if transitions is None:
+        candidates = self._repair_candidates.get(key)
+        if candidates is None:
             return []
         repairs: list[Emission] = []
         platform_prev = self.store.last_reported(key)
         for value, _, kind in trigger_plan:
             if kind == KIND_REPORT:
-                repairs.extend(self._repairs(
-                    (rule for move, rule in transitions(platform_prev, value)
-                     if move is FIRE and rule.id not in sanctioned and not rule.uses_history),
-                    now,
-                ))
+                repairs.extend(self._repairs((rule for rule in candidates(platform_prev, value)
+                                              if rule.id not in sanctioned), now))
             platform_prev = value
         return repairs
 

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, count, repeat
+from itertools import chain, repeat
 from typing import Any, Callable, NamedTuple, Optional, Union
 
 MS_PER_MINUTE = 60_000
@@ -29,6 +29,8 @@ MINUTES_PER_DAY = 1440
 # A timestamp is a count of milliseconds that a trace stores as an unsigned
 # 64-bit integer.
 MAX_TIMESTAMP_MS = 2**64 - 1
+# An event's place in its trace is stored as an unsigned 32-bit integer.
+MAX_PLACE = 2**32 - 1
 
 # Bounds the platform documents for common sensor attributes; any other
 # numeric attribute must declare min/max in the home configuration.
@@ -218,23 +220,24 @@ _timestamp = operator.attrgetter("timestamp")
 class Trace:
     """A trace stored by key; iterated as events in timestamp order.
 
-    Each key has a column of ascending timestamps, an ``array('Q')`` of
-    unsigned 64-bit milliseconds (0 to ``MAX_TIMESTAMP_MS``), and a list of
-    the values read at them, each distinct value one shared object; ``order``,
-    an ``array('I')``, holds the key id of every event in trace order (ties in
-    record order), and an event's place is its index there. That is about
-    24 bytes per event. Iterating builds ``Event`` tuples as they are read;
-    ``placed(keys)`` builds none: it zips ``(key, value, ts)`` rows of only
-    the events on ``keys`` from the columns, the key one shared tuple.
+    An event's place is its 0-based index in trace order (timestamp order,
+    ties in record order). Each key has three columns: its events' places,
+    an ``array('I')`` (so a trace holds at most ``MAX_PLACE + 1`` events);
+    their timestamps, an ``array('Q')`` of unsigned 64-bit milliseconds (0
+    to ``MAX_TIMESTAMP_MS``); and the values read at them, each distinct
+    value one shared object. That is about 24 bytes per event. Iterating
+    builds ``Event`` tuples as they are read; ``placed(keys)`` builds none:
+    it merges only ``keys``' place columns and zips ``(key, value, ts)``
+    rows from their columns, the key one shared tuple.
     """
 
-    __slots__ = ("keys", "times", "values", "order", "_ids")
+    __slots__ = ("keys", "places", "times", "values", "_ids")
 
     def __init__(self) -> None:
         self.keys: list[tuple[str, str]] = []    # key id -> (device, attribute)
+        self.places: list[array[int]] = []        # key id -> its events' places
         self.times: list[array[int]] = []         # key id -> its timestamps
         self.values: list[list[Value]] = []       # key id -> its values
-        self.order = array("I")                    # key id of each event
         self._ids: dict[tuple[str, str], int] = {}
 
     @classmethod
@@ -243,7 +246,7 @@ class Trace:
         if isinstance(events, Trace):
             return events
         trace = cls()
-        for device, attribute, value, ts in sorted(events, key=_timestamp):
+        for place, (device, attribute, value, ts) in enumerate(sorted(events, key=_timestamp)):
             kid = trace.key_id((device, attribute))
             try:
                 trace.times[kid].append(ts)
@@ -252,7 +255,7 @@ class Trace:
                     f"event {device}.{attribute}: timestamp {ts} is outside 0..{MAX_TIMESTAMP_MS}"
                 ) from None
             trace.values[kid].append(value)
-            trace.order.append(kid)
+            trace.places[kid].append(place)
         return trace
 
     def key_id(self, key: tuple[str, str]) -> int:
@@ -261,6 +264,7 @@ class Trace:
         if kid is None:
             kid = self._ids[key] = len(self.keys)
             self.keys.append(key)
+            self.places.append(array("I"))
             self.times.append(array("Q"))
             self.values.append([])
         return kid
@@ -275,26 +279,35 @@ class Trace:
         """The last event's timestamp; 0 for an empty trace."""
         return max((times[-1] for times in self.times if times), default=0)
 
+    def _merged(self, kids: Iterable[int]) -> tuple[array[int], int]:
+        """The events of the keys ``kids`` in trace order, each as ``place *
+        n + kid`` for the returned ``n``: 8 bytes per event, no tuple."""
+        n = len(self.keys)
+        coded = (map(operator.add, map(operator.mul, self.places[kid], repeat(n)), repeat(kid))
+                 for kid in kids)
+        return array("Q", sorted(chain.from_iterable(coded))), n
+
     def placed(
         self, keys: Container[tuple[str, str]]
     ) -> Iterator[tuple[int, tuple[tuple[str, str], Value, int]]]:
         """The ``(key, value, ts)`` rows of the events on ``keys`` in trace
         order, each with its place in the trace."""
-        wanted = [key in keys for key in self.keys]
-        places = array("I", compress(count(), map(wanted.__getitem__, self.order)))
+        merged, n = self._merged(kid for kid, key in enumerate(self.keys) if key in keys)
         rows = [zip(repeat(key), values, times)
                 for key, times, values in zip(self.keys, self.times, self.values)]
-        return zip(places, map(next, map(rows.__getitem__, map(self.order.__getitem__, places))))
+        return zip(map(operator.floordiv, merged, repeat(n)),
+                   map(next, map(rows.__getitem__, map(operator.mod, merged, repeat(n)))))
 
     def __iter__(self) -> Iterator[Event]:
         streams = [
             map(Event, repeat(device), repeat(attribute), values, times)
             for (device, attribute), times, values in zip(self.keys, self.times, self.values)
         ]
-        return map(next, map(streams.__getitem__, self.order))
+        merged, n = self._merged(range(len(self.keys)))
+        return map(next, map(streams.__getitem__, map(operator.mod, merged, repeat(n))))
 
     def __len__(self) -> int:
-        return len(self.order)
+        return sum(map(len, self.places))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):

@@ -16,8 +16,8 @@ The loop keeps two rules:
   triggers on, that rules or manual commands command, or that have no
   seeded state (so an unknown key still fails closed) are streamed. Any
   other key is read off the trace when asked: at a streamed event, as of
-  the events before it in trace order; in heap work, as of every event at
-  or before its time. A read key's events are never streamed.
+  the events before its place in trace order; in heap work, as of every
+  event at or before its time. A read key's events are never streamed.
 * The streamed events, in timestamp order, run past a heap of
   everything else (deadlines, daily instants, deliveries, actuations, manual
   commands). Every trace event of a millisecond is taken before any heap
@@ -29,7 +29,8 @@ The loop keeps two rules:
   its condition's device changes sees the change in every pipeline alike.
 
 A streamed event is a ``(key, value, ts)`` row zipped from the trace
-columns (``Trace.placed``), and it goes upstream as those three values:
+columns, in the order of the streamed keys' merged place columns
+(``Trace.placed``), and it goes upstream as those three values:
 ``PolicyEngine.process_event(key, value, ts)`` or
 ``SimulatedPlatform.receive(key, value, ts)``. No ``Event`` is built for
 it. An actuation builds one, the state change that the run records.
@@ -142,18 +143,17 @@ def _unhooked(when: int, work: Any = None) -> None:
 
 class _TraceReads:
     """The states of keys read off the trace instead of streamed, at the
-    replay's moment: a streamed event at ``time`` and ``place`` sees the
-    events before it in trace order, heap work at ``time`` (``place`` None)
-    every event at or before it. Takes the keys' seeded states out of
-    ``states``."""
+    replay's moment: a streamed event at ``place`` sees the events before
+    it in trace order, heap work at ``time`` (``place`` None) every event at
+    or before it. Takes the keys' seeded states out of ``states``."""
 
     def __init__(self, trace: Trace, keys: set[tuple[str, str]],
                  states: dict[tuple[str, str], Value]):
-        self.trace = trace
         self.time = 0
         self.place: Optional[int] = None
-        self.columns = {key: (trace.key_id(key), *trace.column(key), states.pop(key))
-                        for key in keys}
+        ids = {key: trace.key_id(key) for key in keys}
+        self.columns = {key: (trace.places[kid], trace.times[kid], trace.values[kid],
+                              states.pop(key)) for key, kid in ids.items()}
 
     def serve(self, store: Any) -> None:
         """Keep the read keys out of ``store.db`` and answer ``store.read`` for them."""
@@ -166,16 +166,9 @@ class _TraceReads:
         column = self.columns.get(key)
         if column is None:
             return None
-        kid, times, values, initial = column
-        time, place = self.time, self.place
-        if place is None:
-            i = bisect_right(times, time)
-        else:
-            i = bisect_left(times, time)
-            if i < len(times) and times[i] == time:
-                # The key has events at this millisecond: count those before the place.
-                start = sum(bisect_left(other, time) for other in self.trace.times)
-                i += self.trace.order[start:place].count(kid)
+        places, times, values, initial = column
+        place = self.place
+        i = bisect_right(times, self.time) if place is None else bisect_left(places, place)
         return values[i - 1] if i else initial
 
     def snapshot(self) -> dict[tuple[str, str], Value]:
@@ -226,7 +219,7 @@ class _Replay:
         for place, (key, value, ts) in self._trace.placed(self.streamed):
             if heap and heap[0][0] < ts:
                 self._run_heap(ts)
-            reads.time, reads.place = ts, place
+            reads.place = place
             states[key] = value
             upstream(key, value, ts)
         self._run_heap(None)

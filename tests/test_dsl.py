@@ -1,5 +1,6 @@
 import io
 import random
+from array import array
 from pathlib import Path
 from typing import Union
 
@@ -7,7 +8,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from flowgate import synth
+from flowgate import model, synth
 from flowgate.dsl import (
     ParseError,
     _strict_loader,
@@ -136,9 +137,12 @@ def test_parse_trace_orders_and_dedupes(mini_registry):
     "1000 mo1 humidity 40",
 ], ids=["out-of-bounds", "unknown-device", "unknown-attribute"])
 def test_parse_trace_bounds_error(mini_registry, record):
+    # A comment, a blank line and a repeat before the record shift its line
+    # number but not its place.
     with pytest.raises(ParseError) as err:
-        parse_trace(f"500 ts1 temperature 20\n{record}\n", mini_registry)
-    assert err.value.line == 2
+        parse_trace(f"500 ts1 temperature 20\n# note\n\n500 ts1 temperature 20\n{record}\n",
+                    mini_registry)
+    assert err.value.line == 5
 
 
 @pytest.mark.parametrize("record", [
@@ -155,6 +159,18 @@ def test_parse_trace_timestamp_range_error(mini_registry, record):
 def test_parse_trace_keeps_the_largest_timestamp(mini_registry):
     [event] = parse_trace("18446744073709551615 mo1 motion active\n", mini_registry)
     assert event.timestamp == 2**64 - 1
+
+
+def test_parse_trace_event_past_the_place_column_is_an_error(mini_registry, monkeypatch):
+    # One-byte place columns stand in for four-byte ones: the 257th event
+    # has no place, and the error names its line.
+    monkeypatch.setattr(model, "array", lambda code: array("B" if code == "I" else code))
+    text = "# one byte per place\n" + "".join(
+        f"{ts} mo1 motion {('active', 'inactive')[ts % 2]}\n" for ts in range(300))
+    with pytest.raises(ParseError) as err:
+        parse_trace(text, mini_registry)
+    assert err.value.line == 258
+    assert "at most 4294967296 events" in str(err.value)
 
 
 def test_parse_trace_regression_error(mini_registry):

@@ -1,9 +1,10 @@
 
 import math
+from collections import Counter
 
 import hypothesis
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flowgate.engine as engine_module
 from flowgate.compiler import DIFFKEEP_DELAY_DEFAULT_MS, compile_corpus, derive_policy
@@ -16,10 +17,9 @@ from flowgate.engine import (
     EngineError,
     PolicyEngine,
     TimerState,
-    _fetch_state,
     evaluate_policy,
 )
-from flowgate.model import AttributeKind, Event, Operator, cut_points
+from flowgate.model import AttributeKind, Event, Operator, cut_points, minute_of_day
 from flowgate.policy import Method, MethodCall, PolicyOrigin, UserPolicySpec
 from flowgate.scenario import parse_user_policies
 from tests.conftest import Deadlines, run_due
@@ -290,8 +290,9 @@ def test_diffkeep_pending_flushed_by_newer_event_on_key(mini_registry):
 def test_timer_expiry_flushes_pending_report_on_its_key(mini_registry):
     # ra diffKeeps the inactive edge (its report is due at 1300) and rt's
     # timer on the same key expires at 1100: the report goes first.
-    engine = _engine(mini_registry, "ra: when mo1.motion == inactive then sl1.switch := on\n"
-                                    "rt: when mo1.motion == inactive for 100 then f1.switch := on")
+    text = ("ra: when mo1.motion == inactive then sl1.switch := on\n"
+            "rt: when mo1.motion == inactive for 100 then f1.switch := on")
+    engine = _engine(mini_registry, text)
     engine.process_event(("mo1", "motion"), "active", 500)
     out = engine.process_event(("mo1", "motion"), "inactive", 1000)
     assert [(e.value, e.kind) for e in out] == [("active", KIND_SYNC)]
@@ -302,7 +303,8 @@ def test_timer_expiry_flushes_pending_report_on_its_key(mini_registry):
     assert run_due(engine, 10**6) == []
     # The full-scan reference flushes its own pending store at the expiry too.
     steps = [(("mo1", "motion"), "active", 500), (("mo1", "motion"), "inactive", 500)]
-    assert _dispatch_steps(engine.corpus, steps, seed=0) == 0
+    rules = parse_rules(text, mini_registry)
+    assert _dispatch_steps(engine.corpus, rules, steps, seed=0)["flushes"] == 0
 
 
 def test_two_timers_same_deadline_fire_in_creation_order(mini_registry):
@@ -380,17 +382,27 @@ def _matches(match, key):
             and match.attribute in ("*", key[1]))
 
 
+def _fetched(store, c, clock):
+    """The state a CHECK block's ``fetch`` atom ``c`` reads at ``clock``."""
+    return minute_of_day(clock) if c.is_time else store.current(c.key())
+
+
 class _ScanningEngine(PolicyEngine):
     """Reference dispatch: every policy is tested against every event, the
     merge runs in full even when nothing was decided, pending reports are
-    kept in a store of its own that allows any number per key, and a flush
-    scans every scheduled deadline. It records each delayed report it
-    schedules and each it sends, by its tick or by a flush."""
+    kept in a store of its own that allows any number per key, a flush
+    scans every scheduled deadline, and every planned report tests every
+    rule of ``rules`` that the platform fires on reports. It records each
+    delayed report it schedules and each it sends, by its tick or by a
+    flush, and counts in ``seen`` the repairs it sends and the history
+    rules that a planned report fires."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, corpus, rules, **kwargs):
+        super().__init__(corpus, **kwargs)
         self.pending = {}   # key -> {id(emission): emission}
         self.scheduled, self.sent = [], []
+        self.forwarded = [r for r in rules if r.condition_timer is None and not r.trigger.is_time]
+        self.seen = Counter()
 
     def process_event(self, key, value, ts):
         out = self._flush_key_pending(key, ts)
@@ -424,7 +436,7 @@ class _ScanningEngine(PolicyEngine):
             m = policy.trigger_block.match
             if m.subject != key[0] or m.attribute not in ("*", key[1]):
                 continue
-            if all(cb.fetch.satisfied_by(_fetch_state(self.store, cb.fetch, clock))
+            if all(cb.fetch.satisfied_by(_fetched(self.store, cb.fetch, clock))
                    for cb in policy.check_blocks):
                 action = policy.trigger_block.run_action
                 return "suppress" if action.method is Method.BLOCK else "keep"
@@ -453,6 +465,22 @@ class _ScanningEngine(PolicyEngine):
                 out.append(self._emit(emission))
         return out
 
+    def _consistency_repairs(self, key, trigger_plan, sanctioned, now):
+        repairs = []
+        platform_prev = self.store.last_reported(key)
+        for value, _, kind in trigger_plan:
+            if kind == KIND_REPORT:
+                for rule in self.forwarded:
+                    if rule.trigger.key() != key or not rule.trigger.fires(value, platform_prev):
+                        continue
+                    if rule.uses_history:
+                        self.seen["history"] += 1
+                    elif rule.id not in sanctioned:
+                        repairs.extend(self._repairs([rule], now))
+            platform_prev = value
+        self.seen["repairs"] += len(repairs)
+        return repairs
+
     def tick(self, now, work):
         if isinstance(work, TimerState):
             return super().tick(now, work)   # a timer expiry flushes through _flush_key_pending
@@ -474,7 +502,9 @@ class _ScanningEngine(PolicyEngine):
 
 
 # Numeric triggers (>, in-range, >=) and held durations on a binary and on a
-# numeric key. No automation policy reads am1.humidity.
+# numeric key. No automation policy reads am1.humidity. rp passes history,
+# so its policy reports every am1.motion event, and no repair stops rp on
+# the platform; rm on the same trigger can be repaired.
 DISPATCH_RULES = "\n".join([
     R1,
     TIMER,
@@ -482,17 +512,25 @@ DISPATCH_RULES = "\n".join([
     "rm: when am1.motion == active if mode1.mode != away then f1.switch := off after 60000",
     "ri: when ts1.temperature in 40..88 if ps1.presence == present then sl1.switch := off",
     "rh: when ts1.temperature >= 95 for 60000 if mode1.mode == home then f1.switch := on",
+    "rp: when am1.motion == active if ps1.presence == present then sl1.switch := on pass-history",
 ])
 
-# A device wildcard (no attribute) and windowed single-attribute blacklists.
-# upp blocks R1's trigger from the first minute on, so a sequence reaches a
-# blocked trigger whose checks would sync ts1.temperature; the flush test's
-# events all fall in the first minute.
+# A device wildcard (no attribute), a conditional keep of one numeric
+# attribute and windowed single-attribute blacklists. upp blocks R1's
+# trigger from the first minute on, so a sequence reaches a blocked trigger
+# whose checks would sync ts1.temperature; the flush test's events all fall
+# in the first minute. upv reports ts1.temperature in vacation mode, so ri
+# can fire on the platform on a stale presence that its policy aborts on.
 DISPATCH_UPS = """
 - id: upw
   style: conditional
   target: {device: am1}
   context: [{device: mode1, attribute: mode, op: "==", value: away}]
+  action: keep
+- id: upv
+  style: conditional
+  target: {device: ts1, attribute: temperature}
+  context: [{device: mode1, attribute: mode, op: "==", value: vacation}]
   action: keep
 - id: upt
   style: blacklist
@@ -542,40 +580,73 @@ def _event_sequences(registry):
         st.integers(0, DIFFKEEP_DELAY_DEFAULT_MS - 1),
     )
     burst = st.tuples(warm, st.lists(flip, min_size=2, max_size=6)).map(lambda b: [b[0], *b[1]])
-    chunks = st.lists(st.one_of(any_step.map(lambda s: [s]), burst), max_size=20)
+    # A mode change, then a motion edge that rp reports or a temperature
+    # that upv may report: rm or ri may fire on the platform's stale mode or
+    # presence, and that state is repaired.
+    reported = st.sampled_from([("am1", "motion"), ("ts1", "temperature")]).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(_key_values(registry, key)), gaps)
+    )
+    mode = st.tuples(st.just(("mode1", "mode")), st.sampled_from(["home", "away", "vacation"]), gaps)
+    stale = st.tuples(mode, reported).map(list)
+    chunks = st.lists(st.one_of(any_step.map(lambda s: [s]), burst, stale), max_size=20)
     return chunks.map(lambda cs: [step for c in cs for step in c][:60])
 
 
-def _dispatch_steps(corpus, steps, seed):
-    """Feed ``steps`` to the indexed engine and to the full scan, asserting
-    equal emissions and timers and that every scheduled delayed report was
-    sent exactly once; returns how many events flushed a delayed report."""
+def _dispatch_steps(corpus, rules, steps, seed):
+    """Feed ``steps`` to the indexed engine and to the full scan over the
+    corpus compiled from ``rules``, asserting equal emissions and timers and
+    that every scheduled delayed report was sent exactly once; returns the
+    reference's ``seen`` counts and how many events flushed a delayed report."""
     indexed = PolicyEngine(corpus, seed=seed, schedule=Deadlines())
-    reference = _ScanningEngine(corpus, seed=seed, schedule=Deadlines())
-    now = flushes = 0
+    reference = _ScanningEngine(corpus, rules, seed=seed, schedule=Deadlines())
+    now = 0
     for key, value, gap in steps:
         now += gap
         assert run_due(indexed, now) == run_due(reference, now)
-        flushes += key in indexed._pending_reports
+        reference.seen["flushes"] += key in indexed._pending_reports
         assert indexed.process_event(key, value, now) == reference.process_event(key, value, now)
         assert indexed.timers == reference.timers
     assert run_due(indexed, now + 10**7) == run_due(reference, now + 10**7)
     assert indexed.timers == reference.timers
     assert sorted(map(id, reference.sent)) == sorted(map(id, reference.scheduled))
     assert indexed._pending_reports == {}
-    return flushes
+    return reference.seen
+
+
+# rm's policy aborts on the true away mode, but rp reports the motion; the
+# platform still holds home, so rm would fire there and the mode is repaired.
+# rp fires there too, sanctioned, as its policy reports every motion event.
+REPAIR_STEPS = [(("mode1", "mode"), "away", 1), (("am1", "motion"), "active", 1)]
+# R1 reports present, and the not-present after it goes unreported; upv
+# reports the drop into ri's range, on which ri's policy aborts, so ri would
+# fire on the platform's present and the presence is repaired. rn's report
+# before it fires no rule that a repair could stop.
+NUMERIC_REPAIR_STEPS = [
+    (("mode1", "mode"), "vacation", 1),
+    (("ts1", "temperature"), 95.0, 1),
+    (("ps1", "presence"), "present", 1),
+    (("ps1", "presence"), "not-present", 1),
+    (("ts1", "temperature"), 60.0, 1),
+]
 
 
 def _check_dispatch(registry, max_examples):
+    rules = parse_rules(DISPATCH_RULES, registry)
     corpus = _dispatch_corpus(registry)
+    seen = Counter()
 
     @settings(max_examples=max_examples, deadline=None)
     @given(steps=_event_sequences(registry), seed=st.integers(0, 3))
+    @example(steps=REPAIR_STEPS, seed=0)
+    @example(steps=NUMERIC_REPAIR_STEPS, seed=0)
     def check(steps, seed):
-        if _dispatch_steps(corpus, steps, seed):
-            hypothesis.event("a newer event flushed a delayed diffKeep report")
+        counts = _dispatch_steps(corpus, rules, steps, seed)
+        seen.update(counts)
+        for what in sorted(+counts):
+            hypothesis.event(f"the full scan saw {what}")
 
     check()
+    assert seen["repairs"] and seen["history"]
 
 
 def test_dispatch_index_matches_full_scan(mini_registry):
@@ -599,7 +670,8 @@ def test_dispatch_index_matches_full_scan_through_a_flush(mini_registry):
         (("ps1", "presence"), "present", 1000),
         (("ps1", "presence"), "not-present", 100),
     ]
-    assert _dispatch_steps(_dispatch_corpus(mini_registry), steps, seed=0) == 1
+    rules = parse_rules(DISPATCH_RULES, mini_registry)
+    assert _dispatch_steps(_dispatch_corpus(mini_registry), rules, steps, seed=0)["flushes"] == 1
 
 
 def test_dispatch_index_matches_full_scan_across_every_cut(mini_registry):
@@ -615,7 +687,8 @@ def test_dispatch_index_matches_full_scan_across_every_cut(mini_registry):
         if i % 7 == 0:
             steps.append((*sides[i // 7 % len(sides)], 1))
         steps.append((("ts1", "temperature"), value, [1, 400, 60_000][i % 3]))
-    _dispatch_steps(_dispatch_corpus(mini_registry), steps, seed=0)
+    rules = parse_rules(DISPATCH_RULES, mini_registry)
+    _dispatch_steps(_dispatch_corpus(mini_registry), rules, steps, seed=0)
 
 
 def test_device_wildcard_user_policy_reaches_every_attribute(mini_registry):

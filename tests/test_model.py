@@ -354,16 +354,18 @@ def mini_trace_text(mini_registry):
 
 def test_trace_store_holds_under_30_bytes_per_event(mini_registry, mini_trace_text):
     # A timestamp is 8 bytes in its key's array('Q'), a value one pointer in
-    # its key's list, and the key id 4 bytes in ``order``: about 24 bytes
-    # with the columns' spare room. An int object per timestamp would add 32.
+    # its key's list, and the place 4 bytes in its key's array('I'): about
+    # 24 bytes with the columns' spare room. An int object per timestamp
+    # would add 32.
     trace, held, _ = _traced_bytes(lambda: parse_trace(mini_trace_text, mini_registry))
     assert len(trace) >= 20_000
     assert held / len(trace) <= 30
 
 
 def test_placed_allocates_under_a_byte_per_trace_event(mini_registry, mini_trace_text):
-    # Streaming a key with 1% of the events keeps only its places; a list
-    # mask over the whole trace would cost 8 bytes per event.
+    # Streaming a key with 1% of the events merges only its places, packed
+    # in 8 bytes per streamed event; a list mask over the whole trace would
+    # cost 8 bytes per event.
     trace = parse_trace(mini_trace_text, mini_registry)
     share = len(trace.column(RARE)[0]) / len(trace)
     assert 0.005 < share < 0.02

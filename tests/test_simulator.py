@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import heapq
 import re
 import weakref
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from flowgate import synth
 from flowgate.cli import _latency_csv, _metrics_summary
 from flowgate.compiler import compile_corpus
-from flowgate.dsl import load_home, parse_rules
+from flowgate.dsl import load_home, parse_rules, parse_trace
 from flowgate.engine import EngineError, PolicyEngine
 from flowgate.model import Command, Event, Trace, format_value
 from flowgate.platform_sim import RuleTable, SimulatedPlatform
@@ -19,6 +20,7 @@ from flowgate.scenario import Scenario, parse_user_policies
 from flowgate.simulator import (
     SimConfig,
     _MediatedReplay,
+    _TraceReads,
     _PullReplay,
     _RawReplay,
     remove_redundant,
@@ -277,6 +279,61 @@ def test_repair_of_time_conditioned_rule_skips_the_time_atom(mini_registry, monk
     assert _repairs(med) == [(at[4], ("ps1", "presence"), "not-present")]
 
 
+# A mini-home run through the engine paths no benchmark workload reaches:
+# rn's numeric trigger (its first report is resampled in its cell; at 12 s
+# the stale report already satisfies it, so a silent prefix re-aligns the
+# platform first), r1's diffKeep report flushed by the not-present 100 ms
+# after it, and a repair of ps1.presence before the whitelisted motion would
+# fire rb on the flushed present.
+GOLDEN_RULES = "\n".join([
+    R1,
+    "rn: when ts1.temperature > 90 if mode1.mode == home then sl1.switch := on",
+    "rb: when mo1.motion == active if ps1.presence == present then sl1.switch := off",
+    "rx: when mode1.mode == away then f1.switch := off",
+    "rl: when mo1.motion == inactive then sl1.switch := off",
+])
+GOLDEN_TRACE = [
+    Event("ts1", "temperature", 95.0, 1000),
+    Event("ps1", "presence", "present", 2000),
+    Event("mode1", "mode", "away", 2800),
+    Event("ps1", "presence", "not-present", 3000),
+    Event("mode1", "mode", "home", 3500),
+    Event("ps1", "presence", "present", 4000),
+    Event("ps1", "presence", "not-present", 4100),
+    Event("mo1", "motion", "active", 6000),
+    Event("mo1", "motion", "inactive", 6500),
+    Event("ts1", "temperature", 80.0, 7000),
+    Event("mode1", "mode", "away", 8000),
+    Event("ts1", "temperature", 93.0, 9000),
+    Event("mode1", "mode", "home", 10_000),
+    Event("ts1", "temperature", 85.0, 11_000),
+    Event("ts1", "temperature", 92.5, 12_000),
+    Event("mo1", "motion", "inactive", 13_000),
+    Event("ts1", "temperature", 60.0, 14_000),
+    Event("ts1", "temperature", 91.0, 15_000),
+]
+GOLDEN_DIGEST = "00d6de3c87af5abc990c391f442d2612ae47d4785680253754ed1bf3dd0df7e5"
+
+
+def test_mini_home_mediated_run_matches_golden_digest(mini_registry):
+    ups = parse_user_policies(yaml.safe_dump([
+        {"id": "upw", "style": "whitelist", "target": {"device": "mo1", "attribute": "motion"}},
+    ]), mini_registry)
+    corpus = compile_corpus(parse_rules(GOLDEN_RULES, mini_registry), ups, mini_registry)
+    run = run_mediated(GOLDEN_TRACE, corpus, SimConfig(seed=3))
+    reports = [(e.timestamp, e.key(), e.value, e.kind) for e in run.reported_events]
+    assert (4100, ("ps1", "presence"), "present", "report") in reports      # flushed early
+    assert _repairs(run) == [(6000, ("ps1", "presence"), "not-present")]
+    temperatures = [(ts, value, kind) for ts, key, value, kind in reports
+                    if key == ("ts1", "temperature")]
+    assert [(ts, kind) for ts, _, kind in temperatures] == [
+        (1000, "report"), (12_000, "sync"), (12_000, "report")]
+    assert all(value > 90 for _, value, kind in temperatures if kind == "report")
+    assert not {value for _, value, _ in temperatures} & {e.value for e in GOLDEN_TRACE}
+    text = repr((run.reported_events, run.p_commands, run.actuations))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
+
+
 def test_each_deadline_ticks_once(monkeypatch):
     calls = {"engine": 0, "schedule": 0, "platform": 0}
 
@@ -402,6 +459,91 @@ def test_events_nothing_triggers_on_or_commands_reach_no_upstream(monkeypatch):
     assert quiet and seen["engine"] and seen["platform"]
     assert not seen["engine"] & quiet
     assert not seen["platform"] & quiet
+
+
+# ---------------------------------------------------------------------------
+# Trace places and trace reads against linear scans of the trace
+# ---------------------------------------------------------------------------
+
+PLACE_VALUES = {
+    ("ps1", "presence"): ["present", "not-present"],
+    ("mo1", "motion"): ["active", "inactive"],
+    ("ts1", "temperature"): ["70", "86.5"],
+    ("mode1", "mode"): ["home", "away", "vacation"],
+}
+
+
+@st.composite
+def _placed_traces(draw, registry):
+    """A trace parsed from a file with comments, blank lines and exact
+    repeats, or built from shuffled events; bursts at one millisecond tie
+    streamed and read keys. Also draws the streamed keys and the heap times."""
+    lines, events, ts = [], [], 0
+    for _ in range(draw(st.integers(0, 24))):
+        ts += draw(st.sampled_from([0, 0, 0, 1, 1000]))
+        key = draw(st.sampled_from(sorted(PLACE_VALUES)))
+        text = draw(st.sampled_from(PLACE_VALUES[key]))
+        line = f"{ts} {key[0]} {key[1]} {text}"
+        lines.append(line)
+        events.append(Event(*key, registry.lookup(*key).validate_value(text), ts))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from([line, "", "# a comment", f"{line}  # again"])))
+    if draw(st.booleans()):
+        trace = parse_trace("".join(f"{line}\n" for line in lines), registry)
+        # An exact repeat of an event at its millisecond collapses.
+        expected = []
+        for e in events:
+            if not any(seen == e for seen in expected if seen.timestamp == e.timestamp):
+                expected.append(e)
+    else:
+        events = draw(st.permutations(events))
+        trace = Trace.of(events)
+        expected = sorted(events, key=lambda e: e.timestamp)
+    streamed = draw(st.sets(st.sampled_from(sorted(PLACE_VALUES))))
+    heap_times = draw(st.lists(st.integers(-1, ts + 1), max_size=4))
+    return trace, expected, streamed, heap_times
+
+
+def _check_trace_places(registry, max_examples):
+    initial = registry.initial_states()
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(case=_placed_traces(registry))
+    def check(case):
+        trace, expected, streamed, heap_times = case
+        events = list(trace)
+        assert events == expected and len(trace) == len(expected)
+        assert list(trace.placed(streamed)) == [
+            (i, (e.key(), e.value, e.timestamp)) for i, e in enumerate(events)
+            if e.key() in streamed
+        ]
+        read = set(trace.keys) - streamed
+        reads = _TraceReads(trace, read, dict(initial))
+
+        def last(key, before):
+            values = [e.value for e in before if e.key() == key]
+            return values[-1] if values else initial[key]
+
+        for place, (key, _, _) in trace.placed(streamed):   # streamed moments
+            reads.place = place
+            assert reads.snapshot() == {k: last(k, events[:place]) for k in read}
+            assert reads.get(key) is None
+        reads.place = None                                  # heap moments
+        for time in heap_times:
+            reads.time = time
+            before = [e for e in events if e.timestamp <= time]
+            assert reads.snapshot() == {k: last(k, before) for k in read}
+
+    check()
+
+
+def test_trace_places_and_reads_match_linear_scans(mini_registry):
+    _check_trace_places(mini_registry, 150)
+
+
+@pytest.mark.slow
+def test_trace_places_and_reads_match_linear_scans_long(mini_registry):
+    _check_trace_places(mini_registry, 3000)
 
 
 # A held-duration timer (engine and platform deadlines), diffKeep-delayed
