@@ -10,16 +10,20 @@ platform has the timer removed so it is not applied twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .model import (
     AttributeDescriptor,
     AttributeKind,
+    Cells,
     Constraint,
     ModelError,
     Operator,
     Registry,
     Rule,
+    cut_points,
     device_constraint,
     time_constraint,
 )
@@ -45,30 +49,18 @@ class CompileError(ModelError):
 DIFFKEEP_DELAY_DEFAULT_MS = 300
 
 
-def satisfying_interval(c: Constraint, desc: AttributeDescriptor) -> tuple[float, float]:
-    """The sub-interval of [min, max] whose values satisfy the numeric atom."""
-    lo, hi = float(desc.min), float(desc.max)  # type: ignore[arg-type]
-    op, v = c.operator, c.value
-    if op is Operator.GT or op is Operator.GE:
-        lo = max(lo, float(v))  # type: ignore[arg-type]
-    elif op is Operator.LT or op is Operator.LE:
-        hi = min(hi, float(v))  # type: ignore[arg-type]
-    elif op is Operator.IN_RANGE:
-        rlo, rhi = v  # type: ignore[misc]
-        lo, hi = max(lo, float(rlo)), min(hi, float(rhi))
-    elif op is Operator.EQ:
-        lo = hi = float(v)  # type: ignore[arg-type]
-    else:
-        raise CompileError(f"no numeric interval for operator {op.value}")
-    if lo > hi:
-        raise CompileError(f"constraint {c} admits no value within bounds")
-    return lo, hi
-
-
 def _randomize_for(c: Constraint, desc: AttributeDescriptor) -> MethodCall:
     """Obfuscated report that still satisfies ``c`` on the platform side."""
     if desc.kind is AttributeKind.NUMERIC:
-        lo, hi = satisfying_interval(c, desc)
+        if c.operator is Operator.NE:
+            raise CompileError(f"no numeric interval for operator {c.operator.value}")
+        # The closed hull of the cells on which ``c`` holds, then the bounds.
+        cells = Cells(cut_points((c,)), -math.inf, math.inf)
+        held = [cells.ends(cells.cell(v)) for v in cells.representatives() if c.satisfied_by(v)]
+        lo = max(float(desc.min), held[0][0])  # type: ignore[arg-type]
+        hi = min(float(desc.max), held[-1][1])  # type: ignore[arg-type]
+        if lo > hi:
+            raise CompileError(f"constraint {c} admits no value within bounds")
         if lo == hi:
             return keep()  # single admissible value: nothing to hide
         return MethodCall(Method.RANDOMIZE, (lo, hi))
@@ -258,10 +250,14 @@ class CompiledCorpus:
     ``rules`` is the platform-side rule table: every rule with its timer
     stripped, and each held-duration rule gated, so that only its bundle's
     expiry report fires it. The engine predicts the platform from the same table.
+    ``cells[key]`` splits each numeric key at the cut points of every atom
+    on it: the rules' triggers, conditions and held-duration watches, and
+    the policies' triggers, branches and CHECK fetches (user contexts too).
     """
 
     registry: Registry
     rules: RuleTable
+    cells: dict[tuple[str, str], Cells]
     policies: list[Policy] = field(default_factory=list)        # UPs first, then APs
     user_policies: list[Policy] = field(default_factory=list)
     automation_policies: list[Policy] = field(default_factory=list)
@@ -282,5 +278,22 @@ def compile_corpus(
             automation_policies.append(derive_policy(rule, registry, diffkeep_ms))
     table = RuleTable(map(strip_timer, rules), registry,
                       gated=(rule.id for rule in rules if rule.condition_timer is not None))
-    return CompiledCorpus(registry, table, [*user_policies, *automation_policies],
-                          user_policies, automation_policies)
+    policies = [*user_policies, *automation_policies]
+    atoms: dict[tuple[str, str], list[Constraint]] = {}
+    for c in _atoms(rules, policies):
+        atoms.setdefault(c.key(), []).append(c)
+    cells = {(device, attr): Cells(cut_points(atoms.get((device, attr), ())), desc.min, desc.max)
+             for device, attr in registry.all_pairs()
+             for desc in [registry.lookup(device, attr)] if desc.kind is AttributeKind.NUMERIC}
+    return CompiledCorpus(registry, table, cells, policies, user_policies, automation_policies)
+
+
+def _atoms(rules: list[Rule], policies: list[Policy]) -> Iterator[Constraint]:
+    """Every atom of ``rules`` and ``policies``: a held-duration watch is its
+    start policy's trigger, and a branch repeats its block's trigger or fetch."""
+    for rule in rules:
+        yield rule.trigger
+        yield from rule.condition
+    for policy in policies:
+        yield policy.trigger_block.match
+        yield from (cb.fetch for cb in policy.check_blocks)

@@ -3,24 +3,25 @@
 Two policies conflict when (1) one event can trigger both, (2) their CHECK
 constraint sets are co-satisfiable, and (3) they prescribe different report
 actions for the same data. The constraint language has only order/equality
-atoms over independent variables, so satisfiability reduces to per-variable
-interval intersection plus enumeration of finite domains; no external solver
-is needed.
+atoms over independent variables, so satisfiability reduces to testing, per
+variable, one value of each cell the atoms' cut points make (``model.Cells``)
+or each member of a finite domain; no external solver is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .model import (
     MINUTES_PER_DAY,
     AttributeKind,
+    Cells,
     Constraint,
-    ModelError,
     Operator,
     Registry,
     Value,
+    cut_points,
 )
 from .policy import MethodCall, Policy
 
@@ -33,60 +34,16 @@ class ConstraintSet:
     registry: Registry
 
 
-@dataclass(frozen=True)
-class _Interval:
-    lo: float
-    hi: float
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and (self.lo_open or self.hi_open)
-
-    def intersect(self, other: "_Interval") -> "_Interval":
-        if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
-            lo, lo_open = self.lo, self.lo_open
-        else:
-            lo, lo_open = other.lo, other.lo_open
-        if self.hi < other.hi or (self.hi == other.hi and self.hi_open):
-            hi, hi_open = self.hi, self.hi_open
-        else:
-            hi, hi_open = other.hi, other.hi_open
-        return _Interval(lo, hi, lo_open, hi_open)
-
-    def pick(self, excluded: set[float]) -> Optional[float]:
-        if self.empty():
-            return None
-        if self.lo == self.hi:
-            return None if self.lo in excluded else self.lo
-        span = self.hi - self.lo
-        # Probe a few deterministic interior points to dodge excluded values.
-        for k in (2, 3, 5, 7, 11, 13):
-            v = self.lo + span / k
-            if v in excluded or (v == self.lo and self.lo_open) or (v == self.hi and self.hi_open):
-                continue
-            return v
-        return None
-
-
-def _atom_interval(c: Constraint, lo: float, hi: float) -> _Interval:
-    op, v = c.operator, c.value
-    if op is Operator.GT:
-        return _Interval(float(v), hi, lo_open=True)  # type: ignore[arg-type]
-    if op is Operator.GE:
-        return _Interval(float(v), hi)  # type: ignore[arg-type]
-    if op is Operator.LT:
-        return _Interval(lo, float(v), hi_open=True)  # type: ignore[arg-type]
-    if op is Operator.LE:
-        return _Interval(lo, float(v))  # type: ignore[arg-type]
-    if op is Operator.EQ:
-        return _Interval(float(v), float(v))  # type: ignore[arg-type]
-    if op is Operator.IN_RANGE:
-        rlo, rhi = v  # type: ignore[misc]
-        return _Interval(float(rlo), float(rhi))
-    raise ModelError(f"operator {op.value} has no numeric interval")
+def _domain(var: tuple[str, str], atoms: list[Constraint], registry: Registry) -> Iterable[Value]:
+    """Candidate values of ``var``, among which one satisfies ``atoms`` if any value does:
+    every minute of the day, one value per cell of the atoms' cut points, or every member."""
+    if atoms[0].is_time:
+        return range(MINUTES_PER_DAY)
+    desc = registry.lookup(*var)
+    if desc.kind is AttributeKind.NUMERIC:
+        cells = Cells(cut_points(atoms), desc.min, desc.max)  # type: ignore[arg-type]
+        return cells.representatives()
+    return desc.values
 
 
 def satisfiable(cs: ConstraintSet) -> tuple[bool, Optional[dict[tuple[str, str], Value]]]:
@@ -97,32 +54,11 @@ def satisfiable(cs: ConstraintSet) -> tuple[bool, Optional[dict[tuple[str, str],
 
     witness: dict[tuple[str, str], Value] = {}
     for var, atoms in sorted(by_var.items()):
-        if atoms[0].is_time:
-            minutes = [m for m in range(MINUTES_PER_DAY) if all(a.satisfied_by(m) for a in atoms)]
-            if not minutes:
-                return False, None
-            witness[var] = minutes[0]
-            continue
-        desc = cs.registry.lookup(*var)
-        if desc.kind is AttributeKind.NUMERIC:
-            box = _Interval(float(desc.min), float(desc.max))  # type: ignore[arg-type]
-            excluded: set[float] = set()
-            for a in atoms:
-                if a.operator is Operator.NE:
-                    excluded.add(float(a.value))  # type: ignore[arg-type]
-                elif a.operator is Operator.ANY:
-                    continue
-                else:
-                    box = box.intersect(_atom_interval(a, float(desc.min), float(desc.max)))  # type: ignore[arg-type]
-            value = box.pick(excluded)
-            if value is None:
-                return False, None
-            witness[var] = value
-        else:
-            candidates = [v for v in desc.values if all(a.satisfied_by(v) for a in atoms)]
-            if not candidates:
-                return False, None
-            witness[var] = candidates[0]
+        value = next((v for v in _domain(var, atoms, cs.registry)
+                      if all(a.satisfied_by(v) for a in atoms)), None)
+        if value is None:
+            return False, None
+        witness[var] = value
     return True, witness
 
 
@@ -177,14 +113,9 @@ def _star_candidates(blocks1: _Blocks, blocks2: _Blocks, obj: tuple[str, str],
     desc = registry.lookup(*obj)
     if desc.kind is not AttributeKind.NUMERIC:
         return list(desc.values)
-    cuts = {float(desc.min), float(desc.max)}  # type: ignore[arg-type]
-    for branch, _, _ in (*blocks1, *blocks2):
-        if branch is not None:
-            cuts.update(branch.cut_points())
-    ordered = sorted(cuts)
-    candidates = list(ordered)
-    candidates.extend((a + b) / 2 for a, b in zip(ordered, ordered[1:]))
-    return sorted(set(candidates))
+    branches = [branch for branch, _, _ in (*blocks1, *blocks2) if branch is not None]
+    cells = Cells(cut_points(branches), desc.min, desc.max)  # type: ignore[arg-type]
+    return cells.representatives()
 
 
 def _objects_clash(

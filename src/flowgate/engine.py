@@ -15,6 +15,13 @@ Emissions come in three kinds:
 * ``sync``    -- a silent state update (check reports, diffKeep prefixes,
   consistency repairs); the platform stores the value but fires nothing,
   like a state-refresh response.
+
+A numeric value the engine does not send as it is (a randomized trigger
+report or check report, the prefix sync that re-aligns a stale value before
+a numeric trigger's report, a repair) is drawn by ``model.Cells`` inside
+the cell of the true value it stands for, over the cut points of every atom
+on its key; so every rule and policy classifies it as it classifies the
+true value.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .model import (
     KIND_EXPIRY,
     KIND_REPORT,
     KIND_SYNC,
-    AttributeKind,
+    Cells,
     Constraint,
     Event,
     ModelError,
@@ -253,11 +260,10 @@ class PolicyEngine:
                 entries.setdefault((m.subject, attr), []).append((policy, test, is_timer))
                 if policy.origin is PolicyOrigin.USER:
                     self._user_by_key.setdefault((m.subject, attr), []).append(policy)
-        self._numeric_keys = {key for key in entries
-                              if corpus.registry.lookup(*key).kind is AttributeKind.NUMERIC}
+        self.cells = corpus.cells   # numeric keys only
         self._dispatch: dict[tuple[str, str], Transitions] = {}
         for key, es in entries.items():
-            numeric = key in self._numeric_keys
+            numeric = key in self.cells
             cuts = cut_points(p.trigger_block.match for p, _, _ in es) if numeric else None
             self._dispatch[key] = Transitions(partial(_fired, es), cuts)
         self.trigger_keys = self._dispatch.keys()   # the keys some policy triggers on
@@ -286,22 +292,17 @@ class PolicyEngine:
             return out
 
         decisions: list[ReportDecision] = []
-        sanctioned: set[str] = set()
         for policy, is_timer in fired:
             if is_timer:
                 self._apply_timer_policy(policy, value, ts)
-                continue
-            ds = evaluate_policy(key, policy, self.store, ts)
-            if ds:
-                decisions.extend(ds)
-                if policy.origin is PolicyOrigin.AUTOMATION:
-                    sanctioned.add(policy.source_id)
+            else:
+                decisions.extend(evaluate_policy(key, policy, self.store, ts))
 
         # Each user policy on the key ran the checks _up_suppresses runs and
         # decides whenever they pass: nothing decided means no user
         # disposition either, so the event stays blocked.
         if decisions:
-            out.extend(self._merge_and_emit(key, value, prev, decisions, sanctioned, ts))
+            out.extend(self._merge_and_emit(key, value, prev, decisions, ts))
         return out
 
     def tick(self, now: int, work: Emission | TimerState) -> list[Emission]:
@@ -323,19 +324,10 @@ class PolicyEngine:
         """Evaluate time-triggered policies for the clock instant ``target_ts``."""
         minute = minute_of_day(target_ts)
         decisions: list[ReportDecision] = []
-        sanctioned: set[str] = set()
         for policy in self._clock_policies.get(minute, ()):
-            local = _run_checks(policy, self.store, target_ts)
-            if local is None:
-                continue
-            decisions.extend(local)
-            if policy.origin is PolicyOrigin.AUTOMATION:
-                sanctioned.add(policy.source_id)
+            decisions.extend(_run_checks(policy, self.store, target_ts) or ())
         out = self._emit_sync_decisions(decisions, target_ts)
-        out.extend(self._repairs(
-            (rule for rule in self.rules.at_minute.get(minute, ()) if rule.id not in sanctioned),
-            target_ts,
-        ))
+        out.extend(self._repairs(self.rules.at_minute.get(minute, ()), target_ts))
         return out
 
     # -- timers -----------------------------------------------------------------
@@ -395,7 +387,6 @@ class PolicyEngine:
         current: Value,
         prev: Value,
         decisions: list[ReportDecision],
-        sanctioned: set[str],
         now: int,
     ) -> list[Emission]:
         # A user policy that blocks the trigger withholds its report and the
@@ -415,7 +406,7 @@ class PolicyEngine:
         trigger_plan, trig_prov = self._trigger_plan(ekey, current, prev, decisions)
 
         # 3. Consistency repairs computed against the planned platform view.
-        out.extend(self._consistency_repairs(ekey, trigger_plan, sanctioned, now))
+        out.extend(self._consistency_repairs(ekey, trigger_plan, now))
 
         # 4. Emit the trigger plan; a delayed report is scheduled and pending.
         for value, delay, kind in trigger_plan:
@@ -439,20 +430,21 @@ class PolicyEngine:
         provenance = decisions[0].provenance if len(decisions) == 1 else tuple(
             dict.fromkeys(p for d in decisions for p in d.provenance))
         methods = [d.method for d in decisions if d.method.method is not Method.BLOCK]
-        numeric = key in self._numeric_keys
+        cells = self.cells.get(key)
         if methods:
             plan = self._plan(key, methods, current, KIND_REPORT)
-        elif numeric and any(d.is_trigger and d.origin is PolicyOrigin.AUTOMATION for d in decisions):
+        elif cells is not None and any(d.is_trigger and d.origin is PolicyOrigin.AUTOMATION
+                                       for d in decisions):
             # A numeric-trigger policy passed its checks on a true crossing but
             # the stale last-report already satisfied the trigger; suppressing
-            # here would mask the crossing from the platform, so report an
-            # obfuscated in-class value anyway.
-            plan = [(self._cell_sample(key, float(current)), 0, KIND_REPORT)]  # type: ignore[arg-type]
+            # here would mask the crossing from the platform, so report a
+            # value drawn in the true value's cell anyway.
+            plan = [(cells.sample(current, self.rng), 0, KIND_REPORT)]  # type: ignore[arg-type]
         else:
             return [], provenance
-        if numeric:
-            [(value, _, _)] = plan   # only diffKeep plans two items, and it never reports a number
-            plan = self._numeric_trigger_plan(key, float(value), float(current), prev)  # type: ignore[arg-type]
+        if cells is not None:
+            [report] = plan   # only diffKeep plans two items, and it never reports a number
+            plan = [*self._prefix_sync(key, cells, prev), report]
         return plan, provenance
 
     def _plan(
@@ -464,7 +456,9 @@ class PolicyEngine:
         A trigger's diffKeep (``kind`` is ``KIND_REPORT``) sends a silent
         prefix of another value, then ``current`` after its delay. Otherwise
         a keep or diffKeep sends ``current``, and randomizes alone send one
-        value that each of them admits.
+        value that each of them admits: on a numeric key, a value drawn in
+        ``current``'s cell. Every numeric randomize comes from an atom that
+        ``current`` satisfies, so that cell lies inside each of them.
         """
         diff = next((m for m in methods if m.method is Method.DIFF_KEEP), None)
         if diff is not None and kind == KIND_REPORT:
@@ -475,69 +469,32 @@ class PolicyEngine:
             return [(prefix, 0, KIND_SYNC), (current, diff.delay_ms, KIND_REPORT)]
         if any(m.method is not Method.RANDOMIZE for m in methods):
             return [(current, 0, kind)]
+        cells = self.cells.get(key)
+        if cells is not None:
+            return [(cells.sample(current, self.rng), 0, kind)]  # type: ignore[arg-type]
         return [(self._randomized(methods, current), 0, kind)]
 
     def _randomized(self, methods: list[MethodCall], current: Value) -> Value:
-        """One value that every randomize of ``methods`` admits, or ``current`` if none does."""
-        enum_sets = [m.params for m in methods if isinstance(m.params[0], str)]
-        if enum_sets:
-            members = set(enum_sets[0]).intersection(*enum_sets[1:])
-            if not members:
-                return current  # no common obfuscation: keep wins
-            ordered = sorted(members)
-            return ordered[self.rng.randrange(len(ordered))]
-        lo = max(float(m.params[0]) for m in methods)
-        hi = min(float(m.params[1]) for m in methods)
-        if not lo < hi:
-            return current
-        v = self.rng.uniform(lo, hi)
-        if v == lo or v == hi:
-            v = (lo + hi) / 2.0  # strict thresholds must stay strict
-        return v
+        """One member that every randomize of ``methods`` admits, or ``current`` if none does."""
+        members = set(methods[0].params).intersection(*(m.params for m in methods[1:]))
+        if not members:
+            return current  # no common obfuscation: keep wins
+        ordered = sorted(members)
+        return ordered[self.rng.randrange(len(ordered))]
 
     # -- numeric trigger alignment ---------------------------------------------------
 
-    def _cell(self, key: tuple[str, str], value: float) -> tuple[float, float]:
-        """The interval between adjacent trigger thresholds containing ``value``."""
-        desc = self.corpus.registry.lookup(*key)
-        lo, hi = float(desc.min), float(desc.max)  # type: ignore[arg-type]
-        for cut in self.rules.thresholds.get(key, ()):
-            if cut <= value:
-                lo = max(lo, cut)
-            else:
-                hi = min(hi, cut)
-        return lo, hi
-
-    def _same_cell(self, key: tuple[str, str], a: float, b: float) -> bool:
-        cuts = self.rules.thresholds.get(key, ())
-        return value_class(cuts, a) == value_class(cuts, b)
-
-    def _cell_sample(self, key: tuple[str, str], anchor: float) -> float:
-        lo, hi = self._cell(key, anchor)
-        if lo == hi:
-            return anchor
-        v = self.rng.uniform(lo, hi)
-        return v if self._same_cell(key, v, anchor) else anchor
-
-    def _numeric_trigger_plan(
-        self, key: tuple[str, str], value: float, current: float, prev: Value
+    def _prefix_sync(
+        self, key: tuple[str, str], cells: Cells, prev: Value
     ) -> list[tuple[Value, int, str]]:
-        """Keep the platform's fire decisions aligned with the true stream.
-
-        The reported value is resampled inside the threshold cell of the true
-        reading so every forwarded rule classifies it like the truth, and a
-        silent prefix re-aligns the platform's stored previous value when a
-        stale report would mask (or fake) a crossing.
-        """
-        out: list[tuple[Value, int, str]] = []
+        """A silent sync drawn in ``prev``'s cell, when the platform's stored
+        value lies in another threshold cell than ``prev``: a stale report
+        would mask (or fake) the crossing the trigger report makes."""
+        thresholds = self.rules.thresholds.get(key, ())
         star = self.store.last_reported(key)
-        if not self._same_cell(key, value, current):
-            value = self._cell_sample(key, current)
-        if isinstance(prev, (int, float)) and isinstance(star, (int, float)):
-            if not self._same_cell(key, float(star), float(prev)):
-                out.append((self._cell_sample(key, float(prev)), 0, KIND_SYNC))
-        out.append((value, 0, KIND_REPORT))
-        return out
+        if value_class(thresholds, star) == value_class(thresholds, prev):  # type: ignore[arg-type]
+            return []
+        return [(cells.sample(prev, self.rng), 0, KIND_SYNC)]  # type: ignore[arg-type]
 
     # -- consistency repairs ------------------------------------------------------------
 
@@ -545,17 +502,16 @@ class PolicyEngine:
         self,
         key: tuple[str, str],
         trigger_plan: list[tuple[Value, int, str]],
-        sanctioned: set[str],
         now: int,
     ) -> list[Emission]:
         """Silent repairs so stale platform state cannot fire unsanctioned rules.
 
-        For every forwarded rule the planned trigger report is about to fire
-        on the platform: if the mediator did not sanction it and a device
-        condition fails on true state, report an obfuscated value of that
-        condition so the platform's check fails too. Redundancy-only
-        suppressions are left alone; the raw pipeline issues the same
-        (redundant) command.
+        For every forwarded rule without history that the planned trigger
+        report is about to fire on the platform: if a device condition fails
+        on true state, report an obfuscated value of that condition so the
+        platform's check fails too. A rule whose policy passed its checks
+        here has no failing condition. Redundancy-only suppressions are left
+        alone; the raw pipeline issues the same (redundant) command.
         """
         candidates = self._repair_candidates.get(key)
         if candidates is None:
@@ -564,8 +520,7 @@ class PolicyEngine:
         platform_prev = self.store.last_reported(key)
         for value, _, kind in trigger_plan:
             if kind == KIND_REPORT:
-                repairs.extend(self._repairs((rule for rule in candidates(platform_prev, value)
-                                              if rule.id not in sanctioned), now))
+                repairs.extend(self._repairs(candidates(platform_prev, value), now))
             platform_prev = value
         return repairs
 
@@ -585,30 +540,20 @@ class PolicyEngine:
         return None
 
     def _repair_emission(self, c: Constraint, now: int) -> Emission:
-        desc = self.corpus.registry.lookup(c.subject, c.attribute)
+        """A sync of ``c``'s key that fails ``c`` as its true value does: a
+        value drawn in that value's cell, or a member that fails ``c``."""
         current = self.store.current(c.key())
+        cells = self.cells.get(c.key())
         value: Value
-        if desc.kind is AttributeKind.NUMERIC:
-            value = self._sample_violating(c, desc, float(current))  # type: ignore[arg-type]
+        if cells is not None:
+            value = cells.sample(current, self.rng)  # type: ignore[arg-type]
         else:
-            violating = [v for v in desc.values if not c.satisfied_by(v)]
-            if str(current) in violating and len(violating) > 1:
-                value = violating[self.rng.randrange(len(violating))]
-            elif violating:
-                value = current if str(current) in violating else violating[0]
-            else:
-                value = current
+            members = self.corpus.registry.lookup(*c.key()).values
+            violating = [v for v in members if not c.satisfied_by(v)]
+            value = violating[self.rng.randrange(len(violating))] if len(violating) > 1 else current
         return self._emit(
             Emission(c.subject, c.attribute, value, now, KIND_SYNC, provenance=("repair",))
         )
-
-    def _sample_violating(self, c: Constraint, desc, current: float) -> float:
-        lo, hi = float(desc.min), float(desc.max)
-        for _ in range(64):
-            v = self.rng.uniform(lo, hi)
-            if not c.satisfied_by(v) and self._same_cell(c.key(), v, current):
-                return v
-        return current
 
     # -- low level ------------------------------------------------------------------------
 

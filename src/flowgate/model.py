@@ -21,6 +21,7 @@ from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
+from random import Random
 from typing import Any, Callable, NamedTuple, Optional, Union
 
 MS_PER_MINUTE = 60_000
@@ -550,6 +551,54 @@ class Transitions:
 def cut_points(atoms: Iterable[Constraint]) -> tuple[float, ...]:
     """The sorted distinct cut points of numeric ``atoms``."""
     return tuple(sorted({cut for atom in atoms for cut in atom.cut_points()}))
+
+
+class Cells:
+    """The cells into which sorted distinct ``cuts`` split one numeric key's
+    range ``[lo, hi]``; the one place that decides which ends are open.
+
+    A cell is numbered as ``value_class`` numbers its values: ``2i + 1`` is
+    the ``i``-th cut alone, and ``2i`` the open gap before it (the last gap
+    follows the last cut), closed only where a bound ends it. An atom whose
+    cut points are all in ``cuts`` has one truth value per cell, so it
+    classifies a value drawn in a cell as it classifies every other value
+    of that cell.
+    """
+
+    __slots__ = ("cuts", "lo", "hi")
+
+    def __init__(self, cuts: Sequence[float], lo: float, hi: float):
+        self.cuts = cuts
+        self.lo, self.hi = lo, hi
+
+    def cell(self, value: float) -> int:
+        return value_class(self.cuts, value)
+
+    def ends(self, cell: int) -> tuple[float, float]:
+        """The least and greatest end of ``cell``: its cut twice, or a gap's
+        ends within the bounds, where an empty gap's first end exceeds its
+        second or is a cut."""
+        i, point = divmod(cell, 2)
+        cuts = self.cuts
+        if point:
+            return cuts[i], cuts[i]
+        return (max(self.lo, cuts[i - 1]) if i else self.lo,
+                min(self.hi, cuts[i]) if i < len(cuts) else self.hi)
+
+    def sample(self, value: float, rng: Random) -> float:
+        """A value drawn uniformly in ``value``'s cell: on a cut, the cut."""
+        cell = self.cell(value)
+        lo, hi = self.ends(cell)
+        if lo == hi:
+            return value
+        drawn = rng.uniform(lo, hi)
+        return drawn if self.cell(drawn) == cell else (lo + hi) / 2   # an open end was drawn
+
+    def representatives(self) -> list[float]:
+        """One value of each cell that holds a value within the bounds, in ascending order."""
+        mids = ((lo + hi) / 2 for lo, hi in map(self.ends, range(2 * len(self.cuts) + 1)))
+        return [v for cell, v in enumerate(mids)
+                if self.lo <= v <= self.hi and self.cell(v) == cell]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from flowgate.compiler import (
     derive_policy,
     derive_timer_bundle,
     encode_user_policy,
-    satisfying_interval,
 )
 from flowgate.dsl import parse_rule, parse_rules
 from flowgate.engine import PolicyEngine
@@ -23,7 +22,7 @@ from flowgate.model import (
 )
 from flowgate.policy import Method, MethodCall, PolicyOrigin, UserPolicySpec, keep
 from flowgate.scenario import parse_user_policies
-from tests.conftest import Deadlines
+from tests.conftest import R1_TEXT, Deadlines
 
 
 def test_derive_r1_matches_known_shape(mini_registry, r1):
@@ -158,17 +157,10 @@ def test_encode_rejects_empty_target(mini_registry):
         UserPolicySpec(id="up4", style="blacklist", target_device="", target_attribute=None)
 
 
-def test_satisfying_interval_openness(mini_registry):
-    desc = mini_registry.lookup("ts1", "temperature")
-    c = device_constraint("ts1", "temperature", Operator.GT, 86.0)
-    assert satisfying_interval(c, desc) == (86.0, 10000.0)
-    c = device_constraint("ts1", "temperature", Operator.LT, 70.0)
-    assert satisfying_interval(c, desc) == (-460.0, 70.0)
-
-
 def test_randomize_always_satisfies_originating_constraint(mini_registry):
     """Sampled check reports must re-satisfy the platform-side predicate."""
-    engine = PolicyEngine(compile_corpus([], [], mini_registry), seed=11, schedule=Deadlines())
+    corpus = compile_corpus(parse_rules(R1_TEXT, mini_registry), [], mini_registry)
+    engine = PolicyEngine(corpus, seed=11, schedule=Deadlines())
     call = MethodCall(Method.RANDOMIZE, (86.0, 10000.0))
     for _ in range(10_000):
         [(value, _, _)] = engine._plan(("ts1", "temperature"), [call], 90.0, KIND_SYNC)

@@ -192,7 +192,6 @@ def test_randomize_merge_picks_a_common_member(mini_registry):
 
 @pytest.mark.parametrize("params, current", [
     ((("home", "away"), ("vacation", "party")), "home"),   # no common member
-    (((86.0, 90.0), (90.0, 95.0)), 88.0),                  # no value strictly inside both
 ])
 def test_randomize_merge_without_common_value_keeps_current(mini_registry, params, current):
     engine = _engine(mini_registry, R1)
@@ -224,6 +223,99 @@ def test_emission_values_within_bounds_and_obfuscated(mini_registry):
     assert sync.kind == KIND_SYNC
     assert 86.0 < float(sync.value) <= 10000.0
     assert float(sync.value) != 90.0  # the true reading stays hidden
+
+
+# ---------------------------------------------------------------------------
+# what each numeric sampler discloses: a value in the true value's cell
+# ---------------------------------------------------------------------------
+
+# Cuts on ts1.temperature at 40, 86, 88 and 90; the mode of mode1 is read too.
+CELL_RULES = "\n".join([
+    R1,
+    "rn: when ts1.temperature > 90 then sl1.switch := on",
+    "ri: when ts1.temperature in 40..88 if ps1.presence == present then sl1.switch := off",
+    "rb: when mo1.motion == active if ts1.temperature > 86 then sl1.switch := on",
+    "rm: when mo1.motion == active if mode1.mode == home then f1.switch := off",
+])
+TEMPERATURE = ("ts1", "temperature")
+WHITELIST_MOTION = UserPolicySpec(id="upw", style="whitelist", target_device="mo1",
+                                  target_attribute="motion")
+
+
+def _disclosed(mini_registry, db, db_star, event, seeds=range(40)):
+    """Per seed, the emissions of ``event`` after DB and DB* are set."""
+    out = []
+    for seed in seeds:
+        engine = _engine(mini_registry, CELL_RULES, seed=seed, ups=[WHITELIST_MOTION])
+        _set(engine, db=db, db_star=db_star)
+        out.append((engine, engine.process_event(*event)))
+    return out
+
+
+def test_cells_cover_every_cut_point_on_the_key(mini_registry):
+    engine = _engine(mini_registry, CELL_RULES)
+    assert engine.cells[TEMPERATURE].cuts == (40.0, 86.0, 88.0, 90.0)
+    assert engine.cells[("am1", "humidity")].cuts == ()
+
+
+@pytest.mark.parametrize("star", [70.0, 95.0], ids=["report", "stale-report"])
+def test_numeric_trigger_report_lies_in_the_true_cell(mini_registry, star):
+    # From 85 to 95, rn's trigger fires. With 70 on the platform its branch
+    # randomizes; with a stale 95 there it blocks, and the crossing is still
+    # reported, after a prefix sync drawn in the cell of 85.
+    runs = _disclosed(mini_registry, {TEMPERATURE: 85.0}, {TEMPERATURE: star},
+                      (TEMPERATURE, 95.0, 1000))
+    for engine, out in runs:
+        cells = engine.cells[TEMPERATURE]
+        *prefix, report = [e for e in out if e.key() == TEMPERATURE]
+        assert report.kind == KIND_REPORT and cells.cell(report.value) == cells.cell(95.0)
+        assert report.value != 95.0
+        assert [cells.cell(e.value) for e in prefix] == ([cells.cell(85.0)] if star > 90 else [])
+        assert all(e.kind == KIND_SYNC and e.value != 85.0 for e in prefix)
+
+
+def test_check_sync_lies_in_the_true_cell(mini_registry):
+    # r1's check passes on the true 87; the platform holds 70, so it is synced.
+    runs = _disclosed(mini_registry, {TEMPERATURE: 87.0}, {TEMPERATURE: 70.0},
+                      (("ps1", "presence"), "present", 1000))
+    for engine, out in runs:
+        cells = engine.cells[TEMPERATURE]
+        [sync] = [e for e in out if e.key() == TEMPERATURE]
+        assert sync.kind == KIND_SYNC and cells.cell(sync.value) == cells.cell(87.0)
+        assert 86.0 < sync.value < 88.0 and sync.value != 87.0
+
+
+@pytest.mark.parametrize("true", [80.0, 86.0], ids=["gap", "cut"])
+def test_numeric_repair_violates_its_condition_within_the_true_cell(mini_registry, true):
+    # The whitelisted motion fires rb on the platform's stale 90; the true
+    # temperature fails rb's condition, so the repair must fail it too.
+    runs = _disclosed(mini_registry, {TEMPERATURE: true}, {TEMPERATURE: 90.0},
+                      (("mo1", "motion"), "active", 1000))
+    for engine, out in runs:
+        cells = engine.cells[TEMPERATURE]
+        [repair] = [e for e in out if e.provenance == ("repair",)]
+        assert repair.key() == TEMPERATURE and not repair.value > 86.0
+        assert cells.cell(repair.value) == cells.cell(true)
+        assert (repair.value == true) == (true == 86.0)   # a gap never discloses the truth
+
+
+@pytest.mark.parametrize("condition, violating", [
+    ("mode1.mode == home", {"away", "vacation"}),
+    ("mode1.mode != away", {"away"}),
+], ids=["two-violate", "one-violates"])
+def test_enumerated_repair_draws_among_the_violating_members(mini_registry, condition,
+                                                             violating):
+    # The true mode is away, the platform's stale copy home.
+    rules = f"rm: when mo1.motion == active if {condition} then f1.switch := off"
+    sent = set()
+    for seed in range(40):
+        engine = _engine(mini_registry, rules, seed=seed, ups=[WHITELIST_MOTION])
+        _set(engine, db={("mode1", "mode"): "away"}, db_star={("mode1", "mode"): "home"})
+        out = engine.process_event(("mo1", "motion"), "active", 1000)
+        [repair] = [e for e in out if e.provenance == ("repair",)]
+        assert repair.key() == ("mode1", "mode")
+        sent.add(repair.value)
+    assert sent == violating
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from flowgate.dsl import parse_trace
 from flowgate.model import (
     AttributeDescriptor,
     AttributeKind,
+    Cells,
     Command,
     Constraint,
     DailyWindow,
@@ -373,3 +374,52 @@ def test_placed_allocates_under_a_byte_per_trace_event(mini_registry, mini_trace
     assert peak / len(trace) <= 1
     expected = [(i, (e.key(), e.value, e.timestamp)) for i, e in enumerate(trace) if e.key() == RARE]
     assert list(placed) == expected
+
+
+# ---------------------------------------------------------------------------
+# Cells
+# ---------------------------------------------------------------------------
+
+class _EndRng:
+    """A draw that always returns one end of the range it is given."""
+
+    def __init__(self, end):
+        self.end = end
+
+    def uniform(self, lo, hi):
+        return (lo, hi)[self.end]
+
+
+def test_cells_ends_open_and_closed():
+    # ts1.temperature's bounds, cut at 70 and 86: a cut is a closed cell of
+    # its own, a gap is open at each cut and closed at each bound.
+    cells = Cells((70.0, 86.0), -460.0, 10000.0)
+    probes = [-460.0, 69.9, 70.0, 80.0, 86.0, 86.1, 10000.0]
+    assert [cells.cell(v) for v in probes] == [0, 0, 1, 2, 3, 4, 4]
+    assert cells.ends(0) == (-460.0, 70.0)     # < 70
+    assert cells.ends(1) == (70.0, 70.0)       # == 70
+    assert cells.ends(4) == (86.0, 10000.0)    # > 86
+    assert cells.representatives() == [-195.0, 70.0, 78.0, 86.0, 5043.0]
+
+
+def test_cells_sample_falls_back_to_the_midpoint_only_at_an_open_end():
+    cells = Cells((70.0, 86.0), -460.0, 10000.0)
+    assert cells.sample(90.0, _EndRng(0)) == 5043.0      # 86 is open: the midpoint
+    assert cells.sample(90.0, _EndRng(1)) == 10000.0     # the bound is closed
+    assert cells.sample(80.0, _EndRng(1)) == 78.0
+    assert cells.sample(86.0, random.Random(0)) == 86.0  # a cut is its own cell
+    rng = random.Random(1)
+    for value in (-460.0, 0.0, 75.0, 99.0, 10000.0):
+        cell = cells.cell(value)
+        assert all(cells.cell(cells.sample(value, rng)) == cell for _ in range(200))
+
+
+def test_cells_clip_cuts_outside_the_bounds():
+    # Cuts beyond the bounds leave no cell of their own within them.
+    cells = Cells((-1000.0, 0.0, 20000.0), -460.0, 10000.0)
+    assert cells.ends(2) == (-460.0, 0.0)
+    assert cells.ends(4) == (0.0, 10000.0)
+    assert cells.representatives() == [-230.0, 0.0, 5000.0]
+    assert Cells((), 0.0, 100.0).representatives() == [50.0]
+    # A cut on a bound leaves the gap beside it empty.
+    assert Cells((0.0, 100.0), 0.0, 100.0).representatives() == [0.0, 50.0, 100.0]
