@@ -78,15 +78,9 @@ def _trigger_block(rule: Rule, registry: Registry, diffkeep_ms: int) -> TriggerB
         return TriggerBlock(match=trig, run_action=block())
     desc = registry.lookup(trig.subject, trig.attribute)
     if desc.kind is AttributeKind.NUMERIC:
-        # Fig-3 scheme: suppress when the platform already holds a satisfying
-        # value, obfuscate otherwise. The engine additionally repairs the
-        # platform's view when its stored value masks a real crossing.
-        return TriggerBlock(
-            match=trig,
-            branch=trig,
-            run_action=block(),
-            else_action=_randomize_for(trig, desc),
-        )
+        # Every crossing is reported, obfuscated: the engine first re-aligns
+        # a stale platform value that would mask (or fake) the crossing.
+        return TriggerBlock(match=trig, run_action=_randomize_for(trig, desc))
     if trig.operator in (Operator.EQ, Operator.NE):
         value = str(trig.value) if trig.operator is Operator.EQ else "*"
         return TriggerBlock(
@@ -128,14 +122,19 @@ def derive_policy(rule: Rule, registry: Registry, diffkeep_ms: int = DIFFKEEP_DE
         raise CompileError(f"rule {rule.id} has a timer; derive a bundle instead")
     rule.validate(registry)
     if rule.uses_history:
-        # Rules over historical values pass everything through unfiltered.
+        # Rules over historical values pass everything through unfiltered:
+        # every event on the trigger key, and at each trigger the true
+        # state of every key a device condition reads.
         trig = rule.trigger
-        any_match = Constraint(trig.type, trig.subject, trig.attribute, Operator.ANY, None)
+        match = trig if trig.is_time else device_constraint(*trig.key(), Operator.ANY, None)
+        keys = dict.fromkeys(c.key() for c in rule.condition if not c.is_time)
         return Policy(
             id=f"ap:{rule.id}",
             origin=PolicyOrigin.AUTOMATION,
             source_id=rule.id,
-            trigger_block=TriggerBlock(match=any_match, run_action=keep()),
+            trigger_block=TriggerBlock(match=match, run_action=keep()),
+            check_blocks=tuple(CheckBlock(fetch=device_constraint(*key, Operator.ANY, None),
+                                          run_action=keep()) for key in keys),
         )
     checks = [_condition_check(c, registry) for c in rule.condition]
     checks.extend(_redundancy_checks(rule))

@@ -1,11 +1,12 @@
 """Policy execution engine: state databases, report methods, timers.
 
 The engine is a single logical actor over one virtual clock. For every
-incoming device event it updates the current-state database, evaluates user
-policies then automation policies, merges their report decisions and emits
-the minimized stream upstream. A second database remembers the last value
-reported for each attribute; report branches consult it so the platform's
-view stays just consistent enough to run its rules.
+incoming device event it updates the current-state database, runs the
+policies whose trigger the event fired, user policies first, each block as
+compiled, and merges their report decisions once into the minimized stream
+it emits upstream. A second database remembers the last value reported for
+each attribute; branches test it so the platform's view stays just
+consistent enough to run its rules.
 
 Emissions come in three kinds:
 
@@ -38,7 +39,6 @@ from .model import (
     KIND_SYNC,
     Cells,
     Constraint,
-    Event,
     ModelError,
     Operator,
     Rule,
@@ -108,9 +108,6 @@ class Emission(NamedTuple):
     def key(self) -> tuple[str, str]:
         return (self.device, self.attribute)
 
-    def as_event(self) -> Event:
-        return Event(self.device, self.attribute, self.value, self.timestamp)
-
 
 class ReportDecision(NamedTuple):
     """Disposition for one attribute produced by one policy evaluation."""
@@ -119,7 +116,6 @@ class ReportDecision(NamedTuple):
     attribute: str
     method: MethodCall                 # block() suppresses the attribute
     provenance: tuple[str, ...] = ()
-    is_trigger: bool = False           # reports the triggering event itself
     origin: PolicyOrigin = PolicyOrigin.AUTOMATION
 
     def key(self) -> tuple[str, str]:
@@ -132,15 +128,13 @@ def _block_decision(
     subject: str,
     attribute: str,
     store: StateStore,
-    clock: int,
-    is_trigger: bool,
 ) -> Optional[ReportDecision]:
-    """Branch resolution for one TRIGGER or CHECK block against DB*."""
+    """Branch resolution for one TRIGGER or CHECK block against DB*; a
+    branch is always a device atom on the block's own key."""
     chosen = block.run_action
-    if block.branch is not None:
-        star = minute_of_day(clock) if block.branch.is_time else store.last_reported((subject, attribute))
-        if not block.branch.satisfied_by(star):
-            chosen = block.else_action
+    branch = block.branch
+    if branch is not None and not branch.satisfied_by(store.last_reported((subject, attribute))):
+        chosen = block.else_action
     if chosen is None:
         return None
     return ReportDecision(
@@ -148,7 +142,6 @@ def _block_decision(
         attribute=attribute,
         method=chosen,
         provenance=(policy.id,),
-        is_trigger=is_trigger,
         origin=policy.origin,
     )
 
@@ -167,7 +160,7 @@ def _run_checks(policy: Policy, store: StateStore, clock: int) -> Optional[list[
             return None
     decisions: list[ReportDecision] = []
     for cb in policy.check_blocks:
-        d = _block_decision(policy, cb, cb.fetch.subject, cb.fetch.attribute, store, clock, False)
+        d = _block_decision(policy, cb, cb.fetch.subject, cb.fetch.attribute, store)
         if d is not None:
             decisions.append(d)
     return decisions
@@ -185,10 +178,19 @@ def evaluate_policy(
     decisions = _run_checks(policy, store, clock)
     if decisions is None:
         return []
-    d = _block_decision(policy, policy.trigger_block, key[0], key[1], store, clock, True)
+    d = _block_decision(policy, policy.trigger_block, key[0], key[1], store)
     if d is not None:
         decisions.append(d)
     return decisions
+
+
+def _merged(decisions: list[ReportDecision]) -> tuple[list[MethodCall], tuple[str, ...]]:
+    """One key's ``decisions`` merged: their methods other than ``block``,
+    and the ids of the policies that made them, in order, each once."""
+    methods = [d.method for d in decisions if d.method.method is not Method.BLOCK]
+    if len(decisions) == 1:
+        return methods, decisions[0].provenance
+    return methods, tuple(dict.fromkeys(p for d in decisions for p in d.provenance))
 
 
 # A dispatch-table entry: (policy, trigger test or None, is a timer policy).
@@ -210,8 +212,9 @@ def _fired(entries: list[_Entry], prev: Value, value: Value) -> tuple[tuple[Poli
 class PolicyEngine:
     """Executes a compiled corpus over an incoming event stream.
 
-    ``_plan`` is the one interpreter of report methods: the trigger's
-    report and every check report are planned by it. The engine keeps no
+    ``_reported`` is the one interpreter of report methods: it gives the
+    value that the trigger's report and every check report send; a
+    trigger's diffKeep adds only a prefix before it. The engine keeps no
     deadlines of its own: ``schedule(when, work)`` is called for every
     delayed report (an ``Emission``) and every timer (a ``TimerState``) it
     schedules, and ``tick(when, work)`` runs that work when it falls due.
@@ -389,14 +392,16 @@ class PolicyEngine:
         decisions: list[ReportDecision],
         now: int,
     ) -> list[Emission]:
-        # A user policy that blocks the trigger withholds its report and the
-        # check reports sent for it. A passing user keep decided too, so its
-        # report is planned with the others.
-        if self._up_suppresses(ekey, now):
+        # User policies come first and decide whenever their checks pass, so
+        # a user disposition is the first decision. A block withholds the
+        # report and the check reports sent for it; a keep is planned too.
+        first = decisions[0]
+        if first.origin is PolicyOrigin.USER and first.method.method is Method.BLOCK:
             return []
 
         # 1. Check reports (silent syncs) for every non-trigger attribute.
-        if all(d.is_trigger for d in decisions):
+        device, attribute = ekey
+        if all(d.device == device and d.attribute == attribute for d in decisions):
             out: list[Emission] = []
         else:
             out = self._emit_sync_decisions([d for d in decisions if d.key() != ekey], now)
@@ -425,54 +430,45 @@ class PolicyEngine:
         prev: Value,
         decisions: list[ReportDecision],
     ) -> tuple[list[tuple[Value, int, str]], tuple[str, ...]]:
-        if not decisions:
-            return [], ()
-        provenance = decisions[0].provenance if len(decisions) == 1 else tuple(
-            dict.fromkeys(p for d in decisions for p in d.provenance))
-        methods = [d.method for d in decisions if d.method.method is not Method.BLOCK]
-        cells = self.cells.get(key)
-        if methods:
-            plan = self._plan(key, methods, current, KIND_REPORT)
-        elif cells is not None and any(d.is_trigger and d.origin is PolicyOrigin.AUTOMATION
-                                       for d in decisions):
-            # A numeric-trigger policy passed its checks on a true crossing but
-            # the stale last-report already satisfied the trigger; suppressing
-            # here would mask the crossing from the platform, so report a
-            # value drawn in the true value's cell anyway.
-            plan = [(cells.sample(current, self.rng), 0, KIND_REPORT)]  # type: ignore[arg-type]
-        else:
+        """The (value, delay_ms, kind) items that report the event from
+        ``prev`` to ``current`` on ``key`` under its ``decisions``, and their
+        provenance. A diffKeep sends a silent prefix from which a change to
+        ``current`` fires what the event fired (for a ``!= v`` trigger, only
+        ``v``), then ``current`` after its delay. A number follows a prefix
+        sync when the platform's stored value would mask (or fake) the
+        crossing it makes."""
+        methods, provenance = _merged(decisions)
+        if not methods:
             return [], provenance
-        if cells is not None:
-            [report] = plan   # only diffKeep plans two items, and it never reports a number
-            plan = [*self._prefix_sync(key, cells, prev), report]
-        return plan, provenance
-
-    def _plan(
-        self, key: tuple[str, str], methods: list[MethodCall], current: Value, kind: str
-    ) -> list[tuple[Value, int, str]]:
-        """What to send for ``current`` on ``key`` under the merged report
-        methods ``methods``, none of them ``block``: (value, delay_ms, kind) items.
-
-        A trigger's diffKeep (``kind`` is ``KIND_REPORT``) sends a silent
-        prefix of another value, then ``current`` after its delay. Otherwise
-        a keep or diffKeep sends ``current``, and randomizes alone send one
-        value that each of them admits: on a numeric key, a value drawn in
-        ``current``'s cell. Every numeric randomize comes from an atom that
-        ``current`` satisfies, so that cell lies inside each of them.
-        """
         diff = next((m for m in methods if m.method is Method.DIFF_KEEP), None)
-        if diff is not None and kind == KIND_REPORT:
+        if diff is not None:
             others = [v for v in self.corpus.registry.lookup(*key).values if v != current]
             if not others:
                 raise EngineError(f"diffKeep has no other value of {key[0]}.{key[1]} to send first")
+            if len(others) > 1:
+                fired = self._dispatch[key]
+                same = fired(prev, current)
+                others = [p for p in others if fired(p, current) == same]
             prefix = others[0] if len(others) == 1 else others[self.rng.randrange(len(others))]
-            return [(prefix, 0, KIND_SYNC), (current, diff.delay_ms, KIND_REPORT)]
+            return [(prefix, 0, KIND_SYNC), (current, diff.delay_ms, KIND_REPORT)], provenance
+        report = (self._reported(key, methods, current), 0, KIND_REPORT)
+        cells = self.cells.get(key)
+        if cells is None:
+            return [report], provenance
+        return [*self._prefix_sync(key, cells, prev), report], provenance
+
+    def _reported(self, key: tuple[str, str], methods: list[MethodCall], current: Value) -> Value:
+        """The value sent for ``current`` on ``key`` under the merged report
+        methods ``methods``, none of them ``block``: ``current`` under a keep
+        or diffKeep, else one value each randomize admits. On a numeric key
+        that is a value drawn in ``current``'s cell, which lies inside every
+        randomize: each comes from an atom that ``current`` satisfies."""
         if any(m.method is not Method.RANDOMIZE for m in methods):
-            return [(current, 0, kind)]
+            return current
         cells = self.cells.get(key)
         if cells is not None:
-            return [(cells.sample(current, self.rng), 0, kind)]  # type: ignore[arg-type]
-        return [(self._randomized(methods, current), 0, kind)]
+            return cells.sample(current, self.rng)  # type: ignore[arg-type]
+        return self._randomized(methods, current)
 
     def _randomized(self, methods: list[MethodCall], current: Value) -> Value:
         """One member that every randomize of ``methods`` admits, or ``current`` if none does."""
@@ -508,10 +504,11 @@ class PolicyEngine:
 
         For every forwarded rule without history that the planned trigger
         report is about to fire on the platform: if a device condition fails
-        on true state, report an obfuscated value of that condition so the
-        platform's check fails too. A rule whose policy passed its checks
-        here has no failing condition. Redundancy-only suppressions are left
-        alone; the raw pipeline issues the same (redundant) command.
+        on true state but would pass there, report an obfuscated value of
+        that condition so the platform's check fails too. A rule whose policy
+        passed its checks here has no failing condition. Redundancy-only
+        suppressions are left alone; the raw pipeline issues the same
+        (redundant) command.
         """
         candidates = self._repair_candidates.get(key)
         if candidates is None:
@@ -520,15 +517,25 @@ class PolicyEngine:
         platform_prev = self.store.last_reported(key)
         for value, _, kind in trigger_plan:
             if kind == KIND_REPORT:
-                repairs.extend(self._repairs(candidates(platform_prev, value), now))
+                repairs.extend(self._repairs(candidates(platform_prev, value), now, (key, value)))
             platform_prev = value
         return repairs
 
-    def _repairs(self, rules: Iterable[Rule], now: int) -> Iterator[Emission]:
-        """One repair per rule of ``rules`` that true state stops but the platform's copy would fire."""
+    def _repairs(self, rules: Iterable[Rule], now: int,
+                 report: Optional[tuple[tuple[str, str], Value]] = None) -> Iterator[Emission]:
+        """One repair per rule of ``rules`` that true state stops but whose
+        conditions pass on DB*, with the ``(key, value)`` ``report`` that
+        fires it stored first, as the platform stores it."""
+        last_reported = self.store.last_reported
         for rule in rules:
             failing = self._first_repairable_condition(rule)
-            if failing is not None and conditions_pass(rule, now, self.store.last_reported):
+            if failing is None:
+                continue
+            state = last_reported
+            if report is not None:
+                key, value = report
+                state = lambda k: value if k == key else last_reported(k)
+            if conditions_pass(rule, now, state):
                 yield self._repair_emission(failing, now)
 
     def _first_repairable_condition(self, rule: Rule) -> Optional[Constraint]:
@@ -566,13 +573,12 @@ class PolicyEngine:
         for key in sorted(by_key):
             if self._up_suppresses(key, now):
                 continue
-            methods = [d.method for d in by_key[key] if d.method.method is not Method.BLOCK]
+            methods, provenance = _merged(by_key[key])
             if not methods:
                 continue
-            provenance = tuple(dict.fromkeys(p for d in by_key[key] for p in d.provenance))
-            for value, delay, kind in self._plan(key, methods, self.store.current(key), KIND_SYNC):
-                out.append(self._emit(Emission(key[0], key[1], value, now + delay, kind,
-                                               provenance=provenance)))
+            value = self._reported(key, methods, self.store.current(key))
+            out.append(self._emit(Emission(key[0], key[1], value, now, KIND_SYNC,
+                                           provenance=provenance)))
         return out
 
     def _flush_key_pending(self, key: tuple[str, str], now: int) -> list[Emission]:

@@ -147,9 +147,8 @@ class HomeMeta:
         return sorted(dev for dev, label in self.labels.items() if token in label)
 
 
-def _active_intervals(
-    events: Sequence[Event], device: str, attribute: str, active: str, horizon: tuple[int, int]
-) -> list[tuple[int, int]]:
+def _active_intervals(events: Sequence[Union[Event, Emission]], device: str, attribute: str,
+                      active: str, horizon: tuple[int, int]) -> list[tuple[int, int]]:
     """Maximal intervals where the log shows the attribute in its active state."""
     out = []
     start: Optional[int] = None
@@ -167,7 +166,7 @@ def _active_intervals(
 
 
 def infer_activities(
-    log: Sequence[Event],
+    log: Sequence[Union[Event, Emission]],
     home_meta: HomeMeta,
     horizon: tuple[int, int],
     source: str = "inferred",

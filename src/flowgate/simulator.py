@@ -13,17 +13,17 @@ events go upstream:
 The loop keeps two rules:
 
 * Only keys that a rule (raw, pull) or an indexed policy (mediated)
-  triggers on, that rules or manual commands command, or that have no
-  seeded state (so an unknown key still fails closed) are streamed. Any
-  other key is read off the trace when asked: at a streamed event, as of
-  the events before its place in trace order; in heap work, as of every
-  event at or before its time. A read key's events are never streamed.
-* The streamed events, in timestamp order, run past a heap of
-  everything else (deadlines, daily instants, deliveries, actuations, manual
-  commands). Every trace event of a millisecond is taken before any heap
-  entry due at that millisecond, so a device event lands before any timer,
-  delayed report or delayed action due at that instant; same-millisecond
-  trace events keep their trace order and heap entries run in push order.
+  triggers on, that rules command, or that have no seeded state (so an
+  unknown key still fails closed) are streamed. Any other key is read off
+  the trace when asked: at a streamed event, as of the events before its
+  place in trace order; in heap work, as of every event at or before its
+  time. A read key's events are never streamed.
+* The streamed events, in timestamp order, run past a heap of everything
+  else (deadlines, daily instants, deliveries, actuations). Every trace
+  event of a millisecond is taken before any heap entry due at that
+  millisecond, so a device event lands before any timer, delayed report or
+  delayed action due at that instant; same-millisecond trace events keep
+  their trace order and heap entries run in push order.
   A streamed event sets its device's state and goes straight upstream;
   that runs no due work, so a held-duration timer that ends exactly when
   its condition's device changes sees the change in every pipeline alike.
@@ -306,19 +306,15 @@ class _PullReplay(_Replay):
 
 
 class _MediatedReplay(_Replay):
-    def __init__(self, trace: Iterable[Event], corpus: CompiledCorpus, config: SimConfig,
-                 manual_commands: list[Command]):
+    def __init__(self, trace: Iterable[Event], corpus: CompiledCorpus, config: SimConfig):
         super().__init__(trace, corpus.rules, corpus.registry, config)
         self.engine = PolicyEngine(corpus, config.seed, schedule=self._schedule_engine)
         self.streamed.update(self.engine.trigger_keys)
-        self.streamed.update(cmd.key() for cmd in manual_commands)
         self.command_delay_ms = config.l2_ms
         self.latency = config.l1_ms + config.l2_ms
         self._drop_rng = random.Random((config.seed << 8) ^ 0x5F)
         for ts in self.instants:
             self.push(max(0, ts - self.latency - 1), self._engine_time, ts)
-        for cmd in manual_commands:
-            self.push(cmd.timestamp, self._manual, cmd)
 
     def unhook(self) -> None:
         super().unhook()
@@ -356,19 +352,14 @@ class _MediatedReplay(_Replay):
         self.platform.receive((e.device, e.attribute), e.value, now, e.kind, e.tag)
         self.drain_platform(now, None)
 
-    def _manual(self, now: int, cmd: Command) -> None:
-        self.artifacts.p_commands.append(cmd)
-        self.push(cmd.timestamp, self._actuate, cmd)
-
 
 def run_mediated(
     trace: Iterable[Event],
     corpus: CompiledCorpus,
     config: Optional[SimConfig] = None,
-    manual_commands: Optional[list[Command]] = None,
 ) -> RunArtifacts:
     """Replay the trace through device -> engine -> platform -> device."""
-    return _MediatedReplay(trace, corpus, config or SimConfig(), manual_commands or []).run()
+    return _MediatedReplay(trace, corpus, config or SimConfig()).run()
 
 
 def run_raw(

@@ -299,8 +299,7 @@ def test_criterion_09_activity_inference_degradation():
     raw_labels = infer_activities(day, meta, horizon)
     raw_recall = attack_report(gt, raw_labels).total_recall
     mediated = run_mediated(day, corpus, SimConfig(seed=9))
-    filtered_log = [e.as_event() for e in mediated.reported_events]
-    filtered_labels = infer_activities(filtered_log, meta, horizon)
+    filtered_labels = infer_activities(mediated.reported_events, meta, horizon)
     filtered_recall = attack_report(gt, filtered_labels).total_recall
     ok = raw_recall >= 0.9 and filtered_recall <= raw_recall / 2
     _verdict(9, ok, f"raw recall {raw_recall:.2f} -> filtered recall {filtered_recall:.2f}")

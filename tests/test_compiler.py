@@ -11,7 +11,6 @@ from flowgate.compiler import (
 from flowgate.dsl import parse_rule, parse_rules
 from flowgate.engine import PolicyEngine
 from flowgate.model import (
-    KIND_SYNC,
     DailyWindow,
     ModelError,
     Operator,
@@ -53,9 +52,10 @@ def test_derive_trigger_action_rule(mini_registry):
     rule = parse_rule("r2: when ts1.temperature > 86 then f1.switch := on", mini_registry)
     policy = derive_policy(rule, mini_registry)
     tb = policy.trigger_block
-    assert tb.run_action.method is Method.BLOCK
-    assert tb.else_action.method is Method.RANDOMIZE
-    assert tb.else_action.params == (86.0, 10000.0)
+    # Every crossing is reported, randomized: no branch on the stored value.
+    assert tb.branch is None and tb.else_action is None
+    assert tb.run_action.method is Method.RANDOMIZE
+    assert tb.run_action.params == (86.0, 10000.0)
     assert len(policy.check_blocks) == 1  # just the redundancy guard
     assert policy.check_blocks[0].fetch.key() == ("f1", "switch")
 
@@ -68,6 +68,17 @@ def test_derive_pass_through_for_history_rules(mini_registry):
     assert policy.trigger_block.match.operator is Operator.ANY
     assert policy.trigger_block.run_action.method is Method.KEEP
     assert policy.check_blocks == ()
+
+
+def test_derive_history_rule_syncs_its_device_condition_keys(mini_registry):
+    # The platform tests the conditions on what it was last sent, so each
+    # device condition's key goes with the trigger, once and unfiltered.
+    rule = parse_rule("rh: when ts1.temperature > 86 if am1.humidity > 50 and am1.humidity < 70 "
+                      "and time.clock in 08:00..18:00 then f1.switch := on pass-history",
+                      mini_registry)
+    [check] = derive_policy(rule, mini_registry).check_blocks
+    assert check.fetch.key() == ("am1", "humidity") and check.fetch.operator is Operator.ANY
+    assert check.branch is None and check.run_action.method is Method.KEEP
 
 
 def test_derive_skips_guard_for_multi_action_and_delayed(mini_registry):
@@ -163,7 +174,7 @@ def test_randomize_always_satisfies_originating_constraint(mini_registry):
     engine = PolicyEngine(corpus, seed=11, schedule=Deadlines())
     call = MethodCall(Method.RANDOMIZE, (86.0, 10000.0))
     for _ in range(10_000):
-        [(value, _, _)] = engine._plan(("ts1", "temperature"), [call], 90.0, KIND_SYNC)
+        value = engine._reported(("ts1", "temperature"), [call], 90.0)
         assert 86.0 < value <= 10000.0
 
 

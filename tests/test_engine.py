@@ -16,6 +16,7 @@ from flowgate.engine import (
     Emission,
     EngineError,
     PolicyEngine,
+    ReportDecision,
     TimerState,
     evaluate_policy,
 )
@@ -56,7 +57,6 @@ def test_evaluate_r1_reports_obfuscated_check_then_trigger(mini_registry, r1):
     assert [d.key() for d in decisions] == [("ts1", "temperature"), ("ps1", "presence")]
     assert decisions[0].method.method is Method.RANDOMIZE
     assert decisions[1].method.method is Method.KEEP
-    assert decisions[1].is_trigger
 
 
 def test_evaluate_r1_aborts_when_fan_already_on(mini_registry, r1):
@@ -88,21 +88,20 @@ def test_evaluate_unseeded_state_is_configuration_error(mini_registry, r1):
 
 
 # ---------------------------------------------------------------------------
-# _plan: the worked examples
+# _trigger_plan and _reported: the worked examples
 # ---------------------------------------------------------------------------
 
 def test_apply_diffkeep_emits_complement_then_value(mini_registry):
     engine = _engine(mini_registry, R1)
-    plan = engine._plan(("ps1", "presence"), [MethodCall(Method.DIFF_KEEP, ("present",), 300)],
-                        "present", KIND_REPORT)
-    assert plan == [("not-present", 0, KIND_SYNC), ("present", 300, KIND_REPORT)]
+    decision = ReportDecision("ps1", "presence", MethodCall(Method.DIFF_KEEP, ("present",), 300),
+                              ("ap:r1",))
+    plan = engine._trigger_plan(("ps1", "presence"), "present", "not-present", [decision])
+    assert plan == ([("not-present", 0, KIND_SYNC), ("present", 300, KIND_REPORT)], ("ap:r1",))
 
 
 def test_apply_keep_is_identity(mini_registry):
     engine = _engine(mini_registry, R1)
-    assert engine._plan(("mode1", "mode"), [MethodCall(Method.KEEP)], "X", KIND_REPORT) == [
-        ("X", 0, KIND_REPORT)
-    ]
+    assert engine._reported(("mode1", "mode"), [MethodCall(Method.KEEP)], "X") == "X"
     # The platform already holds a temperature above 86, so r1's check
     # block()s it: only the trigger is reported.
     _set(engine, db={("ts1", "temperature"): 90.0}, db_star={("ts1", "temperature"): 90.0})
@@ -113,15 +112,15 @@ def test_apply_keep_is_identity(mini_registry):
 def test_apply_diffkeep_rejects_numeric(mini_registry):
     engine = _engine(mini_registry, R1)
     with pytest.raises(EngineError):
-        engine._plan(("ts1", "temperature"), [MethodCall(Method.DIFF_KEEP, (90.0,))], 90.0,
-                     KIND_REPORT)
+        engine._trigger_plan(("ts1", "temperature"), 90.0, 70.0, [ReportDecision(
+            "ts1", "temperature", MethodCall(Method.DIFF_KEEP, (90.0,)))])
 
 
 def test_apply_randomize_respects_interval(mini_registry):
     engine = _engine(mini_registry, R1, seed=1)
     call = MethodCall(Method.RANDOMIZE, (86.0, 10000.0))
     for _ in range(1000):
-        [(v, _, _)] = engine._plan(("ts1", "temperature"), [call], 90.0, KIND_REPORT)
+        v = engine._reported(("ts1", "temperature"), [call], 90.0)
         assert 86.0 <= v <= 10000.0
 
 
@@ -185,9 +184,7 @@ def test_randomize_merge_picks_a_common_member(mini_registry):
     engine = _engine(mini_registry, R1)
     methods = [MethodCall(Method.RANDOMIZE, ("home", "vacation")),
                MethodCall(Method.RANDOMIZE, ("away", "vacation"))]
-    assert engine._plan(("mode1", "mode"), methods, "home", KIND_SYNC) == [
-        ("vacation", 0, KIND_SYNC)
-    ]
+    assert engine._reported(("mode1", "mode"), methods, "home") == "vacation"
 
 
 @pytest.mark.parametrize("params, current", [
@@ -568,7 +565,7 @@ class _ScanningEngine(PolicyEngine):
                     if rule.uses_history:
                         self.seen["history"] += 1
                     elif rule.id not in sanctioned:
-                        repairs.extend(self._repairs([rule], now))
+                        repairs.extend(self._repairs([rule], now, (key, value)))
             platform_prev = value
         self.seen["repairs"] += len(repairs)
         return repairs

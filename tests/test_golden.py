@@ -1,6 +1,6 @@
-"""Golden artifact digests for the bundled demo scenarios.
+"""Golden artifact digests for the bundled demo and mini scenarios.
 
-Every artifact ``flowgate run`` writes for both demo scenarios in every mode,
+Every artifact ``flowgate run`` writes for each bundled scenario in every mode,
 the policy dump ``flowgate compile`` writes and the table ``flowgate
 conflicts`` prints are pinned by their sha256. A change that alters any of
 these bytes must say why and update the digest.
@@ -13,7 +13,8 @@ import pytest
 
 from flowgate.cli import main as cli_main
 
-DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DEMO = SCENARIOS / "demo"
 
 GOLDEN = {
     ('scenario-with-ups.yaml', 'compile'): {
@@ -78,23 +79,63 @@ GOLDEN = {
     },
 }
 
+# The mini home of tests/conftest.py, with one rule of each numeric and
+# pass-history shape that no testbed has.
+MINI_GOLDEN = {
+    "compile": {
+        "policies.txt": "440ba41b2cdfe04f5c0fbf1b14c4ad6becbb1cc2435b5cb61f76e78eb93fde56",
+    },
+    "conflicts": {
+        "stdout": "e0194b4e67ab9b28eaa87bd37bec765c687e65fd1c11da49d2531b5dab965125",
+    },
+    "mediated": {
+        "gt_commands.log": "8cfd264777510002206746083432cbac9cada5c7fdc78158f02a3955656ef56e",
+        "gt_pruned.log": "8cfd264777510002206746083432cbac9cada5c7fdc78158f02a3955656ef56e",
+        "latency.csv": "bdbab0f980e0a97c8246a313ea1b02d39d4fd0d68f18f7a035cbab2fecc5addb",
+        "metrics.json": "be6afbc8f8fbdb3599be7b2bd702f574a2dacd9cd91a4af11a6020071d8f34ff",
+        "p_commands.log": "f21e4482b009792cb6bce6c69f8e5d424c8d9123b2b8e396c681ad60500b96b4",
+        "policies.txt": "440ba41b2cdfe04f5c0fbf1b14c4ad6becbb1cc2435b5cb61f76e78eb93fde56",
+        "reported_events.log": "a76e0f3e1b121ac4ebf8a0f719e4d64e47731fef4bf3258b9aa00cebbb4adc53",
+        "verification.json": "27983dcdbf0eaebb32fabecb3b7b9508f24370e46f75fec3fcfc0b588219a815",
+    },
+    "pull": {
+        "gt_commands.log": "8cfd264777510002206746083432cbac9cada5c7fdc78158f02a3955656ef56e",
+        "gt_pruned.log": "8cfd264777510002206746083432cbac9cada5c7fdc78158f02a3955656ef56e",
+        "latency.csv": "7e44540cb2a979889fd091900907b4e89d66b329b66a98cde80f61b70ebb31ac",
+        "metrics.json": "33ee9a71e69eb4cfea6ab43d764d244c0da84107085ee013892526a0f188da8b",
+        "p_commands.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "policies.txt": "440ba41b2cdfe04f5c0fbf1b14c4ad6becbb1cc2435b5cb61f76e78eb93fde56",
+        "reported_events.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "verification.json": "3264feecfff78efbef6e90036263d8add77e2456ff6cd5166ffffc3925f5b4dd",
+    },
+    "raw": {
+        "gt_commands.log": "8cfd264777510002206746083432cbac9cada5c7fdc78158f02a3955656ef56e",
+        "gt_pruned.log": "8cfd264777510002206746083432cbac9cada5c7fdc78158f02a3955656ef56e",
+    },
+}
+
 
 def _digests(out: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-def _outputs(scenario: str, case: str, tmp_path: Path, capsys) -> dict[str, str]:
+def _outputs(scenario: Path, case: str, tmp_path: Path, capsys) -> dict[str, str]:
     """Digests of what ``flowgate compile`` (case ``compile``) or ``run --mode case``
     writes, or of the stdout of ``flowgate conflicts`` (case ``conflicts``)."""
     if case == "conflicts":
-        cli_main(["conflicts", "--scenario", str(DEMO / scenario)])
+        cli_main(["conflicts", "--scenario", str(scenario)])
         return {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
     out = tmp_path / "out"
     command = ["compile"] if case == "compile" else ["run", "--mode", case]
-    cli_main([*command, "--scenario", str(DEMO / scenario), "--out", str(out)])
+    cli_main([*command, "--scenario", str(scenario), "--out", str(out)])
     return _digests(out)
 
 
 @pytest.mark.parametrize("scenario, case", sorted(GOLDEN))
 def test_demo_artifacts_match_golden_digests(scenario, case, tmp_path, capsys):
-    assert _outputs(scenario, case, tmp_path, capsys) == GOLDEN[scenario, case]
+    assert _outputs(DEMO / scenario, case, tmp_path, capsys) == GOLDEN[scenario, case]
+
+
+@pytest.mark.parametrize("case", sorted(MINI_GOLDEN))
+def test_mini_artifacts_match_golden_digests(case, tmp_path, capsys):
+    assert _outputs(SCENARIOS / "mini" / "scenario.yaml", case, tmp_path, capsys) == MINI_GOLDEN[case]

@@ -15,7 +15,7 @@ from flowgate.cli import _latency_csv, _metrics_summary
 from flowgate.compiler import compile_corpus
 from flowgate.dsl import load_home, parse_rules, parse_trace
 from flowgate.engine import KIND_EXPIRY, KIND_REPORT, KIND_SYNC, EngineError, PolicyEngine
-from flowgate.model import Command, Event, Operator, Trace, format_value
+from flowgate.model import Command, Event, Trace, format_value
 from flowgate.platform_sim import RuleTable, SimulatedPlatform
 from flowgate.scenario import Scenario, parse_user_policies
 from flowgate.simulator import (
@@ -416,8 +416,8 @@ def test_condition_event_at_trigger_millisecond(mini_registry, condition_first):
     config = SimConfig(seed=0, refresh_ms=at)
     raw = _RawReplay(trace, table, mini_registry, config).run()
     assert raw == _HeapRawReplay(trace, table, mini_registry, config).run()
-    med = _MediatedReplay(trace, corpus, config, []).run()
-    assert med == _HeapMediatedReplay(trace, corpus, config, []).run()
+    med = _MediatedReplay(trace, corpus, config).run()
+    assert med == _HeapMediatedReplay(trace, corpus, config).run()
     pull = _PullReplay(trace, table, mini_registry, config).run()
     assert pull == _HeapPullReplay(trace, table, mini_registry, config).run()
 
@@ -590,9 +590,7 @@ def _replay_traces(draw):
         trace.append(Event(key[0], key[1], draw(st.sampled_from(REPLAY_VALUES[key])), now))
     if draw(st.booleans()):
         trace = draw(st.permutations(trace))
-    manual = [Command("sl1", "switch", draw(st.sampled_from(["on", "off"])), ts)
-              for ts in draw(st.lists(st.sampled_from([0, 300, 60_000, 120_000]), max_size=2))]
-    return trace, manual
+    return trace
 
 
 def test_streamed_trace_matches_heap_replay(mini_registry):
@@ -601,16 +599,15 @@ def test_streamed_trace_matches_heap_replay(mini_registry):
     corpus = compile_corpus(rules, parse_user_policies(REPLAY_UPS, mini_registry), mini_registry)
 
     @settings(max_examples=120, deadline=None)
-    @given(case=_replay_traces(), seed=st.integers(0, 3))
-    def check(case, seed):
-        trace, manual = case
+    @given(trace=_replay_traces(), seed=st.integers(0, 3))
+    def check(trace, seed):
         config = SimConfig(seed=seed, refresh_ms=60_000)
         assert (_RawReplay(trace, table, mini_registry, config).run()
                 == _HeapRawReplay(trace, table, mini_registry, config).run())
         assert (_PullReplay(trace, table, mini_registry, config).run()
                 == _HeapPullReplay(trace, table, mini_registry, config).run())
-        assert (_MediatedReplay(trace, corpus, config, manual).run()
-                == _HeapMediatedReplay(trace, corpus, config, manual).run())
+        assert (_MediatedReplay(trace, corpus, config).run()
+                == _HeapMediatedReplay(trace, corpus, config).run())
 
     check()
 
@@ -630,7 +627,7 @@ DEAD_OFFSETS = [0, 0, 1, 250, 300, 550, 60_000, 60_250, 60_300, 120_000]
 @st.composite
 def _traces_with_dead_events(draw):
     """A replay case, and its trace with events on unreferenced keys mixed in."""
-    trace, manual = draw(_replay_traces())
+    trace = draw(_replay_traces())
     mixed = list(trace)
     anchors = [e.timestamp for e in trace] or [0]
     for _ in range(draw(st.integers(1, 6))):
@@ -640,7 +637,7 @@ def _traces_with_dead_events(draw):
         # Often first, so it sorts ahead of the live events of its millisecond.
         at = draw(st.one_of(st.just(0), st.integers(0, len(mixed))))
         mixed.insert(at, event)
-    return trace, mixed, manual
+    return trace, mixed
 
 
 # At 80 000 rt's native timer falls due as ps1 leaves; an unreferenced
@@ -651,7 +648,6 @@ _DEADLINE_CASE = (
     [Event("lx1", "contact", "open", 80_000), Event("ps1", "presence", "present", 0),
      Event("mo1", "motion", "active", 1000), Event("mo1", "motion", "inactive", 20_000),
      Event("ps1", "presence", "not-present", 80_000)],
-    [],
 )
 
 
@@ -668,7 +664,7 @@ def _check_unreferenced_events(max_examples):
     @given(case=_traces_with_dead_events(), seed=st.integers(0, 3))
     @example(case=_DEADLINE_CASE, seed=0)
     def check(case, seed):
-        trace, mixed, manual = case
+        trace, mixed = case
         config = SimConfig(seed=seed, refresh_ms=60_000)
         raw = run_raw(trace, rules, registry, config)
         assert run_raw(mixed, rules, registry, config) == raw
@@ -676,8 +672,8 @@ def _check_unreferenced_events(max_examples):
                 == remove_redundant(raw.p_commands, trace, registry))
         assert (run_pull_baseline(mixed, rules, registry, config)
                 == run_pull_baseline(trace, rules, registry, config))
-        assert (run_mediated(mixed, corpus, config, manual)
-                == run_mediated(trace, corpus, config, manual))
+        assert (run_mediated(mixed, corpus, config)
+                == run_mediated(trace, corpus, config))
 
     check()
 
@@ -707,8 +703,8 @@ def test_out_of_order_trace_replays_in_timestamp_order(mini_registry):
     replay = _RawReplay(trace, table, mini_registry, config)
     assert list(replay._trace) == sorted(trace, key=lambda e: e.timestamp)
     assert replay.run() == _HeapRawReplay(trace, table, mini_registry, config).run()
-    assert (_MediatedReplay(trace, corpus, config, []).run()
-            == _HeapMediatedReplay(trace, corpus, config, []).run())
+    assert (_MediatedReplay(trace, corpus, config).run()
+            == _HeapMediatedReplay(trace, corpus, config).run())
 
 
 def test_quiet_event_on_platform_deadline_takes_full_path(mini_registry):
@@ -962,23 +958,6 @@ def test_command_drop_probability_breaks_completeness(mini_registry):
     assert report.r_s == 1.0  # surviving commands still match
 
 
-def test_manual_command_stream_breaks_soundness_as_annotated(mini_registry):
-    """Injected manual operations show up as unsound commands, like field noise."""
-    rules, corpus = _corpus(mini_registry)
-    trace = [
-        Event("ts1", "temperature", 90.0, 10_000),
-        Event("ps1", "presence", "present", 60_000),
-    ]
-    manual = [Command("sl1", "switch", "on", 200_000, "manual")]
-    med = run_mediated(trace, corpus, SimConfig(seed=0), manual_commands=manual)
-    raw = run_raw(trace, rules, mini_registry, SimConfig(seed=0))
-    pruned = remove_redundant(raw.p_commands, trace, mini_registry)
-    report = verify(med.p_commands, raw.p_commands, pruned_gt=pruned)
-    assert report.r_s == pytest.approx((len(med.p_commands) - 1) / len(med.p_commands))
-    assert report.r_c == 1.0
-    assert [c.origin for c in report.unsound] == ["manual"]
-
-
 def test_commands_pass_through_to_devices(mini_registry):
     rules, corpus = _corpus(mini_registry)
     trace = [
@@ -1122,7 +1101,7 @@ def test_finished_replay_leaves_no_reference_cycle(mini_registry):
     builds = {
         "raw": lambda: _RawReplay(trace, table, mini_registry, config),
         "pull": lambda: _PullReplay(trace, table, mini_registry, config),
-        "mediated": lambda: _MediatedReplay(trace, corpus, config, []),
+        "mediated": lambda: _MediatedReplay(trace, corpus, config),
     }
     gc.collect()
     gc.disable()
@@ -1305,18 +1284,7 @@ def _known_fault(rules, med, raw, config):
     """The known fidelity fault a numeric case meets, or None; each is
     pinned by a strict xfail in ``test_known_fidelity_faults``. Fidelity is
     asserted only on cases that meet none."""
-    blind = {r.id for r in rules if r.uses_history
-             and any(not c.is_time and c.key() != r.trigger.key() for c in r.condition)}
-    if any(c.origin in blind for c in (*raw.p_commands, *med.p_commands)):
-        return "a pass-history rule that reads another key fired"
     sent = med.reported_events
-    unequal = [r.trigger for r in rules if r.trigger.operator is Operator.NE]
-    if any(e.kind == KIND_SYNC and e.provenance != ("repair",) and t.key() == e.key()
-           and t.satisfied_by(e.value) for e in sent for t in unequal):
-        return "a diffKeep prefix satisfies the != trigger"
-    if any(e.provenance == ("repair",) and later.kind == KIND_REPORT and later.key() == e.key()
-           and later.timestamp == e.timestamp for i, e in enumerate(sent) for later in sent[i:]):
-        return "a repair moves the key its trigger report is about to cross"
     reads_own = {r.id for r in rules if any(c.key() == r.trigger.key() for c in r.condition)}
     if any(e.kind == KIND_EXPIRY and e.tag in reads_own for e in sent):
         return "an expiry reports its start value to a condition on the same key"
@@ -1367,13 +1335,55 @@ def test_numeric_packs_keep_fidelity_and_cells_long(mini_registry):
     _check_numeric_cases(mini_registry, 3000)
 
 
+# Three faults the numeric property found, now mended; each case at every
+# seed the property draws, and each fails before its fix.
 @pytest.mark.parametrize("rules, trace", [
-    # The policy of a pass-history rule reports only its trigger key, so the
-    # platform tests the condition on the humidity's initial 50.
+    # A pass-history rule's policy syncs its condition keys with its trigger,
+    # so the platform tests the condition on the true humidity, not on the
+    # initial 50 ...
     pytest.param(
         "r0: when ts1.temperature > 80 if am1.humidity > 50 then f1.switch := on pass-history",
         [Event("am1", "humidity", 51.0, 0), Event("ts1", "temperature", 81.0, 1000)],
         id="pass-history-condition"),
+    # ... and not on the initial 70, which would fire r0 where raw does not.
+    pytest.param(
+        "r0: when am1.humidity > 50 if ts1.temperature <= 70 then f1.switch := on pass-history\n"
+        "r1: when ps1.presence == present then sl1.switch := on",
+        [Event("ts1", "temperature", 70.5, 0), Event("am1", "humidity", 50.5, 0),
+         Event("ps1", "presence", "present", 1000)],
+        id="pass-history-stale-condition"),
+    # A clock trigger too: its policy syncs the presence before 00:02.
+    pytest.param(
+        "r0: when time.clock == 00:02 if ps1.presence == present then f1.switch := on "
+        "pass-history",
+        [Event("ps1", "presence", "present", 60_000)],
+        id="pass-history-clock-trigger"),
+    # The diffKeep prefix of a != trigger is the != value itself: any other
+    # mode would satisfy != away, so the report would fire nothing.
+    pytest.param(
+        "r0: when mode1.mode != away then f1.switch := on",
+        [Event("mode1", "mode", "away", 0), Event("mode1", "mode", "home", 1000)],
+        id="unequal-trigger-prefix"),
+    # r1 would fire on the platform's stale 70 and pass its condition there,
+    # but the platform tests that condition on the report itself, which
+    # fails it as the true 82 does: nothing is repaired, and r0's report
+    # still crosses into 80..86.
+    pytest.param(
+        "r0: when ts1.temperature in 80..86 then f1.switch := on\n"
+        "r1: when ts1.temperature in 80..86 if ts1.temperature in 60..70 "
+        "then sl1.switch := on",
+        [Event("ts1", "temperature", 82.0, 0)],
+        id="repair-on-the-trigger-key"),
+])
+def test_mended_fidelity_faults(mini_registry, rules, trace):
+    for seed in range(4):
+        raw, report = _fidelity(trace, parse_rules(rules, mini_registry), mini_registry,
+                                SimConfig(seed=seed))
+        assert raw.p_commands, "the case issues a command raw"
+        assert (report.r_s, report.r_c) == (1.0, 1.0), seed
+
+
+@pytest.mark.parametrize("rules, trace", [
     # r1's redundancy guard reads f1 off: r0's command reaches the fan one
     # round trip (report up, command down) after the presence, while the raw
     # platform's acts at once.
@@ -1382,22 +1392,6 @@ def test_numeric_packs_keep_fidelity_and_cells_long(mini_registry):
         "r1: when am1.motion == active then f1.switch := off",
         [Event("ps1", "presence", "present", 0), Event("am1", "motion", "active", 300)],
         id="command-within-round-trip"),
-    # The diffKeep prefix of the != trigger is any other mode; at seed 0 it is
-    # vacation, which also satisfies != away, so the report fires nothing.
-    pytest.param(
-        "r0: when mode1.mode != away then f1.switch := on",
-        [Event("mode1", "mode", "away", 0), Event("mode1", "mode", "home", 1000)],
-        id="unequal-trigger-prefix"),
-    # r1 fires on the platform's stale 70, which its condition passes, so the
-    # temperature is repaired into the true cell (80, 86) first; then r0's
-    # report no longer crosses into 80..86. The platform would have tested
-    # r1's condition on the report itself.
-    pytest.param(
-        "r0: when ts1.temperature in 80..86 then f1.switch := on\n"
-        "r1: when ts1.temperature in 80..86 if ts1.temperature in 60..70 "
-        "then sl1.switch := on",
-        [Event("ts1", "temperature", 82.0, 0)],
-        id="repair-on-the-trigger-key"),
     # r0's report of home waits 300 ms behind its diffKeep prefix; r1 reports
     # the humidity's drop meanwhile, so the platform tests r0's condition on
     # it, while the raw platform tested it on the humidity at 1000.
