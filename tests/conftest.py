@@ -1,5 +1,6 @@
 import heapq
 from itertools import count
+from pathlib import Path
 
 import yaml
 import pytest
@@ -7,39 +8,11 @@ import pytest
 from flowgate.dsl import load_home, parse_rules
 
 
-MINI_HOME = {
-    "name": "mini",
-    "devices": [
-        {"id": "ps1", "label": "presence fob", "room": "office", "attributes": [
-            {"name": "presence", "kind": "binary", "values": ["present", "not-present"],
-             "active": "present", "initial": "not-present"},
-        ]},
-        {"id": "ts1", "label": "temperature sensor", "room": "office", "attributes": [
-            {"name": "temperature", "kind": "numeric", "initial": 70},
-        ]},
-        {"id": "am1", "label": "multisensor", "room": "office", "attributes": [
-            {"name": "humidity", "kind": "numeric", "initial": 50},
-            {"name": "motion", "kind": "binary", "values": ["active", "inactive"],
-             "active": "active", "initial": "inactive"},
-        ]},
-        {"id": "mo1", "label": "office motion", "room": "office", "attributes": [
-            {"name": "motion", "kind": "binary", "values": ["active", "inactive"],
-             "active": "active", "initial": "inactive"},
-        ]},
-        {"id": "f1", "label": "fan", "room": "office", "attributes": [
-            {"name": "switch", "kind": "binary", "values": ["on", "off"],
-             "active": "on", "initial": "off", "writable": True},
-        ]},
-        {"id": "sl1", "label": "light", "room": "office", "attributes": [
-            {"name": "switch", "kind": "binary", "values": ["on", "off"],
-             "active": "on", "initial": "off", "writable": True},
-        ]},
-        {"id": "mode1", "label": "mode hub", "room": "virtual", "attributes": [
-            {"name": "mode", "kind": "enumerated", "values": ["home", "away", "vacation"],
-             "initial": "home"},
-        ]},
-    ],
-}
+# The mini home of the unit tests and of the mini scenario: a presence fob,
+# a temperature sensor, a multisensor, a motion sensor, a fan, a light and
+# a three-member mode.
+MINI_HOME = yaml.safe_load(
+    (Path(__file__).resolve().parent.parent / "scenarios" / "mini" / "home.yaml").read_text())
 
 R1_TEXT = "r1: when ps1.presence == present if ts1.temperature > 86 then f1.switch := on"
 
