@@ -45,15 +45,20 @@ from .model import (
     Transitions,
     Value,
     cut_points,
+    guard_failure,
     minute_of_day,
     value_class,
 )
-from .platform_sim import FIRE, conditions_pass
-from .policy import CheckBlock, Method, MethodCall, Policy, PolicyOrigin, TriggerBlock
+from .platform_sim import FIRE
+from .policy import Method, MethodCall, Policy, PolicyOrigin, ReportDecision
 
 
 class EngineError(ModelError):
     """Configuration problem detected while executing policies."""
+
+
+def _unseeded(key: tuple[str, str]) -> Value:
+    raise EngineError(f"no state seeded for {key[0]}.{key[1]}")
 
 
 @dataclass
@@ -61,24 +66,18 @@ class StateStore:
     """DB (true current states) and DB* (last values reported upstream).
 
     ``read`` gives the current state of a key kept out of DB, or None; a
-    replay reads such keys off its trace. By default nothing is read.
+    replay reads such keys off its trace. Unset, it raises for every key.
     """
 
     db: dict[tuple[str, str], Value] = field(default_factory=dict)
     db_star: dict[tuple[str, str], Value] = field(default_factory=dict)
-    read: Callable[[tuple[str, str]], Optional[Value]] = {}.get
-
-    @classmethod
-    def seeded(cls, initial: dict[tuple[str, str], Value]) -> "StateStore":
-        return cls(dict(initial), dict(initial))
+    read: Callable[[tuple[str, str]], Optional[Value]] = _unseeded
 
     def current(self, key: tuple[str, str]) -> Value:
         value = self.db.get(key)
         if value is None:
             value = self.read(key)
-        if value is None:
-            raise EngineError(f"no state seeded for {key[0]}.{key[1]}")
-        return value
+        return _unseeded(key) if value is None else value
 
     def last_reported(self, key: tuple[str, str]) -> Value:
         if key not in self.db_star:
@@ -86,7 +85,7 @@ class StateStore:
         return self.db_star[key]
 
 
-@dataclass
+@dataclass(slots=True)
 class TimerState:
     """A running timer: the start policy that armed it and the value it reports."""
 
@@ -109,41 +108,13 @@ class Emission(NamedTuple):
         return (self.device, self.attribute)
 
 
-class ReportDecision(NamedTuple):
-    """Disposition for one attribute produced by one policy evaluation."""
-
-    device: str
-    attribute: str
-    method: MethodCall                 # block() suppresses the attribute
-    provenance: tuple[str, ...] = ()
-    origin: PolicyOrigin = PolicyOrigin.AUTOMATION
-
-    def key(self) -> tuple[str, str]:
-        return (self.device, self.attribute)
-
-
-def _block_decision(
-    policy: Policy,
-    block: TriggerBlock | CheckBlock,
-    subject: str,
-    attribute: str,
-    store: StateStore,
-) -> Optional[ReportDecision]:
-    """Branch resolution for one TRIGGER or CHECK block against DB*; a
-    branch is always a device atom on the block's own key."""
-    chosen = block.run_action
-    branch = block.branch
-    if branch is not None and not branch.satisfied_by(store.last_reported((subject, attribute))):
-        chosen = block.else_action
-    if chosen is None:
-        return None
-    return ReportDecision(
-        device=subject,
-        attribute=attribute,
-        method=chosen,
-        provenance=(policy.id,),
-        origin=policy.origin,
-    )
+def _block_decision(store: StateStore, key: tuple[str, str], branch: Optional[Callable[[Value], bool]],
+                    run: Optional[ReportDecision], otherwise: Optional[ReportDecision]
+                    ) -> Optional[ReportDecision]:
+    """A block's decision on ``key`` from its ``Choice``: ``run``, unless its branch fails on DB*."""
+    if branch is None or branch(store.last_reported(key)):
+        return run
+    return otherwise
 
 
 def _run_checks(policy: Policy, store: StateStore, clock: int) -> Optional[list[ReportDecision]]:
@@ -152,18 +123,10 @@ def _run_checks(policy: Policy, store: StateStore, clock: int) -> Optional[list[
     Returns the blocks' report decisions, or ``None`` when a fetched state
     fails its check and the policy execution aborts.
     """
-    db = store.db
-    for cb in policy.check_blocks:
-        fetch = cb.fetch
-        state = minute_of_day(clock) if fetch.is_time else db.get(fetch.key())
-        if not fetch.satisfied_by(store.current(fetch.key()) if state is None else state):
-            return None
-    decisions: list[ReportDecision] = []
-    for cb in policy.check_blocks:
-        d = _block_decision(policy, cb, cb.fetch.subject, cb.fetch.attribute, store)
-        if d is not None:
-            decisions.append(d)
-    return decisions
+    if guard_failure(policy.guard, clock, store.db.get, store.read) is not None:
+        return None
+    decided = [_block_decision(store, *choice) for choice in policy.check_choices]
+    return [d for d in decided if d is not None]
 
 
 def evaluate_policy(
@@ -178,9 +141,9 @@ def evaluate_policy(
     decisions = _run_checks(policy, store, clock)
     if decisions is None:
         return []
-    d = _block_decision(policy, policy.trigger_block, key[0], key[1], store)
-    if d is not None:
-        decisions.append(d)
+    d = _block_decision(store, key, *policy.trigger_choice[1:])
+    if d is not None:   # a device wildcard's decision names the attribute ``*``
+        decisions.append(d if d.attribute == key[1] else d._replace(attribute=key[1]))
     return decisions
 
 
@@ -233,7 +196,7 @@ class PolicyEngine:
         self.rules = corpus.rules
         self.schedule = schedule
         self.rng = random.Random(seed)
-        self.store = StateStore.seeded(corpus.registry.initial_states())
+        self.store = StateStore(corpus.registry.initial_states(), corpus.registry.initial_states())
         self.timers: dict[str, TimerState] = {}   # running timers by id
         # The one delayed report not yet sent, per key.
         self._pending_reports: dict[tuple[str, str], Emission] = {}
@@ -275,6 +238,7 @@ class PolicyEngine:
             key: Transitions(partial(_repair_candidates, moves.derive), moves.cuts)
             for key, moves in self.rules.on_key.items()
         }
+        self._prefixes: dict[tuple[tuple[str, str], Value, Value], list[Value]] = {}  # diffKeep prefixes
 
     # -- event processing ------------------------------------------------------
 
@@ -289,23 +253,31 @@ class PolicyEngine:
         out = self._flush_key_pending(key, ts) if pending and key in pending else []
         db[key] = value
         transitions = self._dispatch.get(key)
+        if transitions is None:
+            return out
         # Only an edge fires a trigger: the raw stream would not have fired either.
-        fired = () if transitions is None else transitions(prev, value)
+        fired = transitions.memo.get((prev, value)) if transitions.cuts is None else None
+        if fired is None:
+            fired = transitions(prev, value)
         if not fired:
             return out
 
         decisions: list[ReportDecision] = []
+        sanctioned: list[str] = []   # the rules whose policy passed its checks
         for policy, is_timer in fired:
             if is_timer:
                 self._apply_timer_policy(policy, value, ts)
-            else:
-                decisions.extend(evaluate_policy(key, policy, self.store, ts))
+                continue
+            ds = evaluate_policy(key, policy, self.store, ts)
+            decisions.extend(ds)
+            if ds and policy.origin is PolicyOrigin.AUTOMATION:
+                sanctioned.append(policy.source_id)
 
         # Each user policy on the key ran the checks _up_suppresses runs and
         # decides whenever they pass: nothing decided means no user
         # disposition either, so the event stays blocked.
         if decisions:
-            out.extend(self._merge_and_emit(key, value, prev, decisions, ts))
+            out.extend(self._merge_and_emit(key, value, prev, decisions, sanctioned, ts))
         return out
 
     def tick(self, now: int, work: Emission | TimerState) -> list[Emission]:
@@ -390,6 +362,7 @@ class PolicyEngine:
         current: Value,
         prev: Value,
         decisions: list[ReportDecision],
+        sanctioned: list[str],
         now: int,
     ) -> list[Emission]:
         # User policies come first and decide whenever their checks pass, so
@@ -401,21 +374,20 @@ class PolicyEngine:
 
         # 1. Check reports (silent syncs) for every non-trigger attribute.
         device, attribute = ekey
-        if all(d.device == device and d.attribute == attribute for d in decisions):
-            out: list[Emission] = []
-        else:
-            out = self._emit_sync_decisions([d for d in decisions if d.key() != ekey], now)
-            decisions = [d for d in decisions if d.key() == ekey]
+        checks = [d for d in decisions if d.attribute != attribute or d.device != device]
+        out = self._emit_sync_decisions(checks, now) if checks else []
+        if checks:
+            decisions = [d for d in decisions if d.attribute == attribute and d.device == device]
 
         # 2. The trigger report plan (prefix sync + report), not yet emitted.
         trigger_plan, trig_prov = self._trigger_plan(ekey, current, prev, decisions)
 
         # 3. Consistency repairs computed against the planned platform view.
-        out.extend(self._consistency_repairs(ekey, trigger_plan, now))
+        out.extend(self._consistency_repairs(ekey, trigger_plan, sanctioned, now))
 
         # 4. Emit the trigger plan; a delayed report is scheduled and pending.
         for value, delay, kind in trigger_plan:
-            emission = Emission(ekey[0], ekey[1], value, now + delay, kind, provenance=trig_prov)
+            emission = Emission(ekey[0], ekey[1], value, now + delay, kind, "", trig_prov)
             if delay > 0:
                 self._pending_reports[ekey] = emission
                 self.schedule(now + delay, emission)
@@ -442,13 +414,14 @@ class PolicyEngine:
             return [], provenance
         diff = next((m for m in methods if m.method is Method.DIFF_KEEP), None)
         if diff is not None:
-            others = [v for v in self.corpus.registry.lookup(*key).values if v != current]
-            if not others:
-                raise EngineError(f"diffKeep has no other value of {key[0]}.{key[1]} to send first")
-            if len(others) > 1:
+            others = self._prefixes.get((key, prev, current))
+            if others is None:
+                others = [v for v in self.corpus.registry.lookup(*key).values if v != current]
+                if not others:
+                    raise EngineError(f"diffKeep has no other value of {key[0]}.{key[1]} to send first")
                 fired = self._dispatch[key]
-                same = fired(prev, current)
-                others = [p for p in others if fired(p, current) == same]
+                others = self._prefixes[key, prev, current] = [
+                    p for p in others if fired(p, current) == fired(prev, current)]
             prefix = others[0] if len(others) == 1 else others[self.rng.randrange(len(others))]
             return [(prefix, 0, KIND_SYNC), (current, diff.delay_ms, KIND_REPORT)], provenance
         report = (self._reported(key, methods, current), 0, KIND_REPORT)
@@ -498,6 +471,7 @@ class PolicyEngine:
         self,
         key: tuple[str, str],
         trigger_plan: list[tuple[Value, int, str]],
+        sanctioned: list[str],
         now: int,
     ) -> list[Emission]:
         """Silent repairs so stale platform state cannot fire unsanctioned rules.
@@ -506,9 +480,9 @@ class PolicyEngine:
         report is about to fire on the platform: if a device condition fails
         on true state but would pass there, report an obfuscated value of
         that condition so the platform's check fails too. A rule whose policy
-        passed its checks here has no failing condition. Redundancy-only
-        suppressions are left alone; the raw pipeline issues the same
-        (redundant) command.
+        passed its checks here (its id is in ``sanctioned``) has no failing
+        condition, so it is not tested again. Redundancy-only suppressions
+        are left alone; the raw pipeline issues the same (redundant) command.
         """
         candidates = self._repair_candidates.get(key)
         if candidates is None:
@@ -517,7 +491,8 @@ class PolicyEngine:
         platform_prev = self.store.last_reported(key)
         for value, _, kind in trigger_plan:
             if kind == KIND_REPORT:
-                repairs.extend(self._repairs(candidates(platform_prev, value), now, (key, value)))
+                rules = [r for r in candidates(platform_prev, value) if r.id not in sanctioned]
+                repairs.extend(self._repairs(rules, now, (key, value)))
             platform_prev = value
         return repairs
 
@@ -526,25 +501,18 @@ class PolicyEngine:
         """One repair per rule of ``rules`` that true state stops but whose
         conditions pass on DB*, with the ``(key, value)`` ``report`` that
         fires it stored first, as the platform stores it."""
-        last_reported = self.store.last_reported
-        for rule in rules:
-            failing = self._first_repairable_condition(rule)
-            if failing is None:
-                continue
-            state = last_reported
-            if report is not None:
-                key, value = report
-                state = lambda k: value if k == key else last_reported(k)
-            if conditions_pass(rule, now, state):
-                yield self._repair_emission(failing, now)
+        store = self.store
+        get = store.db_star.get if report is None else dict((report,)).get
+        for rule in rules:   # most rules fail on DB*, so that is tested first
+            if guard_failure(rule.guard, now, get, store.last_reported) is None:
+                failing = self._first_repairable_condition(rule)
+                if failing is not None:
+                    yield self._repair_emission(failing, now)
 
     def _first_repairable_condition(self, rule: Rule) -> Optional[Constraint]:
-        for c in rule.condition:
-            if c.is_time:
-                continue  # the platform clock never goes stale
-            if not c.satisfied_by(self.store.current(c.key())):
-                return c
-        return None
+        """The first device condition of ``rule`` that true state fails; the clock never goes stale."""
+        failing = guard_failure(rule.guard, None, self.store.db.get, self.store.read)
+        return None if failing is None else rule.condition[failing]
 
     def _repair_emission(self, c: Constraint, now: int) -> Emission:
         """A sync of ``c``'s key that fails ``c`` as its true value does: a
@@ -568,7 +536,7 @@ class PolicyEngine:
         """Emit merged check reports as silent syncs, one key at a time in key order."""
         by_key: dict[tuple[str, str], list[ReportDecision]] = {}
         for d in decisions:
-            by_key.setdefault(d.key(), []).append(d)
+            by_key.setdefault((d.device, d.attribute), []).append(d)
         out: list[Emission] = []
         for key in sorted(by_key):
             if self._up_suppresses(key, now):
@@ -577,6 +545,8 @@ class PolicyEngine:
             if not methods:
                 continue
             value = self._reported(key, methods, self.store.current(key))
+            if value == self.store.db_star.get(key):
+                continue   # the platform holds it already, or will first
             out.append(self._emit(Emission(key[0], key[1], value, now, KIND_SYNC,
                                            provenance=provenance)))
         return out

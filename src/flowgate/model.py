@@ -20,6 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import chain, repeat
 from random import Random
 from typing import Any, Callable, NamedTuple, Optional, Union
@@ -427,9 +428,7 @@ def _constraint_test(op: Operator, ref: object) -> Callable[[Value], bool]:
     if (op is Operator.EQ or op is Operator.NE) and (
         isinstance(ref, bool) or not isinstance(ref, (int, float))
     ):
-        if op is Operator.EQ:
-            return lambda value: value == ref
-        return lambda value: value != ref
+        return partial(operator.eq if op is Operator.EQ else operator.ne, ref)
     compare = _NUMERIC_TESTS[op]
     try:
         number = float(ref)  # type: ignore[arg-type]
@@ -447,8 +446,8 @@ class Constraint:
     the atom becomes true on this event. That covers both the platform's
     binary de-duplication (an equal value fires no event) and
     threshold-crossing for numeric triggers. Both are built once, at
-    construction, by ``_constraint_test``, and ``is_time`` is set then too;
-    equality, hash and repr still use only the five fields below.
+    construction, by ``_constraint_test``, as are ``is_time`` and the tuple
+    ``key()`` returns; equality, hash and repr still use only the five fields below.
     """
 
     type: str                      # "device" | "time"
@@ -465,9 +464,10 @@ class Constraint:
         object.__setattr__(self, "satisfied_by", test)
         object.__setattr__(self, "fires", lambda new, prev: test(new) and not test(prev))
         object.__setattr__(self, "is_time", self.type == "time")
+        object.__setattr__(self, "_key", (self.subject, self.attribute))
 
     def key(self) -> tuple[str, str]:
-        return (self.subject, self.attribute)
+        return self._key
 
     def cut_points(self) -> tuple[float, ...]:
         """Numbers where a numeric atom's truth can flip: both ends of a range, none for ``any``."""
@@ -487,6 +487,34 @@ class Constraint:
         if self.is_time and self.operator is Operator.EQ:
             return f"{self.subject}.{self.attribute} == {format_hhmm(int(self.value))}"  # type: ignore[arg-type]
         return f"{self.subject}.{self.attribute} {self.operator.value} {format_value(self.value)}"
+
+
+# A conjunction of atoms compiled once: each atom's (key, None for the clock; test).
+Guard = tuple[tuple[Optional[tuple[str, str]], Callable[[Value], bool]], ...]
+
+
+def guard_of(atoms: Iterable[Constraint]) -> Guard:
+    return tuple((None if c.is_time else c.key(), c.satisfied_by) for c in atoms)
+
+
+def guard_failure(guard: Guard, clock: Optional[int], get: Callable[[tuple[str, str]], Optional[Value]],
+                  fallback: Callable[[tuple[str, str]], Optional[Value]]) -> Optional[int]:
+    """The index of the first atom of ``guard`` that fails, or None: a clock
+    atom tests ``clock``'s minute of day (skipped if ``clock`` is None), a
+    device atom ``get(key)``, else ``fallback(key)``; None fails it."""
+    i = 0
+    for key, test in guard:
+        if key is None:
+            if clock is not None and not test(clock // MS_PER_MINUTE % MINUTES_PER_DAY):
+                return i
+        else:
+            value = get(key)
+            if value is None:
+                value = fallback(key)
+            if value is None or not test(value):
+                return i
+        i += 1
+    return None
 
 
 def format_value(value: object) -> str:
@@ -528,13 +556,13 @@ class Transitions:
     exact, and finite.
     """
 
-    __slots__ = ("derive", "cuts", "_memo")
+    __slots__ = ("derive", "cuts", "memo")
 
     def __init__(self, derive: Callable[[Value, Value], tuple[Any, ...]],
                  cuts: Optional[Sequence[float]]):
         self.derive = derive
         self.cuts = cuts
-        self._memo: dict[tuple[object, object], tuple[Any, ...]] = {}
+        self.memo: dict[tuple[object, object], tuple[Any, ...]] = {}
 
     def __call__(self, prev: Value, value: Value) -> tuple[Any, ...]:
         cuts = self.cuts
@@ -542,9 +570,9 @@ class Transitions:
             classes: tuple[object, object] = (prev, value)
         else:
             classes = (value_class(cuts, prev), value_class(cuts, value))  # type: ignore[arg-type]
-        outcome = self._memo.get(classes)
+        outcome = self.memo.get(classes)
         if outcome is None:
-            outcome = self._memo[classes] = self.derive(prev, value)
+            outcome = self.memo[classes] = self.derive(prev, value)
         return outcome
 
 
@@ -631,6 +659,10 @@ class Rule:
     condition_timer: Optional[ConditionTimer] = None
     actions: tuple[RuleAction, ...] = ()
     uses_history: bool = False
+    guard: Guard = field(init=False, repr=False, compare=False)   # the conditions
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "guard", guard_of(self.condition))
 
     def validate(self, registry: Registry) -> None:
         """Check every atom and action against ``registry``; errors name the rule."""

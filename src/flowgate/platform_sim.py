@@ -22,7 +22,7 @@ trigger again.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Optional
 
@@ -37,6 +37,7 @@ from .model import (
     Transitions,
     Value,
     cut_points,
+    guard_failure,
     minute_of_day,
 )
 
@@ -75,6 +76,7 @@ class RuleTable:
     * ``keys`` -- the keys the rules trigger on or command.
     * ``thresholds[key]`` -- the sorted cut points of the numeric atoms the
       rules test on ``key``: triggers, and the atoms held-duration timers watch.
+    Each rule's action values are held in canonical form, checked once.
     """
 
     def __init__(self, rules: Iterable[Rule], registry: Registry, gated: Iterable[str] = ()):
@@ -85,6 +87,9 @@ class RuleTable:
         self.keys: set[tuple[str, str]] = set()
         atoms: dict[tuple[str, str], list] = {}
         for rule in rules:
+            rule = replace(rule, actions=tuple(
+                replace(a, value=registry.lookup(a.device, a.attribute).validate_value(a.value))
+                for a in rule.actions))
             trig = rule.trigger
             self.keys.update((a.device, a.attribute) for a in rule.actions)
             if trig.is_time:
@@ -103,16 +108,6 @@ class RuleTable:
         self.thresholds = {key: cut_points(a) for key, a in atoms.items()}
         self.on_key = {key: Transitions(partial(_moves, rs), self.thresholds.get(key))
                        for key, rs in on_key.items()}
-
-
-def conditions_pass(rule: Rule, ts: int, state: Callable[[tuple[str, str]], Optional[Value]]) -> bool:
-    """Whether every condition of ``rule`` holds at ``ts``: a time atom on
-    the clock, a device atom on ``state(key)`` (None fails it)."""
-    for c in rule.condition:
-        value = minute_of_day(ts) if c.is_time else state(c.key())
-        if value is None or not c.satisfied_by(value):
-            return False
-    return True
 
 
 @dataclass
@@ -194,12 +189,8 @@ class SimulatedPlatform:
 
     # -- rule execution --------------------------------------------------------------
 
-    def _state(self, key: tuple[str, str]) -> Optional[Value]:
-        value = self.db.get(key)
-        return self.read(key) if value is None else value
-
     def _fire_rule(self, rule: Rule, ts: int) -> None:
-        if conditions_pass(rule, ts, self._state):
+        if guard_failure(rule.guard, ts, self.db.get, self.read) is None:   # its conditions hold
             self._execute_actions(rule, ts)
 
     def _execute_actions(self, rule: Rule, ts: int) -> None:

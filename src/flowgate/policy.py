@@ -8,11 +8,12 @@ based on the last value reported upstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .model import Constraint, DailyWindow, ModelError, Operator, Registry, format_value
+from .model import (Constraint, DailyWindow, Guard, ModelError, Operator, Registry, Value,
+                    format_value, guard_of)
 
 
 class Method(Enum):
@@ -97,8 +98,29 @@ class PolicyOrigin(Enum):
     USER = "user"
 
 
+class ReportDecision(NamedTuple):
+    """Disposition for one attribute produced by one policy evaluation."""
+
+    device: str
+    attribute: str
+    method: MethodCall                 # block() suppresses the attribute
+    provenance: tuple[str, ...] = ()
+    origin: PolicyOrigin = PolicyOrigin.AUTOMATION
+
+    def key(self) -> tuple[str, str]:
+        return (self.device, self.attribute)
+
+
+# A block's (key, branch test on its DB* value, run decision, else decision); the last three may be None.
+Choice = tuple[tuple[str, str], Optional[Callable[[Value], bool]],
+               Optional[ReportDecision], Optional[ReportDecision]]
+
+
 @dataclass(frozen=True)
 class Policy:
+    """A policy. Its CHECK fetches are compiled into ``guard``, and the report decisions of
+    its TRIGGER block and of each CHECK block that has a report method are built once."""
+
     id: str
     origin: PolicyOrigin
     source_id: str                          # rule id or user policy id
@@ -108,6 +130,22 @@ class Policy:
     timer_start: Optional[str] = None       # startTimer(id) + addCallback on trigger
     timer_stop: Optional[str] = None        # stopTimer(id) on trigger
     timer_duration_ms: int = 0
+    guard: Guard = field(init=False, repr=False, compare=False)
+    trigger_choice: Choice = field(init=False, repr=False, compare=False)
+    check_choices: tuple[Choice, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        def choice(block: TriggerBlock | CheckBlock, atom: Constraint) -> Choice:
+            key = atom.key()
+            run, otherwise = (None if m is None else ReportDecision(*key, m, (self.id,), self.origin)
+                              for m in (block.run_action, block.else_action))
+            return key, (None if block.branch is None else block.branch.satisfied_by), run, otherwise
+
+        object.__setattr__(self, "guard", guard_of(cb.fetch for cb in self.check_blocks))
+        object.__setattr__(self, "trigger_choice", choice(self.trigger_block, self.trigger_block.match))
+        object.__setattr__(self, "check_choices", tuple(
+            choice(cb, cb.fetch) for cb in self.check_blocks
+            if cb.run_action is not None or cb.else_action is not None))
 
 
 @dataclass(frozen=True)

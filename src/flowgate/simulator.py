@@ -60,6 +60,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from itertools import count
 from operator import attrgetter
 from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Optional
@@ -101,13 +102,12 @@ class DeviceFarm:
     """True device states; actuations produce state-change events."""
 
     def __init__(self, registry: Registry):
-        self.registry = registry
         self.states: dict[tuple[str, str], Value] = dict(registry.initial_states())
 
     def actuate(self, command: Command, now: int) -> Optional[Event]:
-        """Apply ``command`` at ``now``; the state change it makes, or None."""
+        """Apply ``command`` (a ``RuleTable`` value) at ``now``; the state change it makes, or None."""
         device, attribute = key = command.device, command.attribute
-        value = self.registry.lookup(device, attribute).validate_value(command.value)
+        value = command.value
         if self.states.get(key) == value:
             return None
         self.states[key] = value
@@ -199,14 +199,13 @@ class _Replay:
         self.streamed = rules.keys | (set(self._trace.keys) - self.farm.states.keys())
         self.horizon = self._trace.end + GRACE_MS
         self._heap: list[tuple[int, int, _Handler, Any]] = []
-        self._seq = 0
+        self._seq = count(1).__next__   # push order among entries due at one time
         self.instants = _daily_instants(rules.minutes, self.horizon)
         for ts in self.instants:
             self.push(ts, self._platform_time, None)
 
     def push(self, when: int, handler: _Handler, payload: Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, handler, payload))
+        heapq.heappush(self._heap, (when, self._seq(), handler, payload))
 
     def trace_read_keys(self) -> set[tuple[str, str]]:
         """The keys whose states are read off the trace: every key not streamed."""
@@ -334,7 +333,7 @@ class _MediatedReplay(_Replay):
             self._report(emissions)
 
     def _schedule_engine(self, when: int, work: Emission | TimerState) -> None:
-        self.push(when, self._engine_tick, work)
+        heapq.heappush(self._heap, (when, self._seq(), self._engine_tick, work))
 
     def _engine_tick(self, now: int, work: Emission | TimerState) -> None:
         self._report(self.engine.tick(now, work))
@@ -345,7 +344,7 @@ class _MediatedReplay(_Replay):
 
     def _report(self, emissions: list[Emission]) -> None:
         for e in emissions:
-            self.push(e.timestamp + self.latency, self._deliver, e)
+            heapq.heappush(self._heap, (e.timestamp + self.latency, self._seq(), self._deliver, e))
 
     def _deliver(self, now: int, e: Emission) -> None:
         self.artifacts.reported_events.append(e)

@@ -3,12 +3,15 @@
 import math
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
-from flowgate.dsl import parse_rules
-from flowgate.model import AttributeKind
+from flowgate.dsl import load_home, parse_rules
+from flowgate.model import (AttributeKind, Event, ModelError, Operator, Rule, RuleAction,
+                            device_constraint)
 from flowgate.platform_sim import RuleTable, SimulatedPlatform, _NativeTimer
-from tests.conftest import Deadlines, run_due
+from flowgate.simulator import run_raw
+from tests.conftest import MINI_HOME, Deadlines, run_due
 
 # Binary, enumerated and numeric triggers (>, >=, !=, in-range, <=), a
 # delayed action, and held-duration rules on a binary and on two numeric
@@ -151,3 +154,21 @@ def test_rule_table_matches_scanning_platform(platform_rules, mini_registry):
 @pytest.mark.slow
 def test_rule_table_matches_scanning_platform_long(platform_rules, mini_registry):
     _check_random(platform_rules, mini_registry, 3000)
+
+
+def test_rule_table_holds_canonical_action_values():
+    # A rule built in code may command a number as text; the table holds it
+    # as the float the device stores, and rejects a value out of bounds.
+    registry = load_home(yaml.safe_dump({**MINI_HOME, "devices": [*MINI_HOME["devices"], {
+        "id": "th1", "attributes": [{"name": "setpoint", "kind": "numeric", "min": 50,
+                                     "max": 90, "initial": 68, "writable": True}]}]}))
+    trigger = device_constraint("ps1", "presence", Operator.EQ, "present")
+    rule = Rule("rs", trigger, actions=(RuleAction("th1", "setpoint", "72"),))
+    table = RuleTable([rule], registry)
+    [held] = table.on_key[("ps1", "presence")]("not-present", "present")
+    assert held[1].actions[0].value == 72.0 and isinstance(held[1].actions[0].value, float)
+    trace = [Event("ps1", "presence", "present", 1000)]
+    assert [(e.key(), e.value) for e in run_raw(trace, [rule], registry).actuations] == [
+        (("th1", "setpoint"), 72.0)]
+    with pytest.raises(ModelError):
+        RuleTable([Rule("rx", trigger, actions=(RuleAction("th1", "setpoint", 95.0),))], registry)
