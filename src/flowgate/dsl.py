@@ -175,13 +175,14 @@ def _parse_value(tok: _Tokens) -> Value:
     return tok.next("word")[1]
 
 
-def _checked(check: Callable[[T], None], item: T, line: int, col: int) -> T:
-    """``item``, once ``check`` accepts it; its error gains the position."""
+def _checked(check: Callable[[T], Optional[T]], item: T, line: int, col: int) -> T:
+    """``item`` once ``check`` accepts it, in the form ``check`` returns if any;
+    its error gains the position."""
     try:
-        check(item)
+        checked = check(item)
     except ModelError as exc:
         raise ParseError(str(exc), line, col) from None
-    return item
+    return item if checked is None else checked
 
 
 def _parse_action(tok: _Tokens, registry: Registry, line: int) -> RuleAction:

@@ -253,31 +253,23 @@ class PolicyEngine:
         out = self._flush_key_pending(key, ts) if pending and key in pending else []
         db[key] = value
         transitions = self._dispatch.get(key)
-        if transitions is None:
-            return out
         # Only an edge fires a trigger: the raw stream would not have fired either.
-        fired = transitions.memo.get((prev, value)) if transitions.cuts is None else None
-        if fired is None:
-            fired = transitions(prev, value)
+        fired = () if transitions is None else transitions(prev, value)
         if not fired:
             return out
 
         decisions: list[ReportDecision] = []
-        sanctioned: list[str] = []   # the rules whose policy passed its checks
         for policy, is_timer in fired:
             if is_timer:
                 self._apply_timer_policy(policy, value, ts)
                 continue
-            ds = evaluate_policy(key, policy, self.store, ts)
-            decisions.extend(ds)
-            if ds and policy.origin is PolicyOrigin.AUTOMATION:
-                sanctioned.append(policy.source_id)
+            decisions.extend(evaluate_policy(key, policy, self.store, ts))
 
         # Each user policy on the key ran the checks _up_suppresses runs and
         # decides whenever they pass: nothing decided means no user
         # disposition either, so the event stays blocked.
         if decisions:
-            out.extend(self._merge_and_emit(key, value, prev, decisions, sanctioned, ts))
+            out.extend(self._merge_and_emit(key, value, prev, decisions, ts))
         return out
 
     def tick(self, now: int, work: Emission | TimerState) -> list[Emission]:
@@ -362,7 +354,6 @@ class PolicyEngine:
         current: Value,
         prev: Value,
         decisions: list[ReportDecision],
-        sanctioned: list[str],
         now: int,
     ) -> list[Emission]:
         # User policies come first and decide whenever their checks pass, so
@@ -383,7 +374,7 @@ class PolicyEngine:
         trigger_plan, trig_prov = self._trigger_plan(ekey, current, prev, decisions)
 
         # 3. Consistency repairs computed against the planned platform view.
-        out.extend(self._consistency_repairs(ekey, trigger_plan, sanctioned, now))
+        out.extend(self._consistency_repairs(ekey, trigger_plan, now))
 
         # 4. Emit the trigger plan; a delayed report is scheduled and pending.
         for value, delay, kind in trigger_plan:
@@ -471,7 +462,6 @@ class PolicyEngine:
         self,
         key: tuple[str, str],
         trigger_plan: list[tuple[Value, int, str]],
-        sanctioned: list[str],
         now: int,
     ) -> list[Emission]:
         """Silent repairs so stale platform state cannot fire unsanctioned rules.
@@ -480,9 +470,9 @@ class PolicyEngine:
         report is about to fire on the platform: if a device condition fails
         on true state but would pass there, report an obfuscated value of
         that condition so the platform's check fails too. A rule whose policy
-        passed its checks here (its id is in ``sanctioned``) has no failing
-        condition, so it is not tested again. Redundancy-only suppressions
-        are left alone; the raw pipeline issues the same (redundant) command.
+        passed its checks here has no failing condition. Redundancy-only
+        suppressions are left alone; the raw pipeline issues the same
+        (redundant) command.
         """
         candidates = self._repair_candidates.get(key)
         if candidates is None:
@@ -491,8 +481,7 @@ class PolicyEngine:
         platform_prev = self.store.last_reported(key)
         for value, _, kind in trigger_plan:
             if kind == KIND_REPORT:
-                rules = [r for r in candidates(platform_prev, value) if r.id not in sanctioned]
-                repairs.extend(self._repairs(rules, now, (key, value)))
+                repairs.extend(self._repairs(candidates(platform_prev, value), now, (key, value)))
             platform_prev = value
         return repairs
 

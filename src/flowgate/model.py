@@ -160,12 +160,13 @@ class Registry:
         elif c.value not in desc.values:
             raise ModelError(f"{c.value!r} is not a value of {name}")
 
-    def check_action(self, act: RuleAction) -> None:
-        """Reject an action whose target is read-only or cannot take its value."""
+    def check_action(self, act: RuleAction) -> RuleAction:
+        """``act`` with its value in canonical form; rejects an action whose
+        target is read-only or cannot take its value."""
         desc = self.lookup(act.device, act.attribute)
         if not desc.writable:
             raise ModelError(f"{act.device}.{act.attribute} is not writable")
-        desc.validate_value(act.value)
+        return RuleAction(act.device, act.attribute, desc.validate_value(act.value), act.delay_ms)
 
     def initial_state(self, device: str, attribute: str) -> Value:
         desc = self.lookup(device, attribute)
@@ -505,7 +506,7 @@ def guard_failure(guard: Guard, clock: Optional[int], get: Callable[[tuple[str, 
     i = 0
     for key, test in guard:
         if key is None:
-            if clock is not None and not test(clock // MS_PER_MINUTE % MINUTES_PER_DAY):
+            if clock is not None and not test(minute_of_day(clock)):
                 return i
         else:
             value = get(key)
@@ -556,13 +557,13 @@ class Transitions:
     exact, and finite.
     """
 
-    __slots__ = ("derive", "cuts", "memo")
+    __slots__ = ("derive", "cuts", "_memo")
 
     def __init__(self, derive: Callable[[Value, Value], tuple[Any, ...]],
                  cuts: Optional[Sequence[float]]):
         self.derive = derive
         self.cuts = cuts
-        self.memo: dict[tuple[object, object], tuple[Any, ...]] = {}
+        self._memo: dict[tuple[object, object], tuple[Any, ...]] = {}
 
     def __call__(self, prev: Value, value: Value) -> tuple[Any, ...]:
         cuts = self.cuts
@@ -570,9 +571,9 @@ class Transitions:
             classes: tuple[object, object] = (prev, value)
         else:
             classes = (value_class(cuts, prev), value_class(cuts, value))  # type: ignore[arg-type]
-        outcome = self.memo.get(classes)
+        outcome = self._memo.get(classes)
         if outcome is None:
-            outcome = self.memo[classes] = self.derive(prev, value)
+            outcome = self._memo[classes] = self.derive(prev, value)
         return outcome
 
 

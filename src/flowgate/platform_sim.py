@@ -22,7 +22,7 @@ trigger again.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional
 
@@ -76,7 +76,6 @@ class RuleTable:
     * ``keys`` -- the keys the rules trigger on or command.
     * ``thresholds[key]`` -- the sorted cut points of the numeric atoms the
       rules test on ``key``: triggers, and the atoms held-duration timers watch.
-    Each rule's action values are held in canonical form, checked once.
     """
 
     def __init__(self, rules: Iterable[Rule], registry: Registry, gated: Iterable[str] = ()):
@@ -87,9 +86,6 @@ class RuleTable:
         self.keys: set[tuple[str, str]] = set()
         atoms: dict[tuple[str, str], list] = {}
         for rule in rules:
-            rule = replace(rule, actions=tuple(
-                replace(a, value=registry.lookup(a.device, a.attribute).validate_value(a.value))
-                for a in rule.actions))
             trig = rule.trigger
             self.keys.update((a.device, a.attribute) for a in rule.actions)
             if trig.is_time:

@@ -60,7 +60,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from itertools import count
 from operator import attrgetter
 from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Optional
@@ -105,7 +104,8 @@ class DeviceFarm:
         self.states: dict[tuple[str, str], Value] = dict(registry.initial_states())
 
     def actuate(self, command: Command, now: int) -> Optional[Event]:
-        """Apply ``command`` (a ``RuleTable`` value) at ``now``; the state change it makes, or None."""
+        """Apply ``command`` at ``now``; the state change it makes, or None.
+        Its value is canonical: the parser checked its rule's action."""
         device, attribute = key = command.device, command.attribute
         value = command.value
         if self.states.get(key) == value:
@@ -199,13 +199,14 @@ class _Replay:
         self.streamed = rules.keys | (set(self._trace.keys) - self.farm.states.keys())
         self.horizon = self._trace.end + GRACE_MS
         self._heap: list[tuple[int, int, _Handler, Any]] = []
-        self._seq = count(1).__next__   # push order among entries due at one time
+        self._seq = 0
         self.instants = _daily_instants(rules.minutes, self.horizon)
         for ts in self.instants:
             self.push(ts, self._platform_time, None)
 
     def push(self, when: int, handler: _Handler, payload: Any) -> None:
-        heapq.heappush(self._heap, (when, self._seq(), handler, payload))
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, handler, payload))
 
     def trace_read_keys(self) -> set[tuple[str, str]]:
         """The keys whose states are read off the trace: every key not streamed."""
@@ -333,7 +334,7 @@ class _MediatedReplay(_Replay):
             self._report(emissions)
 
     def _schedule_engine(self, when: int, work: Emission | TimerState) -> None:
-        heapq.heappush(self._heap, (when, self._seq(), self._engine_tick, work))
+        self.push(when, self._engine_tick, work)
 
     def _engine_tick(self, now: int, work: Emission | TimerState) -> None:
         self._report(self.engine.tick(now, work))
@@ -344,7 +345,7 @@ class _MediatedReplay(_Replay):
 
     def _report(self, emissions: list[Emission]) -> None:
         for e in emissions:
-            heapq.heappush(self._heap, (e.timestamp + self.latency, self._seq(), self._deliver, e))
+            self.push(e.timestamp + self.latency, self._deliver, e)
 
     def _deliver(self, now: int, e: Emission) -> None:
         self.artifacts.reported_events.append(e)
@@ -407,10 +408,9 @@ def remove_redundant(
             state = last[1]
         else:
             state = values[i - 1] if i else initial.get(key)
-        value = registry.lookup(cmd.device, cmd.attribute).validate_value(cmd.value)
-        if state == value:
+        if state == cmd.value:
             continue
-        last_kept[key] = (cmd.timestamp, value)
+        last_kept[key] = (cmd.timestamp, cmd.value)
         kept.append(cmd)
     return kept
 

@@ -7,8 +7,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from flowgate.dsl import load_home, parse_rules
-from flowgate.model import (AttributeKind, Event, ModelError, Operator, Rule, RuleAction,
-                            device_constraint)
+from flowgate.model import AttributeKind, Event, ModelError, RuleAction
 from flowgate.platform_sim import RuleTable, SimulatedPlatform, _NativeTimer
 from flowgate.simulator import run_raw
 from tests.conftest import MINI_HOME, Deadlines, run_due
@@ -156,19 +155,18 @@ def test_rule_table_matches_scanning_platform_long(platform_rules, mini_registry
     _check_random(platform_rules, mini_registry, 3000)
 
 
-def test_rule_table_holds_canonical_action_values():
-    # A rule built in code may command a number as text; the table holds it
-    # as the float the device stores, and rejects a value out of bounds.
+def test_action_values_are_canonical_once_checked():
+    # An action's value is checked once, when its rule is parsed: the rule
+    # holds the float the device stores, so the replay applies commands as
+    # they are; a value out of bounds is rejected.
     registry = load_home(yaml.safe_dump({**MINI_HOME, "devices": [*MINI_HOME["devices"], {
         "id": "th1", "attributes": [{"name": "setpoint", "kind": "numeric", "min": 50,
                                      "max": 90, "initial": 68, "writable": True}]}]}))
-    trigger = device_constraint("ps1", "presence", Operator.EQ, "present")
-    rule = Rule("rs", trigger, actions=(RuleAction("th1", "setpoint", "72"),))
-    table = RuleTable([rule], registry)
-    [held] = table.on_key[("ps1", "presence")]("not-present", "present")
-    assert held[1].actions[0].value == 72.0 and isinstance(held[1].actions[0].value, float)
+    act = registry.check_action(RuleAction("th1", "setpoint", "72", 5))
+    assert act == RuleAction("th1", "setpoint", 72.0, 5) and isinstance(act.value, float)
+    [rule] = parse_rules("rs: when ps1.presence == present then th1.setpoint := 72", registry)
     trace = [Event("ps1", "presence", "present", 1000)]
     assert [(e.key(), e.value) for e in run_raw(trace, [rule], registry).actuations] == [
         (("th1", "setpoint"), 72.0)]
     with pytest.raises(ModelError):
-        RuleTable([Rule("rx", trigger, actions=(RuleAction("th1", "setpoint", 95.0),))], registry)
+        registry.check_action(RuleAction("th1", "setpoint", 95.0))

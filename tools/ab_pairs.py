@@ -27,18 +27,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Which way each end-to-end metric improves, when a checkout's
-# BENCHMARK.json does not say.
-BETTER = {
-    "run_s": "lower",
-    "setup_s": "lower",
-    "mediated_events_per_s": "higher",
-    "peak_rss_mb": "lower",
-    "r_s": "higher",
-    "r_c": "higher",
-    "aggregate_rr": "higher",
-}
-
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``; its final JSON line."""
@@ -57,10 +45,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def directions(checkout: Path) -> dict[str, str]:
-    path = checkout / "BENCHMARK.json"
-    if not path.is_file():
-        return BETTER
-    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+    """Which way each end-to-end metric improves, from ``checkout``'s BENCHMARK.json."""
+    benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
